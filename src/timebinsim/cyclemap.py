@@ -14,7 +14,7 @@ index 1 = spin-up. Photon basis: index 0 = early, index 1 = late.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,6 +116,15 @@ class CycleOptions:
     half_cycle_time: float = 1.0
     rotation_error_std: float = 0.0
 
+    def __post_init__(self):
+        if not self.rotation_error_std >= 0.0:
+            raise ParamError(f"rotation_error_std must be >= 0, got {self.rotation_error_std}")
+        if not self.half_cycle_time > 0.0:
+            raise ParamError(f"half_cycle_time must be > 0, got {self.half_cycle_time}")
+        for name in ("rotation_angle", "quasistatic_detuning", "drift_phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParamError(f"{name} must be finite, got {getattr(self, name)}")
+
 
 def rotation_matrix(angle):
     """Ground-state Raman rotation about the y axis."""
@@ -198,17 +207,11 @@ def build_cycle_map(betas_or_params, options=None):
         p = betas_or_params
         betas = betas_from_branching(p.branching)
         exc = EXC_COEFFICIENT * p.gamma / p.delta
-        options = CycleOptions(
-            rotation_angle=options.rotation_angle,
+        options = replace(
+            options,
             indistinguishability=indist_fn(p.gamma, p.gamma_d),
-            filter_on=options.filter_on,
             orthogonal_error_prob=exc,
-            off_resonant_prob=options.off_resonant_prob,
-            quasistatic_detuning=options.quasistatic_detuning,
-            drift_phase=options.drift_phase,
-            echo=options.echo,
             half_cycle_time=p.t_cycle / 2.0,
-            rotation_error_std=options.rotation_error_std,
         )
     elif isinstance(betas_or_params, BranchingBetas):
         betas = betas_or_params

@@ -9,11 +9,15 @@ in either time bin are pruned every round; only their probability is kept
 (``success_probability``). Detected-but-orthogonal weight is carried as a
 scalar alongside the density operator, normalized so that
 ``trace(rho) + orthogonal_error_mass = 1`` after each round.
+
+Each round applies one 16x4 spin superoperator (the cycle map's Kraus
+blocks summed, with the round's normalization folded in) to rho as a single
+matrix product on the (i j) x (rest, rest) view of rho.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -91,18 +95,20 @@ class HybridState:
                 fh.write(" ".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) + "\n")
 
 
-def _apply_cycle_kraus(rho, cycle):
-    """Apply a CycleMap's detected sector; appends the new photon last."""
+def _spin_superoperator(cycle):
+    """S[(a p),(b c),i,j] = sum_k K[(a p),i] conj(K[(b c),j]), shape (4, 4, 2, 2)."""
+    k = np.asarray(cycle.kraus, dtype=complex).reshape(-1, 4, 2)
+    return np.einsum("kxi,kyj->xyij", k, k.conj())
+
+
+def _apply_superoperator(rho, s):
+    """Apply a 16x4 spin superoperator to rho; appends the new photon last."""
     d = rho.shape[0]
     r = d // 2
-    t = rho.reshape(2, r, 2, r)
-    out = np.zeros((2, 2, r, 2, 2, r), dtype=complex)
-    for k in cycle.kraus:
-        kt = k.reshape(2, 2, 2)  # [spin_out, photon, spin_in]
-        out += np.einsum("api,irjq,bcj->aprbcq", kt, t, kt.conj(), optimize=True)
-    # reorder (spin, photon_new, rest | ...) -> (spin, rest, photon_new | ...)
-    out = out.transpose(0, 2, 1, 3, 5, 4)
-    return out.reshape(2 * d, 2 * d)
+    x = rho.reshape(2, r, 2, r).transpose(0, 2, 1, 3).reshape(4, r * r)
+    out = (s @ x).reshape(2, 2, 2, 2, r, r)  # [a, p, b, c, rest, rest]
+    # (spin, photon_new, rest | ...) -> (spin, rest, photon_new | ...)
+    return out.transpose(0, 4, 1, 2, 5, 3).reshape(2 * d, 2 * d)
 
 
 def _initial_spin():
@@ -124,19 +130,20 @@ def run_protocol_cycles(cycles, cap=DEFAULT_PHOTON_CAP):
     success = 1.0
     for cycle in cycles:
         tr_in = float(np.trace(rho).real)
-        spin_rho = _trace_out_photons(rho)
-        det = cycle.detected_weight(spin_rho / max(tr_in, 1e-300)) * tr_in
+        sup = _spin_superoperator(cycle)
+        # detected weight: diagonal of S against the photon-traced spin state
+        t = rho.reshape(2, rho.shape[0] // 2, 2, -1)
+        det = float(np.einsum("xxij,irjr->", sup, t).real)
         p_o = cycle.orthogonal_prob
-        rho = _apply_cycle_kraus(rho, cycle) * (1.0 - p_o)
         # the orthogonal sector keeps taking part in later rounds; its
         # per-round detection probability is taken equal to the coherent one
         d_rate = det / max(tr_in, 1e-300)
         orth = orth * d_rate + p_o * det
-        total = float(np.trace(rho).real) + orth
+        total = (1.0 - p_o) * det + orth
         if total <= 0.0:
             raise ParamError("protocol lost all probability; check the cycle map")
         success *= total
-        rho = rho / total
+        rho = _apply_superoperator(rho, sup.reshape(16, 4) * ((1.0 - p_o) / total))
         orth = orth / total
     return HybridState(
         rho=rho,
@@ -144,12 +151,6 @@ def run_protocol_cycles(cycles, cap=DEFAULT_PHOTON_CAP):
         orthogonal_error_mass=orth,
         photon_count=n,
     )
-
-
-def _trace_out_photons(rho):
-    d = rho.shape[0]
-    r = d // 2
-    return np.trace(rho.reshape(2, r, 2, r), axis1=1, axis2=3)
 
 
 def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, cap=DEFAULT_PHOTON_CAP, options=None):
@@ -172,7 +173,7 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, cap=DEFAULT_
         raise ParamError(f"expected CycleMap or PhysicalParams, got {type(cycle)}")
     params = cycle
     base = options if options is not None else CycleOptions()
-    base = _with_rotation(base, kind.rotation_angle)
+    base = replace(base, rotation_angle=kind.rotation_angle)
     if noise is None:
         return run_protocol_cycles([build_cycle_map(params, base)] * n, cap=cap)
 
@@ -188,27 +189,22 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, cap=DEFAULT_
     return HybridState(rho, succ, orth, n)
 
 
-def _with_rotation(opts, angle):
-    from dataclasses import replace
-
-    return replace(opts, rotation_angle=angle)
-
-
 def _noisy_cycles(params, n, kind, base, noise, rng):
-    from dataclasses import replace
-
     delta_shift = rng.normal(0.0, noise.overhauser_sigma) if noise.overhauser_sigma else 0.0
     drift_std = (
         math.sqrt(noise.drift_diffusion * params.t_cycle**3)
         if noise.drift_diffusion
         else 0.0
     )
-    cycles = []
-    for _ in range(n):
-        kick = rng.normal(0.0, drift_std) if drift_std else 0.0
+
+    def cycle_map(kick):
         opts = replace(base, quasistatic_detuning=delta_shift, drift_phase=kick)
-        cycles.append(build_cycle_map(params, opts))
-    return cycles
+        return build_cycle_map(params, opts)
+
+    if not drift_std:
+        # no per-cycle draw: every round shares one map
+        return [cycle_map(0.0)] * n
+    return [cycle_map(rng.normal(0.0, drift_std)) for _ in range(n)]
 
 
 @lru_cache(maxsize=32)
@@ -311,7 +307,7 @@ def stabilizer_expectations(state, kind):
     den = float(np.trace(state.rho).real) + state.orthogonal_error_mass
     out = []
     for sign, (label, op) in zip(signs, canonical_stabilizers(n, kind)):
-        out.append(sign * float(np.real(np.trace(op @ state.rho))) / den)
+        out.append(sign * float(np.einsum("ij,ji->", op, state.rho).real) / den)
     return out
 
 
@@ -322,7 +318,7 @@ def overhauser_average(params, n_photons, kind, noise, options=None, cap=DEFAULT
     results do not depend on evaluation order.
     """
     base = options if options is not None else CycleOptions()
-    base = _with_rotation(base, kind.rotation_angle)
+    base = replace(base, rotation_angle=kind.rotation_angle)
     target = ideal_target(n_photons, kind)
     seeds = np.random.SeedSequence(noise.rng_seed).spawn(noise.sample_count)
     fids = []

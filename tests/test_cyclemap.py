@@ -114,6 +114,23 @@ def test_build_cycle_map_rejects_bad_inputs():
         build_cycle_map(VERTICAL_ONLY, CycleOptions(orthogonal_error_prob=-0.1))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rotation_error_std", -0.1),
+        ("rotation_error_std", math.nan),
+        ("half_cycle_time", 0.0),
+        ("half_cycle_time", -13.5),
+        ("rotation_angle", math.nan),
+        ("quasistatic_detuning", math.inf),
+        ("drift_phase", -math.inf),
+    ],
+)
+def test_cycle_options_rejects_bad_fields(field, value):
+    with pytest.raises(ParamError, match=field):
+        CycleOptions(**{field: value})
+
+
 def test_channel_sanity_fuzz():
     rng = np.random.default_rng(7)
     for _ in range(100):

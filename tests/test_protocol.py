@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,78 @@ from timebinsim.protocol import (
 )
 
 VERTICAL_ONLY = BranchingBetas(1.0, 0.0, 0.0, 0.0)
+BRANCHED = betas_from_branching(20.0, beta_total=0.96)
+
+
+def _reference_protocol(cycles):
+    """Per-Kraus einsum kernel with explicit trace normalization.
+
+    The slow path that the single-superoperator kernel of run_protocol_cycles
+    replaced; kept here as its oracle.
+    """
+    psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    rho = np.outer(psi, psi.conj())
+    orth, success = 0.0, 1.0
+    for cycle in cycles:
+        d = rho.shape[0]
+        r = d // 2
+        tr_in = float(np.trace(rho).real)
+        spin_rho = np.trace(rho.reshape(2, r, 2, r), axis1=1, axis2=3)
+        det = cycle.detected_weight(spin_rho / tr_in) * tr_in
+        p_o = cycle.orthogonal_prob
+        t = rho.reshape(2, r, 2, r)
+        out = np.zeros((2, 2, r, 2, 2, r), dtype=complex)
+        for k in cycle.kraus:
+            kt = k.reshape(2, 2, 2)  # [spin_out, photon, spin_in]
+            out += np.einsum("api,irjq,bcj->aprbcq", kt, t, kt.conj(), optimize=True)
+        rho = out.transpose(0, 2, 1, 3, 5, 4).reshape(2 * d, 2 * d) * (1.0 - p_o)
+        orth = orth * det / tr_in + p_o * det
+        total = float(np.trace(rho).real) + orth
+        success *= total
+        rho = rho / total
+        orth = orth / total
+    return rho, success, orth
+
+
+# (betas, options, Kraus term count): every imperfection switch of the map
+ORACLE_MAPS = [
+    (VERTICAL_ONLY, CycleOptions(), 1),
+    (VERTICAL_ONLY, CycleOptions(indistinguishability=0.93), 2),
+    (BRANCHED, CycleOptions(rotation_angle=math.pi / 2.0), 2),
+    (BRANCHED, CycleOptions(filter_on=False, indistinguishability=0.9), 4),
+    (VERTICAL_ONLY, CycleOptions(off_resonant_prob=0.05, rotation_error_std=0.2), 6),
+    (
+        BRANCHED,
+        CycleOptions(
+            rotation_angle=math.pi / 2.0,
+            off_resonant_prob=0.04,
+            indistinguishability=0.95,
+            orthogonal_error_prob=0.02,
+        ),
+        8,
+    ),
+    (
+        BRANCHED,
+        CycleOptions(
+            off_resonant_prob=0.03,
+            indistinguishability=0.9,
+            rotation_error_std=0.15,
+            echo=False,
+            quasistatic_detuning=0.07,
+            drift_phase=0.1,
+            half_cycle_time=13.5,
+        ),
+        16,
+    ),
+]
+
+
+def _assert_matches_reference(state, cycles):
+    rho, success, orth = _reference_protocol(cycles)
+    scale = np.abs(rho).max()
+    assert np.abs(state.rho - rho).max() <= 1e-12 * scale
+    assert state.success_probability == pytest.approx(success, rel=1e-12)
+    assert state.orthogonal_error_mass == pytest.approx(orth, rel=1e-12, abs=1e-300)
 
 
 def test_ideal_protocol_reaches_unit_fidelity():
@@ -159,3 +232,62 @@ def test_hybrid_state_dump(tmp_path):
     st.dump(out)
     head = out.read_text().splitlines()[0]
     assert head.startswith("dim 4 photons 1")
+
+
+@pytest.mark.parametrize("betas, opts, n_kraus", ORACLE_MAPS)
+def test_superoperator_kernel_matches_per_kraus_reference(betas, opts, n_kraus):
+    cm = build_cycle_map(betas, opts)
+    assert len(cm.kraus) == n_kraus
+    for n in range(1, 7):
+        _assert_matches_reference(run_protocol_cycles([cm] * n), [cm] * n)
+
+
+def test_superoperator_kernel_matches_reference_on_mixed_sequence():
+    cycles = [build_cycle_map(b, o) for b, o, _ in ORACLE_MAPS]
+    cycles.append(build_cycle_map(preset("reference")))
+    for n in range(1, len(cycles) + 1):
+        _assert_matches_reference(run_protocol_cycles(cycles[:n]), cycles[:n])
+
+
+def test_stabilizer_expectations_match_full_trace():
+    for kind in TargetKind:
+        for betas, opts, _ in ORACLE_MAPS[1::2]:
+            cm = build_cycle_map(betas, replace(opts, rotation_angle=kind.rotation_angle))
+            for n in range(1, 6):
+                st = run_protocol(cm, n, kind=kind)
+                psi = ideal_target(n, kind)
+                den = np.trace(st.rho).real + st.orthogonal_error_mass
+                vals = stabilizer_expectations(st, kind)
+                for val, (label, op) in zip(vals, canonical_stabilizers(n, kind)):
+                    # frame sign: the generator's sign on the ideal state
+                    sign = np.sign((psi.conj() @ op @ psi).real)
+                    full = sign * np.trace(op @ st.rho).real / den
+                    assert val == pytest.approx(full, rel=1e-12, abs=1e-15), label
+
+
+def _per_cycle_noisy_states(params, n, kind, noise, options):
+    """Noise samples drawn as run_protocol does, with a fresh map per cycle."""
+    base = replace(options, rotation_angle=kind.rotation_angle)
+    states = []
+    for seq in np.random.SeedSequence(noise.rng_seed).spawn(noise.sample_count):
+        rng = np.random.default_rng(seq)
+        delta = rng.normal(0.0, noise.overhauser_sigma)
+        opts = replace(base, quasistatic_detuning=delta, drift_phase=0.0)
+        states.append(run_protocol_cycles([build_cycle_map(params, opts) for _ in range(n)]))
+    return states
+
+
+def test_driftless_noise_shares_one_map_per_sample():
+    p = preset("reference")
+    noise = NoiseConfig(overhauser_sigma=0.3, sample_count=6, rng_seed=11)
+    opts = CycleOptions(echo=False)
+    for kind in TargetKind:
+        states = _per_cycle_noisy_states(p, 3, kind, noise, opts)
+        fids = np.asarray([conditional_fidelity(s, ideal_target(3, kind)) for s in states])
+        avg = overhauser_average(p, 3, kind, noise, options=opts)
+        assert avg["mean_fidelity"] == float(fids.mean())
+        assert avg["std_error"] == float(fids.std(ddof=1) / math.sqrt(len(fids)))
+        st = run_protocol(p, 3, kind=kind, noise=noise, options=opts)
+        assert np.array_equal(st.rho, sum(s.rho for s in states) / len(states))
+        assert st.success_probability == sum(s.success_probability for s in states) / len(states)
+        assert st.orthogonal_error_mass == sum(s.orthogonal_error_mass for s in states) / len(states)
