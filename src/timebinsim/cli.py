@@ -28,6 +28,7 @@ from .params import (
     gamma_d_for_indistinguishability,
     indistinguishability,
     preset,
+    read_key_values,
     validate_params,
     zeeman_detuning,
 )
@@ -134,16 +135,8 @@ def parse_config(path, scenario=None):
     ``sweep_points``/``sweep_scale``, ``param.<field>`` overrides; any other
     key lands in the scenario-specific options.
     """
-    raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = stripped.partition("=")
-            raw[key.strip()] = _parse_value(val)
+    entries = read_key_values(path, error=ConfigError)
+    raw = {key: _parse_value(val) for key, (_, val) in entries.items()}
     return build_config(raw, scenario=scenario)
 
 

@@ -140,37 +140,77 @@ class Pulse:
 
 
 def _collapse_ops(system):
+    """Jump operators: per trion vertical/diagonal decay into/out of the
+    waveguide, then pure dephasing of the trion levels."""
+    rates = (
+        system.rate_vertical_wg,
+        system.rate_vertical_leak,
+        system.rate_diagonal_wg,
+        system.rate_diagonal_leak,
+    )
     ops = []
-
-    def proj(i, j, rate):
-        m = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
-        m[i, j] = 1.0
-        return math.sqrt(rate) * m
-
-    ops.append(proj(GROUND_DOWN, TRION_DOWN, system.rate_vertical_wg))
-    ops.append(proj(GROUND_DOWN, TRION_DOWN, system.rate_vertical_leak))
-    ops.append(proj(GROUND_UP, TRION_DOWN, system.rate_diagonal_wg))
-    ops.append(proj(GROUND_UP, TRION_DOWN, system.rate_diagonal_leak))
-    ops.append(proj(GROUND_UP, TRION_UP, system.rate_vertical_wg))
-    ops.append(proj(GROUND_UP, TRION_UP, system.rate_vertical_leak))
-    ops.append(proj(GROUND_DOWN, TRION_UP, system.rate_diagonal_wg))
-    ops.append(proj(GROUND_DOWN, TRION_UP, system.rate_diagonal_leak))
+    branches = ((TRION_DOWN, GROUND_DOWN, GROUND_UP), (TRION_UP, GROUND_UP, GROUND_DOWN))
+    for trion, same, flipped in branches:
+        for ground, rate in zip((same, same, flipped, flipped), rates):
+            op = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
+            op[ground, trion] = math.sqrt(rate)
+            ops.append(op)
     if system.dephasing > 0.0:
-        d = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
-        d[TRION_DOWN, TRION_DOWN] = 1.0
-        d[TRION_UP, TRION_UP] = 1.0
-        ops.append(math.sqrt(2.0 * system.dephasing) * d)
+        ops.append(math.sqrt(2.0 * system.dephasing) * np.diag([0j, 0j, 1.0, 1.0]))
     return [op for op in ops if np.any(op)]
 
 
-def _hamiltonian(system, rabi, carrier_detuning=0.0):
-    h = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
-    h[GROUND_DOWN, TRION_DOWN] = h[TRION_DOWN, GROUND_DOWN] = rabi / 2.0
-    h[GROUND_UP, TRION_UP] = h[TRION_UP, GROUND_UP] = rabi / 2.0
-    h[TRION_DOWN, TRION_DOWN] = -carrier_detuning
-    h[TRION_UP, TRION_UP] = system.delta - carrier_detuning
-    h[GROUND_UP, GROUND_UP] = system.ground_splitting
-    return h
+def _generator(system, carrier_detuning=0.0, jumps=True):
+    """Lindblad generator split as dy/dt = (G0 + rabi(t) * G1) @ y.
+
+    ``y`` is the row-major density operator followed by the expected
+    emission numbers from trion-down and trion-up (18 entries). Row-major
+    vectorization gives vec(A rho B) = (A kron B^T) vec(rho), so a jump L
+    contributes L kron conj(L). With ``jumps=False`` the jump terms and the
+    counters are dropped, which leaves the 16x16 no-jump evolution under
+    H_eff = H - i/2 sum L^dag L.
+    """
+    eye = np.eye(N_LEVELS)
+    h0 = np.diag(
+        [0.0, system.ground_splitting, -carrier_detuning, system.delta - carrier_detuning]
+    )
+    h1 = np.zeros((N_LEVELS, N_LEVELS))
+    h1[GROUND_DOWN, TRION_DOWN] = h1[TRION_DOWN, GROUND_DOWN] = 0.5
+    h1[GROUND_UP, TRION_UP] = h1[TRION_UP, GROUND_UP] = 0.5
+    ls = _collapse_ops(system)
+    ldl = sum(l.conj().T @ l for l in ls)
+
+    def commutator(h):
+        return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+
+    n = N_LEVELS**2
+    size = n + 2 if jumps else n
+    g0 = np.zeros((size, size), dtype=complex)
+    g1 = np.zeros((size, size), dtype=complex)
+    g0[:n, :n] = commutator(h0) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    g1[:n, :n] = commutator(h1)
+    if jumps:
+        g0[:n, :n] += sum(np.kron(l, l.conj()) for l in ls)
+        g0[n, TRION_DOWN * (N_LEVELS + 1)] = system.gamma
+        g0[n + 1, TRION_UP * (N_LEVELS + 1)] = system.gamma
+    return g0, g1
+
+
+def _evolve(system, pulse, rho0, t_span, tolerance, jumps=True, **solver_options):
+    """Integrate the generator of ``_generator`` from ``rho0`` over ``t_span``.
+
+    ``pulse=None`` means no drive. Returns the ``solve_ivp`` solution.
+    """
+    g0, g1 = _generator(system, pulse.carrier_detuning if pulse else 0.0, jumps)
+    rabi = pulse.envelope if pulse is not None else (lambda t: 0.0)
+    y0 = np.zeros(len(g0), dtype=complex)
+    y0[: N_LEVELS**2] = rho0.ravel()
+    sol = solve_ivp(
+        lambda t, y: g0 @ y + rabi(t) * (g1 @ y), t_span, y0, rtol=tolerance, **solver_options
+    )
+    if not sol.success:
+        raise IntegrationError(f"master-equation integration failed: {sol.message}")
+    return sol
 
 
 def _check_density_operator(rho, tol=1e-12):
@@ -225,35 +265,12 @@ def integrate_master_equation(
     if horizon <= t0:
         raise ParamError(f"horizon {horizon} does not cover the pulse span")
 
-    ls = _collapse_ops(system)
-    ldl = sum(l.conj().T @ l for l in ls)
-    gamma = system.gamma
-
-    def rhs(t, y):
-        rho = y[:16].reshape(N_LEVELS, N_LEVELS)
-        rabi = pulse.envelope(t) if pulse is not None else 0.0
-        h = _hamiltonian(system, rabi, pulse.carrier_detuning if pulse else 0.0)
-        drho = -1j * (h @ rho - rho @ h)
-        for l in ls:
-            drho += l @ rho @ l.conj().T
-        drho += -0.5 * (ldl @ rho + rho @ ldl)
-        m_down = gamma * rho[TRION_DOWN, TRION_DOWN]
-        m_up = gamma * rho[TRION_UP, TRION_UP]
-        return np.concatenate([drho.ravel(), [m_down, m_up]])
-
-    y0 = np.concatenate([rho0.ravel(), [0.0, 0.0]])
-    t_eval = np.linspace(t0, horizon, n_samples)
-    sol = solve_ivp(
-        rhs,
-        (t0, horizon),
-        y0,
-        t_eval=t_eval,
-        rtol=tolerance,
+    sol = _evolve(
+        system, pulse, rho0, (t0, horizon), tolerance,
+        t_eval=np.linspace(t0, horizon, n_samples),
         atol=tolerance * 1e-3,
         max_step=(t1 - t0) / 20.0 if t1 > t0 else np.inf,
     )
-    if not sol.success:
-        raise IntegrationError(f"master-equation integration failed: {sol.message}")
     states = sol.y[:16].T.reshape(-1, N_LEVELS, N_LEVELS)
     return TimeSeries(
         times=sol.t,
@@ -261,64 +278,6 @@ def integrate_master_equation(
         emissions_trion_down=float(sol.y[16, -1].real),
         emissions_trion_up=float(sol.y[17, -1].real),
     )
-
-
-def _integrate_over_pulse(system, pulse, start_level, tolerance):
-    """Lindblad evolution over the pulse span only, with emission counters.
-
-    The free decay after the pulse needs no integration: every remaining
-    trion population decays exactly once, so the post-pulse emission tail
-    equals the final trion populations.
-    """
-    ls = _collapse_ops(system)
-    ldl = sum(l.conj().T @ l for l in ls)
-    gamma = system.gamma
-    t0, t1 = pulse.span
-
-    def rhs(t, y):
-        rho = y[:16].reshape(N_LEVELS, N_LEVELS)
-        h = _hamiltonian(system, pulse.envelope(t), pulse.carrier_detuning)
-        drho = -1j * (h @ rho - rho @ h)
-        for l in ls:
-            drho += l @ rho @ l.conj().T
-        drho += -0.5 * (ldl @ rho + rho @ ldl)
-        return np.concatenate(
-            [
-                drho.ravel(),
-                [gamma * rho[TRION_DOWN, TRION_DOWN], gamma * rho[TRION_UP, TRION_UP]],
-            ]
-        )
-
-    y0 = np.zeros(18, dtype=complex)
-    y0[start_level * (N_LEVELS + 1)] = 1.0
-    sol = solve_ivp(rhs, (t0, t1), y0, rtol=tolerance, atol=1e-14)
-    if not sol.success:
-        raise IntegrationError(f"pulse integration failed: {sol.message}")
-    rho_end = sol.y[:16, -1].reshape(N_LEVELS, N_LEVELS)
-    mu_down = sol.y[16, -1].real + rho_end[TRION_DOWN, TRION_DOWN].real
-    mu_up = sol.y[17, -1].real + rho_end[TRION_UP, TRION_UP].real
-    return rho_end, mu_down, mu_up
-
-
-def _no_emission_probability(system, pulse, tolerance):
-    """Probability that no photon is ever emitted, from the no-jump evolution."""
-    ls = _collapse_ops(system)
-    ldl = sum(l.conj().T @ l for l in ls)
-    t0, t1 = pulse.span
-
-    def rhs(t, y):
-        h = _hamiltonian(system, pulse.envelope(t), pulse.carrier_detuning)
-        heff = h - 0.5j * ldl
-        return -1j * (heff @ y)
-
-    psi0 = np.zeros(N_LEVELS, dtype=complex)
-    psi0[GROUND_DOWN] = 1.0
-    sol = solve_ivp(rhs, (t0, t1), psi0, rtol=tolerance, atol=1e-14)
-    if not sol.success:
-        raise IntegrationError(f"no-jump integration failed: {sol.message}")
-    psi = sol.y[:, -1]
-    # after the pulse the remaining trion amplitude decays away (emits)
-    return float(abs(psi[GROUND_DOWN]) ** 2 + abs(psi[GROUND_UP]) ** 2)
 
 
 @dataclass(frozen=True)
@@ -353,10 +312,24 @@ def excitation_error_probability(system, pulse, tolerance=1e-10):
     """
     if abs(pulse.area - math.pi) > 1e-9:
         raise ParamError(f"excitation pulses must have area pi, got {pulse.area}")
-    _, mu_down, _ = _integrate_over_pulse(system, pulse, GROUND_DOWN, tolerance)
-    p_no = _no_emission_probability(system, pulse, tolerance)
+
+    def final(level, jumps=True):
+        rho0 = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
+        rho0[level, level] = 1.0
+        y = _evolve(system, pulse, rho0, pulse.span, tolerance, jumps, atol=1e-14).y[:, -1]
+        return y[: N_LEVELS**2].reshape(N_LEVELS, N_LEVELS).real, y[N_LEVELS**2 :].real
+
+    # The free decay after the pulse needs no integration: every remaining
+    # trion population decays exactly once, so the post-pulse emission tail
+    # equals the final trion populations.
+    rho, emitted = final(GROUND_DOWN)
+    mu_down = emitted[0] + rho[TRION_DOWN, TRION_DOWN]
+    rho, _ = final(GROUND_DOWN, jumps=False)
+    # after the pulse the remaining trion amplitude decays away (emits)
+    p_no = float(rho[GROUND_DOWN, GROUND_DOWN] + rho[GROUND_UP, GROUND_UP])
     mu_re = max(mu_down - (1.0 - p_no), 0.0)
-    _, _, mu_off = _integrate_over_pulse(system, pulse, GROUND_UP, tolerance)
+    rho, emitted = final(GROUND_UP)
+    mu_off = emitted[1] + rho[TRION_UP, TRION_UP]
     return ExcitationErrors(
         off_resonant=mu_off / 4.0,
         re_excitation=mu_re / 2.0,

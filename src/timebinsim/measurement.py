@@ -122,8 +122,8 @@ def joint_outcome_distribution(rho, settings, eta=1.0):
     return outcomes, np.clip(probs, 0.0, None)
 
 
-def sample_measurements(state, settings, shots, seed=0):
-    """Draw i.i.d. shots from the joint outcome distribution.
+def sample_measurements(state, settings, shots, seed=0, eta=1.0):
+    """Draw i.i.d. shots from the joint outcome distribution at efficiency eta.
 
     ``state`` is a HybridState (or density operator); the orthogonal-error
     mass of a HybridState contributes click patterns drawn from the
@@ -131,25 +131,16 @@ def sample_measurements(state, settings, shots, seed=0):
     detectors. Deterministic for a fixed seed.
     """
     rho, orth = _as_rho(state)
-    outcomes, probs = joint_outcome_distribution(rho, settings, eta=_ETA_DEFAULT)
-    if orth > 0.0:
-        mixed = np.eye(rho.shape[0], dtype=complex) / rho.shape[0]
-        _, p2 = joint_outcome_distribution(mixed, settings, eta=_ETA_DEFAULT)
-        probs = probs + orth * p2
-    return _sample(outcomes, probs, settings, shots, seed)
-
-
-_ETA_DEFAULT = 1.0
-
-
-def sample_measurements_with_eta(state, settings, shots, seed=0, eta=1.0):
-    rho, orth = _as_rho(state)
     outcomes, probs = joint_outcome_distribution(rho, settings, eta=eta)
     if orth > 0.0:
         mixed = np.eye(rho.shape[0], dtype=complex) / rho.shape[0]
         _, p2 = joint_outcome_distribution(mixed, settings, eta=eta)
         probs = probs + orth * p2
     return _sample(outcomes, probs, settings, shots, seed)
+
+
+# earlier name of the same sampler, kept for existing callers
+sample_measurements_with_eta = sample_measurements
 
 
 def _as_rho(state):
@@ -211,8 +202,11 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
     n, k = 0..2n-1) for the all-X(phi_k) runs. Shots without a click on
     every qubit are discarded (post-selection). ``target_phase`` is the
     phase of the GHZ coherence of the target state (0 or pi for the
-    protocol's frame).
+    protocol's frame); any other phase raises MeasurementError.
     """
+    phase = target_phase % (2.0 * math.pi)
+    if min(phase, abs(phase - math.pi), 2.0 * math.pi - phase) > 1e-9:
+        raise MeasurementError(f"target_phase must be 0 or pi (mod 2pi), got {target_phase}")
     n = n_qubits
     phases = [(k * math.pi / n) % (2.0 * math.pi) for k in range(2 * n)]
     missing = []
@@ -237,7 +231,7 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
             )
         )
 
-    sign = math.cos(target_phase)
+    sign = -1.0 if abs(phase - math.pi) <= 1e-9 else 1.0
 
     def estimator(drop=None):
         pop = _block_mean(z_blocks, drop)
@@ -306,15 +300,11 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
     n = state.photon_count
     signs = _frame_signs(n, kind)
     estimates = []
-    for g, (sign, (label, _)) in enumerate(
-        zip(signs, canonical_stabilizers(n, kind))
-    ):
+    for g, (sign, label) in enumerate(zip(signs, canonical_stabilizers(n, kind))):
         settings = [
             BasisSetting.x(0.0) if c == "X" else BasisSetting.z() for c in label
         ]
-        records = sample_measurements_with_eta(
-            state, settings, shots, seed=seed + g, eta=eta
-        )
+        records = sample_measurements(state, settings, shots, seed=seed + g, eta=eta)
         total = 0.0
         count = 0
         for shot in _group_by_shot(records):

@@ -230,6 +230,31 @@ def preset(name):
 _FIELD_NAMES = {f.name for f in fields(PhysicalParams)}
 
 
+def read_key_values(path, error=ParamError):
+    """Read ``key = value`` lines into {key: (lineno, value text)}.
+
+    Text after ``#`` and blank lines are ignored. A line without ``=`` or a
+    repeated key raises ``error`` prefixed with ``path:lineno``.
+    """
+    entries = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, _, val = line.partition("=")
+            key = key.strip()
+            if key in entries:
+                raise error(
+                    f"{path}:{lineno}: duplicate key {key!r} "
+                    f"(first set on line {entries[key][0]})"
+                )
+            entries[key] = (lineno, val.strip())
+    return entries
+
+
 def load_params(path, base=None):
     """Read parameters from a plain-text file, one ``key = value`` per line.
 
@@ -239,21 +264,12 @@ def load_params(path, base=None):
     """
     values = {}
     base_params = base if base is not None else PRESETS["reference"]
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParamError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key == "preset":
-                base_params = preset(val)
-                continue
-            if key not in _FIELD_NAMES:
-                raise ParamError(f"{path}:{lineno}: unknown parameter {key!r}")
+    for key, (lineno, val) in read_key_values(path).items():
+        if key == "preset":
+            base_params = preset(val)
+        elif key not in _FIELD_NAMES:
+            raise ParamError(f"{path}:{lineno}: unknown parameter {key!r}")
+        else:
             try:
                 values[key] = float(val)
             except ValueError:

@@ -240,23 +240,9 @@ def conditional_fidelity(state, target):
     return num / den
 
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def _pauli_string(labels):
-    op = np.array([[1.0]], dtype=complex)
-    for l in labels:
-        op = np.kron(op, _PAULI[l])
-    return op
-
-
 def canonical_stabilizers(n_photons, kind):
-    """Unsigned stabilizer generators, in state order (spin, p1..pN).
+    """Unsigned stabilizer generator labels over I, X, Z, in state order
+    (spin, p1..pN).
 
     The chain underlying both kinds is (p1, ..., pN, spin): photons in
     emission order with the spin at the end.
@@ -265,13 +251,12 @@ def canonical_stabilizers(n_photons, kind):
     chain_to_state = list(range(1, n + 1)) + [0]
     gens = []
     if kind is TargetKind.GHZ:
-        labels = ["X"] * (n + 1)
-        gens.append(("X" * (n + 1), _pauli_string(labels)))
+        gens.append("X" * (n + 1))
         for j in range(n):
             labels = ["I"] * (n + 1)
             labels[chain_to_state[j]] = "Z"
             labels[chain_to_state[j + 1]] = "Z"
-            gens.append(("".join(labels), _pauli_string(labels)))
+            gens.append("".join(labels))
     else:
         for j in range(n + 1):
             labels = ["I"] * (n + 1)
@@ -280,8 +265,22 @@ def canonical_stabilizers(n_photons, kind):
                 labels[chain_to_state[j - 1]] = "Z"
             if j < n:
                 labels[chain_to_state[j + 1]] = "Z"
-            gens.append(("".join(labels), _pauli_string(labels)))
+            gens.append("".join(labels))
     return gens
+
+
+def _pauli_action(label, dim):
+    """P|j> = s_j |j ^ x> for a label over I, X, Z; returns (j ^ x, s_j).
+
+    The first label character is the most significant bit of the index;
+    s_j = (-1)^popcount(j & z) with x, z the label's X and Z bit masks.
+    """
+    x = z = 0
+    for c in label:
+        x, z = (x << 1) | (c == "X"), (z << 1) | (c == "Z")
+    j = np.arange(dim)
+    parity = np.bitwise_count(j & z).astype(int) & 1
+    return j ^ x, 1 - 2 * parity
 
 
 @lru_cache(maxsize=32)
@@ -289,8 +288,9 @@ def _frame_signs(n_photons, kind):
     """Signs fixing the local frame of the ideal protocol output."""
     psi = ideal_target(n_photons, kind)
     signs = []
-    for label, op in canonical_stabilizers(n_photons, kind):
-        val = float(np.real(psi.conj() @ op @ psi))
+    for label in canonical_stabilizers(n_photons, kind):
+        flipped, s = _pauli_action(label, psi.size)
+        val = float(np.real(np.vdot(psi[flipped], s * psi)))
         if abs(abs(val) - 1.0) > 1e-9:
             raise RuntimeError(
                 f"stabilizer {label} is not +-1 on the ideal state ({val}); "
@@ -301,13 +301,18 @@ def _frame_signs(n_photons, kind):
 
 
 def stabilizer_expectations(state, kind):
-    """Expectations of the N+1 frame-corrected stabilizers."""
+    """Expectations of the N+1 frame-corrected stabilizers.
+
+    Tr(P rho) = sum_j s_j rho[j, j ^ x] needs no dense Pauli operator.
+    """
     n = state.photon_count
     signs = _frame_signs(n, kind)
     den = float(np.trace(state.rho).real) + state.orthogonal_error_mass
+    rows = np.arange(state.dim)
     out = []
-    for sign, (label, op) in zip(signs, canonical_stabilizers(n, kind)):
-        out.append(sign * float(np.einsum("ij,ji->", op, state.rho).real) / den)
+    for sign, label in zip(signs, canonical_stabilizers(n, kind)):
+        flipped, s = _pauli_action(label, state.dim)
+        out.append(sign * float(np.sum(s * state.rho[rows, flipped]).real) / den)
     return out
 
 

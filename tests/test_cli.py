@@ -37,6 +37,15 @@ def test_config_validation():
         build_config({"scenario": "echo_demo"}, scenario="photon_scaling")
 
 
+def test_parse_config_rejects_duplicate_key(tmp_path):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("scenario = photon_scaling\nphotons = 1,2\nseed = 3\nphotons = 4\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    msg = str(err.value)
+    assert f"{cfg}:4:" in msg and "'photons'" in msg and "line 2" in msg
+
+
 def test_parse_config(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

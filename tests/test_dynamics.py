@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from timebinsim.dynamics import (
     GROUND_DOWN,
     GROUND_UP,
     TRION_DOWN,
+    TRION_UP,
     LevelSystem,
     Pulse,
+    _generator,
     excitation_error_probability,
     integrate_master_equation,
     optimize_pulse_duration,
@@ -118,3 +121,124 @@ def test_timeseries_csv_dump(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# time_ns")
     assert len(lines) == 21
+
+
+# -- oracle: the hand-written Lindblad right-hand sides the generator replaced
+
+def _reference_collapse_ops(system):
+    def proj(i, j, rate):
+        m = np.zeros((4, 4), dtype=complex)
+        m[i, j] = 1.0
+        return math.sqrt(rate) * m
+
+    ops = [
+        proj(GROUND_DOWN, TRION_DOWN, system.rate_vertical_wg),
+        proj(GROUND_DOWN, TRION_DOWN, system.rate_vertical_leak),
+        proj(GROUND_UP, TRION_DOWN, system.rate_diagonal_wg),
+        proj(GROUND_UP, TRION_DOWN, system.rate_diagonal_leak),
+        proj(GROUND_UP, TRION_UP, system.rate_vertical_wg),
+        proj(GROUND_UP, TRION_UP, system.rate_vertical_leak),
+        proj(GROUND_DOWN, TRION_UP, system.rate_diagonal_wg),
+        proj(GROUND_DOWN, TRION_UP, system.rate_diagonal_leak),
+    ]
+    if system.dephasing > 0.0:
+        ops.append(math.sqrt(2.0 * system.dephasing) * np.diag([0, 0, 1, 1]).astype(complex))
+    return [op for op in ops if np.any(op)]
+
+
+def _reference_hamiltonian(system, rabi, carrier_detuning):
+    h = np.zeros((4, 4), dtype=complex)
+    h[GROUND_DOWN, TRION_DOWN] = h[TRION_DOWN, GROUND_DOWN] = rabi / 2.0
+    h[GROUND_UP, TRION_UP] = h[TRION_UP, GROUND_UP] = rabi / 2.0
+    h[TRION_DOWN, TRION_DOWN] = -carrier_detuning
+    h[TRION_UP, TRION_UP] = system.delta - carrier_detuning
+    h[GROUND_UP, GROUND_UP] = system.ground_splitting
+    return h
+
+
+def _reference_rhs(system, pulse):
+    """Lindblad RHS on (row-major rho, emissions from trion-down, trion-up)."""
+    ls = _reference_collapse_ops(system)
+    ldl = sum(l.conj().T @ l for l in ls)
+
+    def rhs(t, y):
+        rho = y[:16].reshape(4, 4)
+        rabi = pulse.envelope(t) if pulse is not None else 0.0
+        h = _reference_hamiltonian(system, rabi, pulse.carrier_detuning if pulse else 0.0)
+        drho = -1j * (h @ rho - rho @ h)
+        for l in ls:
+            drho += l @ rho @ l.conj().T
+        drho += -0.5 * (ldl @ rho + rho @ ldl)
+        m_down = system.gamma * rho[TRION_DOWN, TRION_DOWN]
+        m_up = system.gamma * rho[TRION_UP, TRION_UP]
+        return np.concatenate([drho.ravel(), [m_down, m_up]])
+
+    return rhs
+
+
+def _reference_excitation_errors(system, pulse, tolerance):
+    def mu(level):
+        y0 = np.zeros(18, dtype=complex)
+        y0[level * 5] = 1.0
+        rhs = _reference_rhs(system, pulse)
+        y = solve_ivp(rhs, pulse.span, y0, rtol=tolerance, atol=1e-14).y[:, -1]
+        return y[16].real + y[10].real, y[17].real + y[15].real
+
+    ldl = sum(l.conj().T @ l for l in _reference_collapse_ops(system))
+
+    def no_jump_rhs(t, psi):
+        h = _reference_hamiltonian(system, pulse.envelope(t), pulse.carrier_detuning)
+        return -1j * ((h - 0.5j * ldl) @ psi)
+
+    psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    psi = solve_ivp(no_jump_rhs, pulse.span, psi0, rtol=tolerance, atol=1e-14).y[:, -1]
+    p_no = abs(psi[GROUND_DOWN]) ** 2 + abs(psi[GROUND_UP]) ** 2
+    mu_re = max(mu(GROUND_DOWN)[0] - (1.0 - p_no), 0.0)
+    return {
+        "off_resonant": mu(GROUND_UP)[1] / 4.0,
+        "re_excitation": mu_re / 2.0,
+        "incomplete_inversion": p_no / 2.0,
+    }
+
+
+# every channel switched on: leaky and diagonal decay, trion dephasing, a
+# ground splitting and a detuned carrier
+ALL_CHANNELS = LevelSystem.from_rates(
+    gamma=1.0,
+    betas=BranchingBetas(0.7, 0.1, 0.15, 0.05),
+    delta=40.0,
+    dephasing=0.3,
+    ground_splitting=0.7,
+)
+
+
+@pytest.mark.parametrize("shape", ["square", "gaussian"])
+def test_generator_matches_reference_rhs(shape):
+    system = ALL_CHANNELS
+    pulse = Pulse(shape=shape, duration=3.0 / system.delta, carrier_detuning=1.3)
+    errs = excitation_error_probability(system, pulse, tolerance=1e-13)
+    for name, want in _reference_excitation_errors(system, pulse, 1e-13).items():
+        assert getattr(errs, name) == pytest.approx(want, abs=1e-12), name
+
+    rho0 = np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex)
+    rho0[GROUND_DOWN, GROUND_UP] = rho0[GROUND_UP, GROUND_DOWN] = 0.3
+    horizon = pulse.span[1] + 0.5
+    ts = integrate_master_equation(system, pulse, rho0, horizon=horizon, tolerance=1e-13)
+    sol = solve_ivp(
+        _reference_rhs(system, pulse),
+        (0.0, horizon),
+        np.concatenate([rho0.ravel(), [0.0, 0.0]]),
+        rtol=1e-13,
+        atol=1e-16,
+        max_step=pulse.span[1] / 20.0,
+    )
+    y = sol.y[:, -1]
+    assert np.max(np.abs(ts.states[-1] - y[:16].reshape(4, 4))) <= 1e-12
+    assert ts.emissions_trion_down == pytest.approx(y[16].real, abs=1e-12)
+    assert ts.emissions_trion_up == pytest.approx(y[17].real, abs=1e-12)
+
+
+def test_jump_generator_preserves_trace():
+    diagonal_rows = [i * 5 for i in range(4)]
+    for g in _generator(ALL_CHANNELS, carrier_detuning=1.3):
+        assert np.max(np.abs(g[diagonal_rows, :16].sum(axis=0))) < 1e-14

@@ -169,6 +169,20 @@ def test_estimator_missing_settings():
     assert "X(" in str(err.value)
 
 
+def test_estimator_rejects_target_phase_other_than_0_or_pi():
+    st = run_protocol(ideal_cycle_map(), 2)
+    recs = _collect(st, 3, 200, 5)
+    for phase in (math.pi / 2.0, 1.0, math.pi + 1e-6):
+        with pytest.raises(MeasurementError) as err:
+            estimate_ghz_fidelity(recs, 3, target_phase=phase)
+        assert "target_phase" in str(err.value)
+    # phases are taken mod 2 pi
+    for phase, same in ((2.0 * math.pi, 0.0), (-math.pi, math.pi)):
+        assert estimate_ghz_fidelity(recs, 3, target_phase=phase) == estimate_ghz_fidelity(
+            recs, 3, target_phase=same
+        )
+
+
 def test_ghz_parity_settings():
     settings = ghz_parity_settings(3)
     assert len(settings) == 6

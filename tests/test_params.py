@@ -121,3 +121,12 @@ def test_load_params_errors(tmp_path):
     bad.write_text("gamma = fast\n")
     with pytest.raises(ParamError):
         load_params(bad)
+
+
+def test_load_params_rejects_duplicate_key(tmp_path):
+    cfg = tmp_path / "params.txt"
+    cfg.write_text("gamma = 4.0\n# comment\n\ngamma = 5.0\n")
+    with pytest.raises(ParamError) as err:
+        load_params(cfg)
+    msg = str(err.value)
+    assert f"{cfg}:4:" in msg and "'gamma'" in msg and "line 1" in msg
