@@ -39,12 +39,9 @@ from .dynamics import (
     optimize_pulse_duration,
 )
 from .cyclemap import (
-    ChannelError,
     CycleMap,
     CycleOptions,
-    EmissionChannel,
     build_cycle_map,
-    emission_channel,
     ideal_cycle_map,
     rotation_matrix,
 )

@@ -14,17 +14,18 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .budget import generation_rate, infidelity_first_order
 from .cyclemap import CycleOptions
-from .dynamics import LevelSystem, optimize_pulse_duration
+from .dynamics import IntegrationError, LevelSystem, optimize_pulse_duration
 from .params import (
     BranchingBetas,
     ParamError,
+    PhysicalParams,
     gamma_d_for_indistinguishability,
     indistinguishability,
     preset,
@@ -33,6 +34,7 @@ from .params import (
     zeeman_detuning,
 )
 from .protocol import (
+    CapacityError,
     NoiseConfig,
     TargetKind,
     conditional_fidelity,
@@ -41,6 +43,8 @@ from .protocol import (
     run_protocol,
 )
 from .waveguide import (
+    DEFAULT_GAMMA_TABLE,
+    ModeFieldError,
     branching_map,
     gamma_of_group_index,
     load_mode_field,
@@ -94,6 +98,9 @@ class ScenarioConfig:
             )
         if any(int(n) < 1 for n in self.photons):
             raise ConfigError(f"photon numbers must be >= 1, got {self.photons}")
+        unknown = sorted(set(self.overrides) - {f.name for f in fields(PhysicalParams)})
+        if unknown:
+            raise ConfigError(f"unknown parameter override(s): param.{', param.'.join(unknown)}")
 
     def params(self):
         p = preset(self.preset_name)
@@ -127,6 +134,22 @@ def _parse_value(text):
     return _parse_scalar(text)
 
 
+def _option(lookup, key, cast, *default):
+    """``cast(lookup(key, *default))``, with ``lookup`` a mapping's ``get`` or
+    ``pop``; a missing or malformed value raises a ConfigError naming the key."""
+    try:
+        return cast(lookup(key, *default))
+    except KeyError:
+        raise ConfigError(f"missing key {key}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _tuple_of(cast):
+    """Cast for a scalar or comma-list value: a tuple of ``cast`` items."""
+    return lambda value: tuple(cast(v) for v in (value if isinstance(value, tuple) else (value,)))
+
+
 def parse_config(path, scenario=None):
     """Read a scenario configuration from ``key = value`` lines.
 
@@ -154,24 +177,22 @@ def build_config(raw, scenario=None):
     if "sweep_name" in raw:
         sweep = SweepAxis(
             name=str(raw.pop("sweep_name")),
-            lo=float(raw.pop("sweep_min")),
-            hi=float(raw.pop("sweep_max")),
-            points=int(raw.pop("sweep_points")),
+            lo=_option(raw.pop, "sweep_min", float),
+            hi=_option(raw.pop, "sweep_max", float),
+            points=_option(raw.pop, "sweep_points", int),
             scale=str(raw.pop("sweep_scale", "linear")),
         )
-    photons = raw.pop("photons", (1, 2, 3))
-    if not isinstance(photons, tuple):
-        photons = (photons,)
+    photons = _option(raw.pop, "photons", _tuple_of(int), (1, 2, 3))
     overrides = {}
     for key in [k for k in raw if k.startswith("param.")]:
-        overrides[key[len("param."):]] = float(raw.pop(key))
+        overrides[key[len("param."):]] = _option(raw.pop, key, float)
     return ScenarioConfig(
         scenario=str(name),
         preset_name=str(raw.pop("preset", "reference")),
         overrides=overrides,
         sweep=sweep,
-        photons=tuple(int(n) for n in photons),
-        rng_seed=int(raw.pop("seed", 0)),
+        photons=photons,
+        rng_seed=_option(raw.pop, "seed", int, 0),
         out=raw.pop("out", None),
         options=raw,
     )
@@ -197,17 +218,20 @@ def scenario_detuning_sweep(config):
     sweep = config.sweep or SweepAxis(name="delta", lo=4.0, hi=64.0, points=16)
     if sweep.name not in ("delta", "b_field"):
         raise ConfigError(f"detuning sweep axis must be delta or b_field, got {sweep.name!r}")
-    ng_list = config.options.get("n_g_list", (base.n_g,))
-    if not isinstance(ng_list, tuple):
-        ng_list = (ng_list,)
+    ng_list = _option(config.options.get, "n_g_list", _tuple_of(float), (base.n_g,))
     columns = [
         "n_g", sweep.name, "delta_rad_ns", "n_photons",
         "e_ph", "e_exc", "e_br", "total_first_order", "asymptote",
     ]
     rows = []
     for n_g in ng_list:
-        gamma = gamma_of_group_index(float(n_g)).value
-        p_ng = _with_indistinguishability(replace(base, n_g=float(n_g)), gamma)
+        gamma = gamma_of_group_index(n_g)
+        if gamma.extrapolated:
+            raise ConfigError(
+                f"n_g_list entry {n_g} is outside the gamma(n_g) table range "
+                f"[{min(DEFAULT_GAMMA_TABLE)}, {max(DEFAULT_GAMMA_TABLE)}]"
+            )
+        p_ng = _with_indistinguishability(replace(base, n_g=n_g), gamma.value)
         for value in sweep.values():
             if sweep.name == "delta":
                 delta = 2.0 * math.pi * float(value)
@@ -217,7 +241,7 @@ def scenario_detuning_sweep(config):
             for n in config.photons:
                 b = infidelity_first_order(p, n)
                 rows.append({
-                    "n_g": float(n_g),
+                    "n_g": n_g,
                     sweep.name: float(value),
                     "delta_rad_ns": delta,
                     "n_photons": n,
@@ -233,7 +257,7 @@ def scenario_detuning_sweep(config):
 def scenario_photon_scaling(config):
     """First-order budget, numeric conditional infidelity and rate versus N."""
     p = config.params()
-    kind = TargetKind(config.options.get("kind", "ghz"))
+    kind = _option(config.options.get, "kind", TargetKind, "ghz")
     numeric = bool(config.options.get("numeric", True))
     columns = [
         "n_photons", "e_ph", "e_exc", "e_br", "total_first_order",
@@ -263,15 +287,14 @@ def scenario_photon_scaling(config):
 
 def scenario_pulse_optimization(config):
     """Optimized per-pulse excitation error across detuning-to-rate ratios."""
-    ratios = config.options.get("delta_over_gamma", (30.0, 100.0, 300.0))
-    if not isinstance(ratios, tuple):
-        ratios = (ratios,)
+    ratios = _option(
+        config.options.get, "delta_over_gamma", _tuple_of(float), (30.0, 100.0, 300.0)
+    )
     shape = str(config.options.get("shape", "square"))
     betas = BranchingBetas(beta_par=1.0, beta_perp=0.0, beta_par_leak=0.0, beta_perp_leak=0.0)
     columns = ["delta_over_gamma", "duration_opt", "error_min", "coefficient"]
     rows = []
-    for ratio in ratios:
-        r = float(ratio)
+    for r in ratios:
         system = LevelSystem.from_rates(gamma=1.0, betas=betas, delta=r)
         opt = optimize_pulse_duration(system, shape=shape)
         rows.append({
@@ -290,17 +313,16 @@ def scenario_echo_demo(config):
     the noise-free value while the no-echo column decays.
     """
     p = config.params()
-    sigmas = config.options.get("sigma_list", (0.0, 0.25, 0.5, 0.7071067811865476))
-    if not isinstance(sigmas, tuple):
-        sigmas = (sigmas,)
-    n = int(config.options.get("n_photons", config.photons[0]))
-    samples = int(config.options.get("sample_count", 40))
-    kind = TargetKind(config.options.get("kind", "ghz"))
+    sigmas = _option(
+        config.options.get, "sigma_list", _tuple_of(float), (0.0, 0.25, 0.5, 0.7071067811865476)
+    )
+    n = _option(config.options.get, "n_photons", int, config.photons[0])
+    samples = _option(config.options.get, "sample_count", int, 40)
+    kind = _option(config.options.get, "kind", TargetKind, "ghz")
     target = ideal_target(n, kind)
     columns = ["sigma_overhauser", "fidelity_echo", "fidelity_no_echo"]
     rows = []
-    for i, sigma in enumerate(sigmas):
-        s = float(sigma)
+    for i, s in enumerate(sigmas):
         fids = {}
         for echo in (True, False):
             opts = CycleOptions(echo=echo)
@@ -328,11 +350,11 @@ def scenario_branching_map(config):
     """Spatial branching-ratio map with per-point single-photon infidelity."""
     source = config.options.get("mode_source", "fixture")
     if source == "fixture":
-        mode = synthetic_w1_mode(float(config.options.get("n_g", 20.0)))
+        mode = synthetic_w1_mode(_option(config.options.get, "n_g", float, 20.0))
     else:
         mode = load_mode_field(source)
-    resolution = int(config.options.get("resolution", 21))
-    leak = float(config.options.get("leak_fraction", 0.1))
+    resolution = _option(config.options.get, "resolution", int, 21)
+    leak = _option(config.options.get, "leak_fraction", float, 0.1)
     xs, ys, b, bt = branching_map(mode, resolution=resolution, leak_fraction=leak)
     columns = ["x", "y", "B", "beta_total", "branching_infidelity"]
     rows = []
@@ -445,7 +467,9 @@ def main(argv=None):
             config.out = f"{config.scenario}.csv"
         result = run_scenario(config)
         write_result(result, config, config.out)
-    except (ConfigError, ParamError, OSError, ValueError, RuntimeError) as exc:
+    except (
+        ConfigError, ParamError, ModeFieldError, CapacityError, IntegrationError, OSError
+    ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(f"{config.scenario}: {len(result.rows)} rows -> {config.out}")

@@ -18,70 +18,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .params import ParamError, betas_from_branching
+from .params import (
+    BranchingBetas,
+    ParamError,
+    PhysicalParams,
+    betas_from_branching,
+    indistinguishability as indist_fn,
+)
 from .budget import EXC_COEFFICIENT
 
 SPIN_DOWN, SPIN_UP = 0, 1
 EARLY, LATE = 0, 1
 
-
-class ChannelError(ValueError):
-    """Inconsistent emission-channel weights."""
-
-
-@dataclass(frozen=True)
-class EmissionChannel:
-    """Single-decay branching of the trion, after frequency filtering.
-
-    ``p_detected``       vertical photon into the waveguide (spin preserved)
-    ``p_lost_vertical``  vertical photon out of the waveguide (spin preserved)
-    ``p_flip_lost``      diagonal photon removed by filter or leak (spin flips)
-    ``p_flip_detected``  diagonal waveguide photon reaching the detector when
-                         the filter is off; orthogonal to the target packet
-    ``indistinguishability``  factor multiplying early-late photon coherence
-    """
-
-    p_detected: float
-    p_lost_vertical: float
-    p_flip_lost: float
-    p_flip_detected: float
-    indistinguishability: float
-
-    def __post_init__(self):
-        total = (
-            self.p_detected
-            + self.p_lost_vertical
-            + self.p_flip_lost
-            + self.p_flip_detected
-        )
-        if abs(total - 1.0) > 1e-9:
-            raise ChannelError(f"emission weights must sum to 1, got {total!r}")
-        if not (0.0 <= self.indistinguishability <= 1.0):
-            raise ChannelError(
-                f"indistinguishability must be in [0, 1], got {self.indistinguishability}"
-            )
-
-
-def emission_channel(betas, indistinguishability=1.0, filter_on=True):
-    """Map trion occupation to photon fate and final spin state.
-
-    With the frequency filter on, every diagonal photon is removed (lost)
-    and flips the spin; with it off, the waveguide-coupled diagonal weight
-    reaches the detector as an orthogonal-error photon instead.
-    """
-    if filter_on:
-        flip_lost = betas.beta_perp + betas.beta_perp_leak
-        flip_det = 0.0
-    else:
-        flip_lost = betas.beta_perp_leak
-        flip_det = betas.beta_perp
-    return EmissionChannel(
-        p_detected=betas.beta_par,
-        p_lost_vertical=betas.beta_par_leak,
-        p_flip_lost=flip_lost,
-        p_flip_detected=flip_det,
-        indistinguishability=indistinguishability,
-    )
+# Pauli Z on the photon and Pauli Y on the spin of a (spin x photon) block
+_Z_PHOTON = np.kron(np.eye(2), np.diag([1.0, -1.0])).astype(complex)
+_Y_SPIN = np.kron(np.array([[0, -1j], [1j, 0]]), np.eye(2)).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -117,6 +68,13 @@ class CycleOptions:
     rotation_error_std: float = 0.0
 
     def __post_init__(self):
+        if not (0.0 <= self.indistinguishability <= 1.0):
+            raise ParamError(
+                f"indistinguishability must be in [0, 1], got {self.indistinguishability}"
+            )
+        for name in ("orthogonal_error_prob", "off_resonant_prob"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ParamError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not self.rotation_error_std >= 0.0:
             raise ParamError(f"rotation_error_std must be >= 0, got {self.rotation_error_std}")
         if not self.half_cycle_time > 0.0:
@@ -186,6 +144,12 @@ def _ket(spin, photon):
     return v
 
 
+def _mix(kraus, op, p):
+    """Each block k becomes sqrt(1 - p) k and sqrt(p) op k: a p-weighted op error."""
+    keep, flip = math.sqrt(1.0 - p), math.sqrt(p)
+    return [m for k in kraus for m in (keep * k, flip * (op @ k))]
+
+
 def build_cycle_map(betas_or_params, options=None):
     """Compose one excite-emit-flip-excite-emit-rotate round into a CycleMap.
 
@@ -193,13 +157,13 @@ def build_cycle_map(betas_or_params, options=None):
     the branching weights come from ``params.branching`` (unit internal
     efficiency), the photon indistinguishability from the dephasing rate and
     the per-cycle excitation errors from the optimized closed form.
-    """
-    from .params import (
-        BranchingBetas,
-        PhysicalParams,
-        indistinguishability as indist_fn,
-    )
 
+    Per decay, the vertical waveguide photon (``beta_par``) is detected and
+    keeps the spin; every diagonal decay (``beta_perp + beta_perp_leak``)
+    flips it. With the frequency filter on, diagonal photons are removed;
+    with it off, the waveguide-coupled ones (``beta_perp``) reach the
+    detector as orthogonal-error photons.
+    """
     if options is None:
         options = CycleOptions()
 
@@ -220,18 +184,9 @@ def build_cycle_map(betas_or_params, options=None):
             f"expected BranchingBetas or PhysicalParams, got {type(betas_or_params)}"
         )
 
-    channel = emission_channel(
-        betas, options.indistinguishability, filter_on=options.filter_on
-    )
-    q_det = channel.p_detected
-    q_flip = channel.p_flip_lost + channel.p_flip_detected
+    q_det = betas.beta_par
+    q_flip = betas.beta_perp + betas.beta_perp_leak
     p_off = options.off_resonant_prob
-    if not (0.0 <= p_off < 1.0):
-        raise ParamError(f"off_resonant_prob must be in [0, 1), got {p_off}")
-    if not (0.0 <= options.orthogonal_error_prob < 1.0):
-        raise ParamError(
-            f"orthogonal_error_prob must be in [0, 1), got {options.orthogonal_error_prob}"
-        )
 
     # Quasi-static detuning phase accumulated while an arm sits in spin-up.
     # The arm emitting early spends the late half there; the arm emitting
@@ -270,19 +225,13 @@ def build_cycle_map(betas_or_params, options=None):
         )
     # unfiltered diagonal photon: detected but orthogonal; enters the scalar
     # ledger together with any configured re-excitation weight
-    orth = options.orthogonal_error_prob + channel.p_flip_detected
+    orth = options.orthogonal_error_prob + (0.0 if options.filter_on else betas.beta_perp)
 
     # phonon dephasing of the early-late coherence: scale by I via a photon
     # phase-flip channel, exact for the coherence factor
-    ind = channel.indistinguishability
-    p_z = (1.0 - ind) / 2.0
+    p_z = (1.0 - options.indistinguishability) / 2.0
     if p_z > 0.0:
-        z_photon = np.kron(np.eye(2), np.diag([1.0, -1.0])).astype(complex)
-        dephased = []
-        for k in kraus:
-            dephased.append(math.sqrt(1.0 - p_z) * k)
-            dephased.append(math.sqrt(p_z) * (z_photon @ k))
-        kraus = dephased
+        kraus = _mix(kraus, _Z_PHOTON, p_z)
 
     # ground rotation R, with optional Gaussian over-rotation implemented as
     # the averaged channel (rotation followed by partial y-dephasing)
@@ -290,21 +239,13 @@ def build_cycle_map(betas_or_params, options=None):
     kraus = [u_r @ k for k in kraus]
     if options.rotation_error_std > 0.0:
         coh = math.exp(-(options.rotation_error_std**2) / 2.0)
-        p_y = (1.0 - coh) / 2.0
-        y_spin = np.kron(np.array([[0, -1j], [1j, 0]]), np.eye(2)).astype(complex)
-        mixed = []
-        for k in kraus:
-            mixed.append(math.sqrt(1.0 - p_y) * k)
-            mixed.append(math.sqrt(p_y) * (y_spin @ k))
-        kraus = mixed
+        kraus = _mix(kraus, _Y_SPIN, (1.0 - coh) / 2.0)
 
     return CycleMap(kraus=kraus, orthogonal_prob=orth)
 
 
 def ideal_cycle_map(rotation_angle=math.pi):
     """The imperfection-free cycle isometry."""
-    from .params import BranchingBetas
-
     betas = BranchingBetas(
         beta_par=1.0, beta_perp=0.0, beta_par_leak=0.0, beta_perp_leak=0.0
     )

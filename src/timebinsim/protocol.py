@@ -23,10 +23,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclemap import CycleMap, CycleOptions, build_cycle_map, rotation_matrix
+from .cyclemap import (
+    CycleMap,
+    CycleOptions,
+    build_cycle_map,
+    ideal_cycle_map,
+    rotation_matrix,
+)
 from .params import ParamError, PhysicalParams
 
 DEFAULT_PHOTON_CAP = 10
+
+# spin state after initialization: R(pi/2) applied to spin-down
+_PSI0 = rotation_matrix(math.pi / 2.0) @ np.array([1.0, 0.0], dtype=complex)
 
 
 class CapacityError(RuntimeError):
@@ -61,8 +70,10 @@ class NoiseConfig:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ParamError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.overhauser_sigma < 0:
-            raise ParamError(f"overhauser_sigma must be >= 0, got {self.overhauser_sigma}")
+        for name in ("overhauser_sigma", "drift_diffusion"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ParamError(f"{name} must be finite and >= 0, got {value}")
 
 
 def drift_diffusion_from_t2(t2, t_cycle, c_model=0.5):
@@ -111,12 +122,6 @@ def _apply_superoperator(rho, s):
     return out.transpose(0, 4, 1, 2, 5, 3).reshape(2 * d, 2 * d)
 
 
-def _initial_spin():
-    u = rotation_matrix(math.pi / 2.0)
-    psi = u @ np.array([1.0, 0.0], dtype=complex)
-    return np.outer(psi, psi.conj())
-
-
 def run_protocol_cycles(cycles, cap=DEFAULT_PHOTON_CAP):
     """Run the protocol with an explicit per-round sequence of cycle maps."""
     n = len(cycles)
@@ -125,7 +130,7 @@ def run_protocol_cycles(cycles, cap=DEFAULT_PHOTON_CAP):
             f"{n} photons exceeds the configured cap of {cap} "
             f"(density operator would be {2**(n+1)}-dimensional)"
         )
-    rho = _initial_spin()
+    rho = np.outer(_PSI0, _PSI0.conj())
     orth = 0.0
     success = 1.0
     for cycle in cycles:
@@ -167,29 +172,37 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, cap=DEFAULT_
     if isinstance(cycle, CycleMap):
         if noise is not None:
             raise ParamError("noise averaging needs PhysicalParams, not a fixed CycleMap")
+        if options is not None:
+            raise ParamError("options need PhysicalParams; a fixed CycleMap is already built")
         return run_protocol_cycles([cycle] * n, cap=cap)
 
     if not isinstance(cycle, PhysicalParams):
         raise ParamError(f"expected CycleMap or PhysicalParams, got {type(cycle)}")
-    params = cycle
-    base = options if options is not None else CycleOptions()
-    base = replace(base, rotation_angle=kind.rotation_angle)
+    base = replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
     if noise is None:
-        return run_protocol_cycles([build_cycle_map(params, base)] * n, cap=cap)
+        return run_protocol_cycles([build_cycle_map(cycle, base)] * n, cap=cap)
 
-    states = []
-    seeds = np.random.SeedSequence(noise.rng_seed).spawn(noise.sample_count)
-    for seq in seeds:
-        rng = np.random.default_rng(seq)
-        cycles = _noisy_cycles(params, n, kind, base, noise, rng)
-        states.append(run_protocol_cycles(cycles, cap=cap))
+    states = list(_noise_samples(cycle, n, base, noise, cap))
     rho = sum(s.rho for s in states) / len(states)
     orth = sum(s.orthogonal_error_mass for s in states) / len(states)
     succ = sum(s.success_probability for s in states) / len(states)
     return HybridState(rho, succ, orth, n)
 
 
-def _noisy_cycles(params, n, kind, base, noise, rng):
+def _noise_samples(params, n, base, noise, cap):
+    """Run the protocol once per noise sample; sample i draws from child seed i.
+
+    Child seeds are spawned from ``noise.rng_seed``, so results do not
+    depend on evaluation order. Detuning and drift enter the cycle map only
+    as phases of its main Kraus block, so every sample has the same success
+    probability and the equal-weight average is the success-weighted one.
+    """
+    for seq in np.random.SeedSequence(noise.rng_seed).spawn(noise.sample_count):
+        cycles = _noisy_cycles(params, n, base, noise, np.random.default_rng(seq))
+        yield run_protocol_cycles(cycles, cap=cap)
+
+
+def _noisy_cycles(params, n, base, noise, rng):
     delta_shift = rng.normal(0.0, noise.overhauser_sigma) if noise.overhauser_sigma else 0.0
     drift_std = (
         math.sqrt(noise.drift_diffusion * params.t_cycle**3)
@@ -213,14 +226,10 @@ def ideal_target(n_photons, kind):
     n = int(n_photons)
     if n < 1:
         raise ParamError(f"n_photons must be >= 1, got {n_photons}")
-    u_r = rotation_matrix(kind.rotation_angle)
-    psi = rotation_matrix(math.pi / 2.0) @ np.array([1.0, 0.0], dtype=complex)
-    # ideal cycle isometry: spin-down -> spin-up (x) early, spin-up -> spin-down (x) late
-    v = np.zeros((2, 2, 2), dtype=complex)  # [spin_out, photon, spin_in]
-    v[1, 0, 0] = 1.0
-    v[0, 1, 1] = 1.0
-    v = np.einsum("ab,bpi->api", u_r, v)
-    for k in range(n):
+    # ideal cycle isometry as [spin_out, photon, spin_in]
+    v = ideal_cycle_map(kind.rotation_angle).kraus[0].reshape(2, 2, 2)
+    psi = _PSI0
+    for _ in range(n):
         r = psi.size // 2
         t = psi.reshape(2, r)
         t = np.einsum("api,ir->arp", v, t)
@@ -317,21 +326,12 @@ def stabilizer_expectations(state, kind):
 
 
 def overhauser_average(params, n_photons, kind, noise, options=None, cap=DEFAULT_PHOTON_CAP):
-    """Monte Carlo average of the conditional fidelity over Overhauser noise.
-
-    Each sample draws its own child seed from (rng_seed, sample index), so
-    results do not depend on evaluation order.
-    """
-    base = options if options is not None else CycleOptions()
-    base = replace(base, rotation_angle=kind.rotation_angle)
+    """Monte Carlo average of the conditional fidelity over Overhauser noise."""
+    base = replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
     target = ideal_target(n_photons, kind)
-    seeds = np.random.SeedSequence(noise.rng_seed).spawn(noise.sample_count)
-    fids = []
-    for seq in seeds:
-        rng = np.random.default_rng(seq)
-        cycles = _noisy_cycles(params, n_photons, kind, base, noise, rng)
-        st = run_protocol_cycles(cycles, cap=cap)
-        fids.append(conditional_fidelity(st, target))
-    fids = np.asarray(fids)
+    fids = np.asarray([
+        conditional_fidelity(st, target)
+        for st in _noise_samples(params, n_photons, base, noise, cap)
+    ])
     std_err = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
     return {"mean_fidelity": float(fids.mean()), "std_error": std_err}

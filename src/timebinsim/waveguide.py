@@ -244,34 +244,24 @@ class GammaResult(NamedTuple):
     extrapolated: bool
 
 
-def gamma_of_group_index(n_g, table=None):
-    """Purcell-enhanced decay rate for a group index, from a lookup table.
+def gamma_of_group_index(n_g):
+    """Purcell-enhanced decay rate for a group index, from DEFAULT_GAMMA_TABLE.
 
     Exact at table entries, log-log linear between them; outside the table
     hull the nearest segment extrapolates and the result is flagged.
     """
-    tab = dict(DEFAULT_GAMMA_TABLE if table is None else table)
-    if not tab:
-        raise ParamError("gamma lookup table is empty")
     if n_g <= 0:
         raise ParamError(f"n_g must be positive, got {n_g}")
-    keys = sorted(tab)
-    if len(keys) == 1:
-        return GammaResult(tab[keys[0]], extrapolated=abs(n_g - keys[0]) > 1e-12)
-    if n_g in tab:
-        return GammaResult(tab[n_g], extrapolated=False)
+    if n_g in DEFAULT_GAMMA_TABLE:
+        return GammaResult(DEFAULT_GAMMA_TABLE[n_g], extrapolated=False)
+    keys = sorted(DEFAULT_GAMMA_TABLE)
     logs = np.log(keys)
-    vals = np.log([tab[k] for k in keys])
+    vals = np.log([DEFAULT_GAMMA_TABLE[k] for k in keys])
     ln = math.log(n_g)
-    extrapolated = not (keys[0] <= n_g <= keys[-1])
-    if n_g < keys[0]:
-        i = 0
-    elif n_g > keys[-1]:
-        i = len(keys) - 2
-    else:
-        i = int(np.searchsorted(logs, ln, side="right") - 1)
-        i = min(max(i, 0), len(keys) - 2)
+    # segment holding n_g, or the nearest end segment outside the table
+    i = min(max(int(np.searchsorted(logs, ln, side="right")) - 1, 0), len(keys) - 2)
     slope = (vals[i + 1] - vals[i]) / (logs[i + 1] - logs[i])
+    extrapolated = not (keys[0] <= n_g <= keys[-1])
     return GammaResult(math.exp(vals[i] + slope * (ln - logs[i])), extrapolated)
 
 

@@ -96,6 +96,12 @@ def test_detuning_sweep_rows():
     assert series == sorted(series, reverse=True)
 
 
+def test_detuning_sweep_rejects_group_index_outside_gamma_table():
+    config = build_config({"scenario": "detuning_sweep", "n_g_list": (10, 80)})
+    with pytest.raises(ConfigError, match="n_g_list entry 10.0"):
+        run_scenario(config)
+
+
 def test_detuning_sweep_rejects_bad_axis():
     config = build_config(
         {
@@ -185,3 +191,24 @@ def test_pulse_optimization_scenario():
     row = result.rows[0]
     assert 0.48 < row["coefficient"] < 0.88
     assert row["coefficient"] == pytest.approx(row["error_min"] * 30.0)
+
+
+@pytest.mark.parametrize(
+    "scenario, text, key",
+    [
+        ("detuning_sweep", "sweep_name = delta\nsweep_max = 64\nsweep_points = 3\n", "sweep_min"),
+        ("photon_scaling", "param.foo = 1\n", "param.foo"),
+        ("photon_scaling", "kind = foo\n", "kind"),
+        ("echo_demo", "n_photons = three\n", "n_photons"),
+    ],
+    ids=["missing-sweep_min", "unknown-param", "bad-kind", "bad-n_photons"],
+)
+def test_main_names_the_bad_key(tmp_path, capsys, scenario, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = main([scenario, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ConfigError:")
+    assert key in captured.err
+    assert not (tmp_path / "out.csv").exists()

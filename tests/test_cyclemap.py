@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from timebinsim.cyclemap import (
-    ChannelError,
     CycleOptions,
     build_cycle_map,
-    emission_channel,
     ideal_cycle_map,
     rotation_matrix,
 )
@@ -21,22 +19,6 @@ def test_rotation_matrix():
     assert np.allclose(r @ np.array([1.0, 0.0]), [0.0, 1.0])
     assert np.allclose(r.conj().T @ r, np.eye(2))
     assert np.allclose(rotation_matrix(math.pi / 2.0) @ rotation_matrix(math.pi / 2.0), r)
-
-
-def test_emission_channel_filter():
-    betas = betas_from_branching(15.0, beta_total=0.96)
-    on = emission_channel(betas, filter_on=True)
-    assert on.p_flip_detected == 0.0
-    assert on.p_detected == pytest.approx(betas.beta_par)
-    off = emission_channel(betas, filter_on=False)
-    assert off.p_flip_detected == pytest.approx(betas.beta_perp)
-    total = off.p_detected + off.p_lost_vertical + off.p_flip_lost + off.p_flip_detected
-    assert total == pytest.approx(1.0)
-
-
-def test_emission_channel_rejects_bad_indistinguishability():
-    with pytest.raises(ChannelError):
-        emission_channel(VERTICAL_ONLY, indistinguishability=1.5)
 
 
 def test_ideal_cycle_is_an_isometry():
@@ -99,10 +81,15 @@ def test_no_echo_exposes_quasistatic_detuning():
     assert not np.allclose(shifted.choi_matrix(), base.choi_matrix(), atol=1e-3)
 
 
-def test_unfiltered_diagonal_photon_enters_orthogonal_ledger():
+@pytest.mark.parametrize("filter_on", [True, False])
+def test_unfiltered_diagonal_photon_enters_orthogonal_ledger(filter_on):
     betas = betas_from_branching(15.0, beta_total=0.96)
-    cm = build_cycle_map(betas, CycleOptions(filter_on=False))
-    assert cm.orthogonal_prob == pytest.approx(betas.beta_perp)
+    cm = build_cycle_map(betas, CycleOptions(filter_on=filter_on))
+    assert cm.orthogonal_prob == pytest.approx(0.0 if filter_on else betas.beta_perp)
+    # spin-up feeds only the main arm: detected with the vertical waveguide weight
+    assert cm.detected_weight(np.diag([0.0, 1.0])) == pytest.approx(betas.beta_par)
+    w = cm.weights()
+    assert sum(w.values()) == pytest.approx(1.0)
 
 
 def test_build_cycle_map_rejects_bad_inputs():
@@ -124,6 +111,11 @@ def test_build_cycle_map_rejects_bad_inputs():
         ("rotation_angle", math.nan),
         ("quasistatic_detuning", math.inf),
         ("drift_phase", -math.inf),
+        ("indistinguishability", -0.1),
+        ("indistinguishability", 1.5),
+        ("indistinguishability", math.nan),
+        ("off_resonant_prob", 1.0),
+        ("orthogonal_error_prob", -0.1),
     ],
 )
 def test_cycle_options_rejects_bad_fields(field, value):

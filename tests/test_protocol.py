@@ -12,6 +12,7 @@ from timebinsim.protocol import (
     TargetKind,
     canonical_stabilizers,
     conditional_fidelity,
+    _noise_samples,
     drift_diffusion_from_t2,
     ideal_target,
     overhauser_average,
@@ -204,6 +205,45 @@ def test_noise_requires_params():
     noise = NoiseConfig(overhauser_sigma=0.1, sample_count=2)
     with pytest.raises(ParamError):
         run_protocol(ideal_cycle_map(), 2, noise=noise)
+
+
+def test_options_require_params():
+    with pytest.raises(ParamError, match="options"):
+        run_protocol(ideal_cycle_map(), 2, options=CycleOptions(echo=False))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("overhauser_sigma", -0.1),
+        ("overhauser_sigma", math.nan),
+        ("overhauser_sigma", math.inf),
+        ("drift_diffusion", -1e-6),
+        ("drift_diffusion", math.nan),
+        ("drift_diffusion", math.inf),
+    ],
+)
+def test_noise_config_rejects_bad_fields(field, value):
+    kwargs = {"overhauser_sigma": 0.1, field: value}
+    with pytest.raises(ParamError, match=field):
+        NoiseConfig(**kwargs)
+
+
+@pytest.mark.parametrize("echo", [True, False])
+def test_noise_samples_share_one_success_probability(echo):
+    # detuning and drift only set phases of the main Kraus block, so an
+    # equal-weight average over samples is the success-weighted one
+    p = preset("reference")
+    noise = NoiseConfig(
+        overhauser_sigma=0.5,
+        drift_diffusion=drift_diffusion_from_t2(p.t2, p.t_cycle),
+        sample_count=20,
+        rng_seed=5,
+    )
+    base = CycleOptions(echo=echo)
+    succ = [s.success_probability for s in _noise_samples(p, 4, base, noise, cap=10)]
+    assert len(succ) == 20
+    assert max(succ) - min(succ) <= 1e-12 * max(succ)
 
 
 def test_drift_diffusion_calibration():

@@ -127,10 +127,11 @@ def test_gamma_lookup():
     out = gamma_of_group_index(100.0)
     assert out.extrapolated
     assert out.value > 5.3
+    low = gamma_of_group_index(10.0)
+    assert low.extrapolated
+    assert low.value < 3.2
     with pytest.raises(ParamError):
         gamma_of_group_index(-1.0)
-    with pytest.raises(ParamError):
-        gamma_of_group_index(20.0, table={})
 
 
 def test_write_map_csv(tmp_path):
