@@ -101,6 +101,9 @@ class ScenarioConfig:
         unknown = sorted(set(self.overrides) - {f.name for f in fields(PhysicalParams)})
         if unknown:
             raise ConfigError(f"unknown parameter override(s): param.{', param.'.join(unknown)}")
+        unknown = sorted(set(self.options) - SCENARIOS[self.scenario][1])
+        if unknown:
+            raise ConfigError(f"unknown key(s) for scenario {self.scenario}: {', '.join(unknown)}")
 
     def params(self):
         p = preset(self.preset_name)
@@ -145,6 +148,13 @@ def _option(lookup, key, cast, *default):
         raise ConfigError(f"{key}: {exc}") from None
 
 
+def _flag(value):
+    """Cast for a true/false value: only a parsed bool passes."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _tuple_of(cast):
     """Cast for a scalar or comma-list value: a tuple of ``cast`` items."""
     return lambda value: tuple(cast(v) for v in (value if isinstance(value, tuple) else (value,)))
@@ -156,7 +166,7 @@ def parse_config(path, scenario=None):
     Recognized keys: ``scenario``, ``preset``, ``seed``, ``out``,
     ``photons`` (comma list), ``sweep_name``/``sweep_min``/``sweep_max``/
     ``sweep_points``/``sweep_scale``, ``param.<field>`` overrides; any other
-    key lands in the scenario-specific options.
+    key must be one the scenario reads (its ``SCENARIOS`` entry).
     """
     entries = read_key_values(path, error=ConfigError)
     raw = {key: _parse_value(val) for key, (_, val) in entries.items()}
@@ -258,7 +268,7 @@ def scenario_photon_scaling(config):
     """First-order budget, numeric conditional infidelity and rate versus N."""
     p = config.params()
     kind = _option(config.options.get, "kind", TargetKind, "ghz")
-    numeric = bool(config.options.get("numeric", True))
+    numeric = _option(config.options.get, "numeric", _flag, True)
     columns = [
         "n_photons", "e_ph", "e_exc", "e_br", "total_first_order",
         "rate_mhz",
@@ -372,17 +382,20 @@ def scenario_branching_map(config):
     return SweepResult(columns=columns, rows=rows)
 
 
+# name -> (runner, the keys it reads from ScenarioConfig.options)
 SCENARIOS = {
-    "detuning_sweep": scenario_detuning_sweep,
-    "photon_scaling": scenario_photon_scaling,
-    "pulse_optimization": scenario_pulse_optimization,
-    "echo_demo": scenario_echo_demo,
-    "branching_map": scenario_branching_map,
+    "detuning_sweep": (scenario_detuning_sweep, {"n_g_list"}),
+    "photon_scaling": (scenario_photon_scaling, {"kind", "numeric"}),
+    "pulse_optimization": (scenario_pulse_optimization, {"delta_over_gamma", "shape"}),
+    "echo_demo": (scenario_echo_demo, {"sigma_list", "n_photons", "sample_count", "kind"}),
+    "branching_map": (
+        scenario_branching_map, {"mode_source", "n_g", "resolution", "leak_fraction"}
+    ),
 }
 
 
 def run_scenario(config):
-    return SCENARIOS[config.scenario](config)
+    return SCENARIOS[config.scenario][0](config)
 
 
 def _fmt(value):
@@ -448,7 +461,7 @@ def main(argv=None):
         description="Scenario runner for the time-bin entanglement simulator.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name, func in sorted(SCENARIOS.items()):
+    for name, (func, _) in sorted(SCENARIOS.items()):
         sp = sub.add_parser(name, help=(func.__doc__ or "").strip().splitlines()[0])
         sp.add_argument("--config", help="key = value configuration file")
         sp.add_argument("--seed", type=int, help="override the rng seed")

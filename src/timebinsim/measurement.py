@@ -14,8 +14,6 @@ from itertools import product
 
 import numpy as np
 
-Z_OUTCOMES = ("early", "late")
-PHASE_OUTCOMES = ("plus", "minus")
 NO_CLICK = "no_click"
 
 
@@ -58,6 +56,33 @@ class DetectionRecord:
     qubit: int
     setting: BasisSetting
     outcome: str
+
+
+@dataclass(frozen=True, eq=False)
+class ShotRecords:
+    """Shots of one run: ``combo[s]`` indexes the joint outcome tuple of shot s.
+
+    Reads as a sequence of DetectionRecord rows (shot-major), built on demand.
+    """
+
+    settings: tuple
+    outcomes: list
+    combo: np.ndarray
+
+    def __len__(self):
+        return len(self.combo) * len(self.settings)
+
+    def __iter__(self):
+        for shot, ci in enumerate(self.combo.tolist()):
+            for q, (out, setting) in enumerate(zip(self.outcomes[ci], self.settings)):
+                yield DetectionRecord(shot=shot, qubit=q, setting=setting, outcome=out)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ShotRecords)
+            and (self.settings, self.outcomes) == (other.settings, other.outcomes)
+            and np.array_equal(self.combo, other.combo)
+        )
 
 
 def _phase_kets(phi):
@@ -128,15 +153,22 @@ def sample_measurements(state, settings, shots, seed=0, eta=1.0):
     ``state`` is a HybridState (or density operator); the orthogonal-error
     mass of a HybridState contributes click patterns drawn from the
     maximally mixed photon populations, as its photons still trigger the
-    detectors. Deterministic for a fixed seed.
+    detectors. Returns a ShotRecords table. Deterministic for a fixed seed.
     """
+    if shots < 1:
+        raise MeasurementError(f"shots must be >= 1, got {shots}")
     rho, orth = _as_rho(state)
     outcomes, probs = joint_outcome_distribution(rho, settings, eta=eta)
     if orth > 0.0:
         mixed = np.eye(rho.shape[0], dtype=complex) / rho.shape[0]
         _, p2 = joint_outcome_distribution(mixed, settings, eta=eta)
         probs = probs + orth * p2
-    return _sample(outcomes, probs, settings, shots, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    combo = np.repeat(np.arange(len(outcomes)), rng.multinomial(shots, probs / probs.sum()))
+    # multinomial counts come grouped by outcome; shuffle the shot order so
+    # consecutive shots (and hence jackknife blocks) are exchangeable
+    rng.shuffle(combo)
+    return ShotRecords(settings=tuple(settings), outcomes=outcomes, combo=combo)
 
 
 # earlier name of the same sampler, kept for existing callers
@@ -149,26 +181,6 @@ def _as_rho(state):
         return state.rho / tr, state.orthogonal_error_mass / tr
     rho = np.asarray(state, dtype=complex)
     return rho / float(np.trace(rho).real), 0.0
-
-
-def _sample(outcomes, probs, settings, shots, seed):
-    if shots < 1:
-        raise MeasurementError(f"shots must be >= 1, got {shots}")
-    probs = np.asarray(probs, dtype=float)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = rng.multinomial(shots, probs)
-    combo_indices = np.repeat(np.arange(len(outcomes)), counts)
-    # multinomial counts come grouped by outcome; shuffle the shot order so
-    # consecutive shots (and hence jackknife blocks) are exchangeable
-    rng.shuffle(combo_indices)
-    records = []
-    for shot_idx, ci in enumerate(combo_indices):
-        for q, (out, setting) in enumerate(zip(outcomes[ci], settings)):
-            records.append(
-                DetectionRecord(shot=shot_idx, qubit=q, setting=setting, outcome=out)
-            )
-    return records
 
 
 def records_to_csv(records, path):
@@ -187,17 +199,10 @@ def ghz_parity_settings(n_qubits):
     ]
 
 
-def _group_by_shot(records):
-    shots = {}
-    for r in records:
-        shots.setdefault(r.shot, {})[r.qubit] = r
-    return list(shots.values())
-
-
 def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_blocks=20):
     """Population-plus-parity GHZ fidelity with jackknife error bars.
 
-    ``records_by_setting`` maps a setting signature to a record list: key
+    ``records_by_setting`` maps a setting signature to a ShotRecords table: key
     "Z" for the all-Z run and keys equal to the parity phases phi_k (k pi /
     n, k = 0..2n-1) for the all-X(phi_k) runs. Shots without a click on
     every qubit are discarded (post-selection). ``target_phase`` is the
@@ -209,27 +214,20 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
         raise MeasurementError(f"target_phase must be 0 or pi (mod 2pi), got {target_phase}")
     n = n_qubits
     phases = [(k * math.pi / n) % (2.0 * math.pi) for k in range(2 * n)]
-    missing = []
-    if "Z" not in records_by_setting:
-        missing.append("Z")
-    for p in phases:
-        if not any(_phase_match(key, p) for key in records_by_setting if key != "Z"):
-            missing.append(f"X({p:.6g})")
+    keys = [
+        next((key for key in records_by_setting if key != "Z" and _phase_match(key, p)), None)
+        for p in phases
+    ]
+    missing = ["Z"] if "Z" not in records_by_setting else []
+    missing += [f"X({p:.6g})" for p, key in zip(phases, keys) if key is None]
     if missing:
         raise MeasurementError(f"estimator is missing settings: {missing}")
 
-    z_blocks = _block_statistics(
-        records_by_setting["Z"], n, _population_indicator, n_blocks
-    )
-    parity_blocks = []
-    for k, p in enumerate(phases):
-        key = next(key for key in records_by_setting if key != "Z" and _phase_match(key, p))
-        parity_blocks.append(
-            (
-                (-1) ** k,
-                _block_statistics(records_by_setting[key], n, _parity_value, n_blocks),
-            )
-        )
+    z_blocks = _block_statistics(records_by_setting["Z"], n, _population_indicator, n_blocks)
+    parity_blocks = [
+        ((-1) ** k, _block_statistics(records_by_setting[key], n, _parity_value, n_blocks))
+        for k, key in enumerate(keys)
+    ]
 
     sign = -1.0 if abs(phase - math.pi) <= 1e-9 else 1.0
 
@@ -242,8 +240,7 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
         return (pop + amp) / 2.0
 
     full = estimator()
-    jk = [estimator(drop=j) for j in range(n_blocks)]
-    jk = np.asarray(jk)
+    jk = np.asarray([estimator(drop=j) for j in range(n_blocks)])
     var = (n_blocks - 1) / n_blocks * np.sum((jk - jk.mean()) ** 2)
     return {"fidelity": float(full), "std_error": float(math.sqrt(var))}
 
@@ -256,34 +253,33 @@ def _phase_match(key, phase, tol=1e-9):
 
 
 def _population_indicator(outcomes):
-    if all(o == "early" for o in outcomes) or all(o == "late" for o in outcomes):
-        return 1.0
-    return 0.0
+    return 1.0 if set(outcomes) in ({"early"}, {"late"}) else 0.0
 
 
 def _parity_value(outcomes):
-    v = 1.0
-    for o in outcomes:
-        v *= 1.0 if o == "plus" else -1.0
-    return v
+    return math.prod(1.0 if o == "plus" else -1.0 for o in outcomes)
+
+
+def _all_click_values(records, func):
+    """``func`` of each all-click shot's outcome tuple, in shot order; it
+    runs once per joint outcome and is gathered by each shot's index."""
+    keep = np.array([NO_CLICK not in outs for outs in records.outcomes])[records.combo]
+    return np.array([func(outs) for outs in records.outcomes])[records.combo[keep]]
 
 
 def _block_statistics(records, n_qubits, func, n_blocks):
-    """Per-block (sum, count) of an all-click shot statistic."""
-    shots = _group_by_shot(records)
-    sums = np.zeros(n_blocks)
-    counts = np.zeros(n_blocks)
-    kept = 0
-    for sh in shots:
-        outs = [sh[q].outcome for q in sorted(sh)]
-        if len(outs) != n_qubits or NO_CLICK in outs:
-            continue
-        b = kept % n_blocks
-        sums[b] += func(outs)
-        counts[b] += 1.0
-        kept += 1
-    if kept == 0:
+    """Per-block (sum, count) of an all-click shot statistic, blocks filled
+    round-robin in shot order."""
+    if len(records.settings) != n_qubits:
+        raise MeasurementError(
+            f"records hold {len(records.settings)} qubits per shot but n_qubits is {n_qubits}"
+        )
+    values = _all_click_values(records, func)
+    if values.size == 0:
         raise MeasurementError("no all-click shots available for estimation")
+    block = np.arange(values.size) % n_blocks
+    sums = np.bincount(block, weights=values, minlength=n_blocks)
+    counts = np.bincount(block, minlength=n_blocks).astype(float)
     return sums, counts
 
 
@@ -305,22 +301,12 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
             BasisSetting.x(0.0) if c == "X" else BasisSetting.z() for c in label
         ]
         records = sample_measurements(state, settings, shots, seed=seed + g, eta=eta)
-        total = 0.0
-        count = 0
-        for shot in _group_by_shot(records):
-            outs = [shot[q].outcome for q in sorted(shot)]
-            if NO_CLICK in outs:
-                continue
-            v = 1.0
-            for c, o in zip(label, outs):
-                if c == "I":
-                    continue
-                v *= 1.0 if o in ("early", "plus") else -1.0
-            total += v
-            count += 1
-        if count == 0:
+        values = _all_click_values(records, lambda outs: math.prod(
+            1.0 if o in ("early", "plus") else -1.0 for c, o in zip(label, outs) if c != "I"
+        ))
+        if values.size == 0:
             raise MeasurementError(f"no all-click shots for stabilizer {label}")
-        estimates.append(sign * total / count)
+        estimates.append(sign * float(values.sum()) / values.size)
     return estimates
 
 

@@ -35,6 +35,8 @@ def test_config_validation():
         ScenarioConfig(scenario="photon_scaling", photons=(0, 2))
     with pytest.raises(ConfigError):
         build_config({"scenario": "echo_demo"}, scenario="photon_scaling")
+    with pytest.raises(ConfigError, match="scenario echo_demo: n_photon$"):
+        build_config({"scenario": "echo_demo", "n_photon": 3})
 
 
 def test_parse_config_rejects_duplicate_key(tmp_path):
@@ -123,6 +125,8 @@ def test_photon_scaling_ideal_numeric():
     result = run_scenario(config)
     for row in result.rows:
         assert row["numeric_infidelity"] < 1e-8
+    config = build_config({"scenario": "photon_scaling", "photons": (1,), "numeric": False})
+    assert "numeric_infidelity" not in run_scenario(config).columns
 
 
 def test_echo_demo_columns():
@@ -200,8 +204,13 @@ def test_pulse_optimization_scenario():
         ("photon_scaling", "param.foo = 1\n", "param.foo"),
         ("photon_scaling", "kind = foo\n", "kind"),
         ("echo_demo", "n_photons = three\n", "n_photons"),
+        ("echo_demo", "n_photon = 3\n", "n_photon"),
+        ("photon_scaling", "numeric = no\n", "numeric"),
     ],
-    ids=["missing-sweep_min", "unknown-param", "bad-kind", "bad-n_photons"],
+    ids=[
+        "missing-sweep_min", "unknown-param", "bad-kind", "bad-n_photons",
+        "unknown-key", "non-bool-numeric",
+    ],
 )
 def test_main_names_the_bad_key(tmp_path, capsys, scenario, text, key):
     cfg = tmp_path / "bad.cfg"

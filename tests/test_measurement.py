@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from timebinsim import measurement
 from timebinsim.cyclemap import CycleOptions, build_cycle_map, ideal_cycle_map
 from timebinsim.measurement import (
+    NO_CLICK,
     BasisSetting,
+    DetectionRecord,
     MeasurementError,
     estimate_ghz_fidelity,
     ghz_parity_settings,
@@ -19,6 +22,8 @@ from timebinsim.measurement import (
 from timebinsim.params import BranchingBetas, preset
 from timebinsim.protocol import (
     TargetKind,
+    _frame_signs,
+    canonical_stabilizers,
     conditional_fidelity,
     ideal_target,
     run_protocol,
@@ -33,19 +38,91 @@ def _ghz_rho(n):
     return np.outer(psi, psi.conj())
 
 
-def _collect(state, nq, shots, seed0, eta=1.0):
+def _collect(state, nq, shots, seed0, eta=1.0, sample=sample_measurements_with_eta):
     """Record sets for the GHZ estimator: all-Z plus the 2*nq parity scans."""
-    recs = {
-        "Z": sample_measurements_with_eta(
-            state, [BasisSetting.z()] * nq, shots, seed=seed0, eta=eta
-        )
-    }
+    recs = {"Z": sample(state, [BasisSetting.z()] * nq, shots, seed=seed0, eta=eta)}
     for k in range(2 * nq):
         phase = (k * math.pi / nq) % (2.0 * math.pi)
-        recs[phase] = sample_measurements_with_eta(
+        recs[phase] = sample(
             state, [BasisSetting.x(phase)] * nq, shots, seed=seed0 + 1 + k, eta=eta
         )
     return recs
+
+
+# -- reference: the per-object readout path that the columnar ShotRecords
+# table replaced (one DetectionRecord per shot and qubit, regrouped by shot)
+
+
+def _reference_sample(state, settings, shots, seed=0, eta=1.0):
+    tr = float(np.trace(state.rho).real)
+    rho, orth = state.rho / tr, state.orthogonal_error_mass / tr
+    outcomes, probs = joint_outcome_distribution(rho, settings, eta=eta)
+    if orth > 0.0:
+        mixed = np.eye(rho.shape[0], dtype=complex) / rho.shape[0]
+        _, p2 = joint_outcome_distribution(mixed, settings, eta=eta)
+        probs = probs + orth * p2
+    probs = np.asarray(probs, dtype=float)
+    probs = probs / probs.sum()
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    counts = rng.multinomial(shots, probs)
+    combo_indices = np.repeat(np.arange(len(outcomes)), counts)
+    rng.shuffle(combo_indices)
+    records = []
+    for shot_idx, ci in enumerate(combo_indices):
+        for q, (out, setting) in enumerate(zip(outcomes[ci], settings)):
+            records.append(
+                DetectionRecord(shot=shot_idx, qubit=q, setting=setting, outcome=out)
+            )
+    return records
+
+
+def _reference_group_by_shot(records):
+    shots = {}
+    for r in records:
+        shots.setdefault(r.shot, {})[r.qubit] = r
+    return list(shots.values())
+
+
+def _reference_block_statistics(records, n_qubits, func, n_blocks):
+    shots = _reference_group_by_shot(records)
+    sums = np.zeros(n_blocks)
+    counts = np.zeros(n_blocks)
+    kept = 0
+    for sh in shots:
+        outs = [sh[q].outcome for q in sorted(sh)]
+        if len(outs) != n_qubits or NO_CLICK in outs:
+            continue
+        b = kept % n_blocks
+        sums[b] += func(outs)
+        counts[b] += 1.0
+        kept += 1
+    if kept == 0:
+        raise MeasurementError("no all-click shots available for estimation")
+    return sums, counts
+
+
+def _reference_stabilizer_estimates(state, kind, shots, seed, eta):
+    n = state.photon_count
+    estimates = []
+    for g, (sign, label) in enumerate(zip(_frame_signs(n, kind), canonical_stabilizers(n, kind))):
+        settings = [BasisSetting.x(0.0) if c == "X" else BasisSetting.z() for c in label]
+        total = 0.0
+        count = 0
+        for shot in _reference_group_by_shot(
+            _reference_sample(state, settings, shots, seed=seed + g, eta=eta)
+        ):
+            outs = [shot[q].outcome for q in sorted(shot)]
+            if NO_CLICK in outs:
+                continue
+            v = 1.0
+            for c, o in zip(label, outs):
+                if c == "I":
+                    continue
+                v *= 1.0 if o in ("early", "plus") else -1.0
+            total += v
+            count += 1
+        estimates.append(sign * total / count)
+    return estimates
 
 
 def test_povm_completeness():
@@ -181,6 +258,43 @@ def test_estimator_rejects_target_phase_other_than_0_or_pi():
         assert estimate_ghz_fidelity(recs, 3, target_phase=phase) == estimate_ghz_fidelity(
             recs, 3, target_phase=same
         )
+
+
+def test_columnar_readout_matches_per_object_reference(monkeypatch):
+    # a reference-preset cluster state carries orthogonal-error mass
+    st = run_protocol(preset("reference"), 2, kind=TargetKind.CLUSTER)
+    assert st.orthogonal_error_mass > 0.0
+    settings = [
+        BasisSetting(kind="X", phase=0.5, routing="passive"),
+        BasisSetting.z(),
+        BasisSetting.y(),
+    ]
+    recs = sample_measurements(st, settings, 3000, seed=9, eta=0.84)
+    assert len(recs) == 3 * 3000
+    assert list(recs) == _reference_sample(st, settings, 3000, seed=9, eta=0.84)
+    for eta in (1.0, 0.84):
+        assert sample_stabilizer_expectations(
+            st, TargetKind.CLUSTER, shots=3000, seed=3, eta=eta
+        ) == _reference_stabilizer_estimates(st, TargetKind.CLUSTER, 3000, 3, eta)
+
+    cm = build_cycle_map(VERTICAL_ONLY, CycleOptions(indistinguishability=0.9))
+    ghz = run_protocol(cm, 3)
+    for eta in (1.0, 0.84):
+        out = estimate_ghz_fidelity(_collect(ghz, 4, 2000, 40, eta), 4, target_phase=math.pi)
+        ref_recs = _collect(ghz, 4, 2000, 40, eta, sample=_reference_sample)
+        with monkeypatch.context() as m:
+            m.setattr(measurement, "_block_statistics", _reference_block_statistics)
+            ref = estimate_ghz_fidelity(ref_recs, 4, target_phase=math.pi)
+        assert out == ref
+
+
+def test_estimator_names_qubit_count_mismatch():
+    st = run_protocol(ideal_cycle_map(), 2)
+    recs = {"Z": sample_measurements(st, [BasisSetting.z()] * 3, 200, seed=0)}
+    for s in ghz_parity_settings(4):
+        recs[s.phase] = sample_measurements(st, [s] * 3, 200, seed=1)
+    with pytest.raises(MeasurementError, match="3 qubits per shot but n_qubits is 4"):
+        estimate_ghz_fidelity(recs, 4)
 
 
 def test_ghz_parity_settings():
