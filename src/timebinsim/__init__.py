@@ -33,7 +33,6 @@ from .dynamics import (
     IntegrationError,
     LevelSystem,
     Pulse,
-    TimeSeries,
     excitation_error_probability,
     integrate_master_equation,
     optimize_pulse_duration,
@@ -60,8 +59,6 @@ from .protocol import (
     stabilizer_expectations,
 )
 from .waveguide import (
-    EmitterCoupling,
-    GammaResult,
     ModeField,
     ModeFieldError,
     branching_map,

@@ -92,30 +92,18 @@ class ScenarioConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"unknown scenario {self.scenario!r}; registered: {sorted(SCENARIOS)}"
-            )
+        _registered(self.scenario)
         if any(int(n) < 1 for n in self.photons):
             raise ConfigError(f"photon numbers must be >= 1, got {self.photons}")
         unknown = sorted(set(self.overrides) - {f.name for f in fields(PhysicalParams)})
         if unknown:
             raise ConfigError(f"unknown parameter override(s): param.{', param.'.join(unknown)}")
-        unknown = sorted(set(self.options) - SCENARIOS[self.scenario][1])
-        if unknown:
-            raise ConfigError(f"unknown key(s) for scenario {self.scenario}: {', '.join(unknown)}")
 
     def params(self):
         p = preset(self.preset_name)
         if self.overrides:
             p = replace(p, **self.overrides)
         return validate_params(p)
-
-
-@dataclass
-class SweepResult:
-    columns: list
-    rows: list  # list of dicts keyed by column name
 
 
 def _parse_scalar(text):
@@ -156,17 +144,24 @@ def _flag(value):
 
 
 def _tuple_of(cast):
-    """Cast for a scalar or comma-list value: a tuple of ``cast`` items."""
-    return lambda value: tuple(cast(v) for v in (value if isinstance(value, tuple) else (value,)))
+    """Cast for a scalar or non-empty comma-list value: a tuple of ``cast`` items."""
+
+    def to_tuple(value):
+        if value == ():
+            raise ValueError("empty list")
+        return tuple(cast(v) for v in (value if isinstance(value, tuple) else (value,)))
+
+    return to_tuple
 
 
 def parse_config(path, scenario=None):
     """Read a scenario configuration from ``key = value`` lines.
 
-    Recognized keys: ``scenario``, ``preset``, ``seed``, ``out``,
-    ``photons`` (comma list), ``sweep_name``/``sweep_min``/``sweep_max``/
-    ``sweep_points``/``sweep_scale``, ``param.<field>`` overrides; any other
-    key must be one the scenario reads (its ``SCENARIOS`` entry).
+    Besides ``scenario``, ``seed`` and ``out``, only the keys the scenario
+    reads are accepted (its ``SCENARIOS`` entry): from ``preset``,
+    ``param.<field>`` overrides, ``photons`` (comma list),
+    ``sweep_name``/``sweep_min``/``sweep_max``/``sweep_points``/
+    ``sweep_scale``, and the scenario's own options.
     """
     entries = read_key_values(path, error=ConfigError)
     raw = {key: _parse_value(val) for key, (_, val) in entries.items()}
@@ -183,14 +178,18 @@ def build_config(raw, scenario=None):
         )
     if name is None:
         raise ConfigError("no scenario given")
+    reads = _registered(name)[1] | {"seed", "out"}
+    unknown = sorted(k for k in raw if ("param.*" if k.startswith("param.") else k) not in reads)
+    if unknown:
+        raise ConfigError(f"unknown key(s) for scenario {name}: {', '.join(unknown)}")
     sweep = None
-    if "sweep_name" in raw:
+    if _SWEEP & raw.keys():
         sweep = SweepAxis(
-            name=str(raw.pop("sweep_name")),
+            name=_option(raw.pop, "sweep_name", str),
             lo=_option(raw.pop, "sweep_min", float),
             hi=_option(raw.pop, "sweep_max", float),
             points=_option(raw.pop, "sweep_points", int),
-            scale=str(raw.pop("sweep_scale", "linear")),
+            scale=_option(raw.pop, "sweep_scale", str, "linear"),
         )
     photons = _option(raw.pop, "photons", _tuple_of(int), (1, 2, 3))
     overrides = {}
@@ -229,10 +228,6 @@ def scenario_detuning_sweep(config):
     if sweep.name not in ("delta", "b_field"):
         raise ConfigError(f"detuning sweep axis must be delta or b_field, got {sweep.name!r}")
     ng_list = _option(config.options.get, "n_g_list", _tuple_of(float), (base.n_g,))
-    columns = [
-        "n_g", sweep.name, "delta_rad_ns", "n_photons",
-        "e_ph", "e_exc", "e_br", "total_first_order", "asymptote",
-    ]
     rows = []
     for n_g in ng_list:
         gamma = gamma_of_group_index(n_g)
@@ -261,7 +256,7 @@ def scenario_detuning_sweep(config):
                     "total_first_order": b.total,
                     "asymptote": b.e_ph + b.e_br,
                 })
-    return SweepResult(columns=columns, rows=rows)
+    return rows
 
 
 def scenario_photon_scaling(config):
@@ -269,12 +264,6 @@ def scenario_photon_scaling(config):
     p = config.params()
     kind = _option(config.options.get, "kind", TargetKind, "ghz")
     numeric = _option(config.options.get, "numeric", _flag, True)
-    columns = [
-        "n_photons", "e_ph", "e_exc", "e_br", "total_first_order",
-        "rate_mhz",
-    ]
-    if numeric:
-        columns += ["numeric_infidelity", "success_probability"]
     rows = []
     for n in config.photons:
         b = infidelity_first_order(p, n)
@@ -292,7 +281,7 @@ def scenario_photon_scaling(config):
             row["numeric_infidelity"] = 1.0 - fid
             row["success_probability"] = state.success_probability
         rows.append(row)
-    return SweepResult(columns=columns, rows=rows)
+    return rows
 
 
 def scenario_pulse_optimization(config):
@@ -300,9 +289,8 @@ def scenario_pulse_optimization(config):
     ratios = _option(
         config.options.get, "delta_over_gamma", _tuple_of(float), (30.0, 100.0, 300.0)
     )
-    shape = str(config.options.get("shape", "square"))
+    shape = _option(config.options.get, "shape", str, "square")
     betas = BranchingBetas(beta_par=1.0, beta_perp=0.0, beta_par_leak=0.0, beta_perp_leak=0.0)
-    columns = ["delta_over_gamma", "duration_opt", "error_min", "coefficient"]
     rows = []
     for r in ratios:
         system = LevelSystem.from_rates(gamma=1.0, betas=betas, delta=r)
@@ -313,7 +301,7 @@ def scenario_pulse_optimization(config):
             "error_min": opt["error_min"],
             "coefficient": opt["error_min"] * r,
         })
-    return SweepResult(columns=columns, rows=rows)
+    return rows
 
 
 def scenario_echo_demo(config):
@@ -330,7 +318,6 @@ def scenario_echo_demo(config):
     samples = _option(config.options.get, "sample_count", int, 40)
     kind = _option(config.options.get, "kind", TargetKind, "ghz")
     target = ideal_target(n, kind)
-    columns = ["sigma_overhauser", "fidelity_echo", "fidelity_no_echo"]
     rows = []
     for i, s in enumerate(sigmas):
         fids = {}
@@ -353,7 +340,7 @@ def scenario_echo_demo(config):
             "fidelity_echo": fids[True],
             "fidelity_no_echo": fids[False],
         })
-    return SweepResult(columns=columns, rows=rows)
+    return rows
 
 
 def scenario_branching_map(config):
@@ -366,7 +353,6 @@ def scenario_branching_map(config):
     resolution = _option(config.options.get, "resolution", int, 21)
     leak = _option(config.options.get, "leak_fraction", float, 0.1)
     xs, ys, b, bt = branching_map(mode, resolution=resolution, leak_fraction=leak)
-    columns = ["x", "y", "B", "beta_total", "branching_infidelity"]
     rows = []
     for i, px in enumerate(xs):
         for j, py in enumerate(ys):
@@ -379,22 +365,37 @@ def scenario_branching_map(config):
                 "beta_total": float(bt[i, j]),
                 "branching_infidelity": infid,
             })
-    return SweepResult(columns=columns, rows=rows)
+    return rows
 
 
-# name -> (runner, the keys it reads from ScenarioConfig.options)
+_PARAMS = {"preset", "param.*"}
+_SWEEP = {"sweep_name", "sweep_min", "sweep_max", "sweep_points", "sweep_scale"}
+
+# name -> (runner, every config key it reads; "param.*" stands for all overrides)
 SCENARIOS = {
-    "detuning_sweep": (scenario_detuning_sweep, {"n_g_list"}),
-    "photon_scaling": (scenario_photon_scaling, {"kind", "numeric"}),
+    "detuning_sweep": (scenario_detuning_sweep, _PARAMS | _SWEEP | {"photons", "n_g_list"}),
+    "photon_scaling": (scenario_photon_scaling, _PARAMS | {"photons", "kind", "numeric"}),
     "pulse_optimization": (scenario_pulse_optimization, {"delta_over_gamma", "shape"}),
-    "echo_demo": (scenario_echo_demo, {"sigma_list", "n_photons", "sample_count", "kind"}),
+    "echo_demo": (
+        scenario_echo_demo,
+        _PARAMS | {"photons", "sigma_list", "n_photons", "sample_count", "kind"},
+    ),
     "branching_map": (
         scenario_branching_map, {"mode_source", "n_g", "resolution", "leak_fraction"}
     ),
 }
 
 
+def _registered(name):
+    """The SCENARIOS entry of ``name``; an unregistered name raises a ConfigError."""
+    try:
+        return SCENARIOS[name]
+    except KeyError:
+        raise ConfigError(f"unknown scenario {name!r}; registered: {sorted(SCENARIOS)}") from None
+
+
 def run_scenario(config):
+    """Run a scenario; returns its rows, dicts keyed by column in column order."""
     return SCENARIOS[config.scenario][0](config)
 
 
@@ -428,26 +429,27 @@ def _config_echo(config):
     }
 
 
-def write_result(result, config, path):
-    """Write a sweep table as CSV with a self-describing metadata header.
+def write_result(rows, config, path):
+    """Write a scenario's rows as CSV with a self-describing metadata header.
 
-    A JSON manifest with the same content is written alongside at
-    ``<path>.manifest.json``. Output carries no timestamps so reruns are
-    byte-identical.
+    The columns are the first row's keys, in order. A JSON manifest with
+    the same content is written alongside at ``<path>.manifest.json``.
+    Output carries no timestamps so reruns are byte-identical.
     """
+    columns = list(rows[0])
     echo = _config_echo(config)
     meta = json.dumps(echo, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# scenario={config.scenario} seed={config.rng_seed} version={__version__}\n")
         fh.write(f"# config={meta}\n")
-        fh.write(",".join(result.columns) + "\n")
-        for row in result.rows:
-            fh.write(",".join(_fmt(row[c]) for c in result.columns) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
     manifest = {
         "version": __version__,
         "config": echo,
-        "columns": result.columns,
-        "n_rows": len(result.rows),
+        "columns": columns,
+        "n_rows": len(rows),
         "csv": str(path),
     }
     with open(f"{path}.manifest.json", "w", encoding="utf-8", newline="\n") as fh:
@@ -478,14 +480,14 @@ def main(argv=None):
             config.out = args.out
         if config.out is None:
             config.out = f"{config.scenario}.csv"
-        result = run_scenario(config)
-        write_result(result, config, config.out)
+        rows = run_scenario(config)
+        write_result(rows, config, config.out)
     except (
         ConfigError, ParamError, ModeFieldError, CapacityError, IntegrationError, OSError
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(f"{config.scenario}: {len(result.rows)} rows -> {config.out}")
+    print(f"{config.scenario}: {len(rows)} rows -> {config.out}")
     return 0
 
 

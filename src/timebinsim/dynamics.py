@@ -11,7 +11,7 @@ into / out of the waveguide); pure dephasing acts on the trion levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -24,6 +24,9 @@ GROUND_DOWN, GROUND_UP, TRION_DOWN, TRION_UP = range(N_LEVELS)
 # Free-decay window appended after each pulse; residual trion population
 # after 8 lifetimes is below 4e-4.
 DECAY_WINDOW_LIFETIMES = 8.0
+
+# Golden-section refinement of the pulse duration stops at this relative width.
+DURATION_REL_TOL = 1e-3
 
 
 class IntegrationError(RuntimeError):
@@ -213,7 +216,7 @@ def _evolve(system, pulse, rho0, t_span, tolerance, jumps=True, **solver_options
     return sol
 
 
-def _check_density_operator(rho, tol=1e-12):
+def _check_density_operator(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (N_LEVELS, N_LEVELS):
         raise ParamError(f"density operator must be 4x4, got shape {rho.shape}")
@@ -222,7 +225,7 @@ def _check_density_operator(rho, tol=1e-12):
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ParamError(f"density operator trace is {np.trace(rho).real}, not 1")
     w = np.linalg.eigvalsh(rho)
-    if w.min() < -tol:
+    if w.min() < -1e-12:
         raise ParamError(f"density operator has negative eigenvalue {w.min()}")
     return rho
 
@@ -233,20 +236,6 @@ class TimeSeries:
     states: np.ndarray  # shape (n_times, 4, 4)
     emissions_trion_down: float = 0.0
     emissions_trion_up: float = 0.0
-
-    def dump_csv(self, path):
-        """Write times and row-major density-matrix entries (re, im) to CSV."""
-        with open(path, "w", encoding="utf-8") as fh:
-            cols = ["time_ns"]
-            for i in range(N_LEVELS):
-                for j in range(N_LEVELS):
-                    cols += [f"re_{i}{j}", f"im_{i}{j}"]
-            fh.write("# " + ",".join(cols) + "\n")
-            for t, rho in zip(self.times, self.states):
-                row = [f"{t:.9g}"]
-                for v in rho.ravel():
-                    row += [f"{v.real:.9g}", f"{v.imag:.9g}"]
-                fh.write(",".join(row) + "\n")
 
 
 def integrate_master_equation(
@@ -338,13 +327,13 @@ def excitation_error_probability(system, pulse, tolerance=1e-10):
 
 
 def optimize_pulse_duration(
-    system, shape="square", bounds=None, rel_tol=1e-3, n_scan=40, tolerance=1e-9
+    system, shape="square", bounds=None, n_scan=40, tolerance=1e-9
 ):
     """Minimize the total per-pulse excitation error over the duration.
 
     The error landscape carries an oscillatory off-resonant component, so a
     geometric coarse scan brackets the global minimum before a golden-section
-    refinement to relative duration tolerance ``rel_tol``.
+    refinement to relative duration tolerance ``DURATION_REL_TOL``.
     """
     if bounds is None:
         bounds = (1.5 / system.delta, 30.0 / system.delta)
@@ -371,7 +360,7 @@ def optimize_pulse_duration(
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = err(c), err(d)
-    while (b - a) > rel_tol * (a + b) / 2.0:
+    while (b - a) > DURATION_REL_TOL * (a + b) / 2.0:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

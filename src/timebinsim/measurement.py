@@ -14,6 +14,8 @@ from itertools import product
 
 import numpy as np
 
+from .protocol import _frame_signs, canonical_stabilizers
+
 NO_CLICK = "no_click"
 
 
@@ -183,14 +185,6 @@ def _as_rho(state):
     return rho / float(np.trace(rho).real), 0.0
 
 
-def records_to_csv(records, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("shot,setting,qubit,outcome\n")
-        for r in records:
-            name = r.setting.kind if r.setting.kind == "Z" else f"X({r.setting.phase:.6g})"
-            fh.write(f"{r.shot},{name},{r.qubit},{r.outcome}\n")
-
-
 def ghz_parity_settings(n_qubits):
     """Phase settings phi_k = k pi / n, k = 0..2n-1, for the parity scan."""
     return [
@@ -291,8 +285,6 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
     identity factors are measured in Z and ignored) and the +-1 outcome
     product is averaged over all-click shots.
     """
-    from .protocol import _frame_signs, canonical_stabilizers
-
     n = state.photon_count
     signs = _frame_signs(n, kind)
     estimates = []

@@ -32,14 +32,15 @@ from .cyclemap import (
 )
 from .params import ParamError, PhysicalParams
 
-DEFAULT_PHOTON_CAP = 10
+# largest photon number for which the dense 2^(N+1) density operator is built
+PHOTON_CAP = 10
 
 # spin state after initialization: R(pi/2) applied to spin-down
 _PSI0 = rotation_matrix(math.pi / 2.0) @ np.array([1.0, 0.0], dtype=complex)
 
 
 class CapacityError(RuntimeError):
-    """Requested photon number exceeds the configured density-operator cap."""
+    """Requested photon number exceeds the density-operator cap PHOTON_CAP."""
 
 
 class TargetKind(Enum):
@@ -94,17 +95,6 @@ class HybridState:
     def dim(self):
         return self.rho.shape[0]
 
-    def dump(self, path):
-        """Textual dump: dimension header, then row-major complex entries."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                f"dim {self.dim} photons {self.photon_count} "
-                f"success {self.success_probability:.17g} "
-                f"orthogonal {self.orthogonal_error_mass:.17g}\n"
-            )
-            for row in self.rho:
-                fh.write(" ".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) + "\n")
-
 
 def _spin_superoperator(cycle):
     """S[(a p),(b c),i,j] = sum_k K[(a p),i] conj(K[(b c),j]), shape (4, 4, 2, 2)."""
@@ -122,12 +112,12 @@ def _apply_superoperator(rho, s):
     return out.transpose(0, 4, 1, 2, 5, 3).reshape(2 * d, 2 * d)
 
 
-def run_protocol_cycles(cycles, cap=DEFAULT_PHOTON_CAP):
+def run_protocol_cycles(cycles):
     """Run the protocol with an explicit per-round sequence of cycle maps."""
     n = len(cycles)
-    if n > cap:
+    if n > PHOTON_CAP:
         raise CapacityError(
-            f"{n} photons exceeds the configured cap of {cap} "
+            f"{n} photons exceeds the cap of {PHOTON_CAP} "
             f"(density operator would be {2**(n+1)}-dimensional)"
         )
     rho = np.outer(_PSI0, _PSI0.conj())
@@ -158,7 +148,7 @@ def run_protocol_cycles(cycles, cap=DEFAULT_PHOTON_CAP):
     )
 
 
-def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, cap=DEFAULT_PHOTON_CAP, options=None):
+def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None):
     """Apply initialization and N identical cycles.
 
     ``cycle`` may be a ready CycleMap or a PhysicalParams from which a map
@@ -174,22 +164,22 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, cap=DEFAULT_
             raise ParamError("noise averaging needs PhysicalParams, not a fixed CycleMap")
         if options is not None:
             raise ParamError("options need PhysicalParams; a fixed CycleMap is already built")
-        return run_protocol_cycles([cycle] * n, cap=cap)
+        return run_protocol_cycles([cycle] * n)
 
     if not isinstance(cycle, PhysicalParams):
         raise ParamError(f"expected CycleMap or PhysicalParams, got {type(cycle)}")
     base = replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
     if noise is None:
-        return run_protocol_cycles([build_cycle_map(cycle, base)] * n, cap=cap)
+        return run_protocol_cycles([build_cycle_map(cycle, base)] * n)
 
-    states = list(_noise_samples(cycle, n, base, noise, cap))
+    states = list(_noise_samples(cycle, n, base, noise))
     rho = sum(s.rho for s in states) / len(states)
     orth = sum(s.orthogonal_error_mass for s in states) / len(states)
     succ = sum(s.success_probability for s in states) / len(states)
     return HybridState(rho, succ, orth, n)
 
 
-def _noise_samples(params, n, base, noise, cap):
+def _noise_samples(params, n, base, noise):
     """Run the protocol once per noise sample; sample i draws from child seed i.
 
     Child seeds are spawned from ``noise.rng_seed``, so results do not
@@ -199,7 +189,7 @@ def _noise_samples(params, n, base, noise, cap):
     """
     for seq in np.random.SeedSequence(noise.rng_seed).spawn(noise.sample_count):
         cycles = _noisy_cycles(params, n, base, noise, np.random.default_rng(seq))
-        yield run_protocol_cycles(cycles, cap=cap)
+        yield run_protocol_cycles(cycles)
 
 
 def _noisy_cycles(params, n, base, noise, rng):
@@ -325,13 +315,13 @@ def stabilizer_expectations(state, kind):
     return out
 
 
-def overhauser_average(params, n_photons, kind, noise, options=None, cap=DEFAULT_PHOTON_CAP):
+def overhauser_average(params, n_photons, kind, noise, options=None):
     """Monte Carlo average of the conditional fidelity over Overhauser noise."""
     base = replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
     target = ideal_target(n_photons, kind)
     fids = np.asarray([
         conditional_fidelity(st, target)
-        for st in _noise_samples(params, n_photons, base, noise, cap)
+        for st in _noise_samples(params, n_photons, base, noise)
     ])
     std_err = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
     return {"mean_fidelity": float(fids.mean()), "std_error": std_err}

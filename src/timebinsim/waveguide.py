@@ -263,17 +263,3 @@ def gamma_of_group_index(n_g):
     slope = (vals[i + 1] - vals[i]) / (logs[i + 1] - logs[i])
     extrapolated = not (keys[0] <= n_g <= keys[-1])
     return GammaResult(math.exp(vals[i] + slope * (ln - logs[i])), extrapolated)
-
-
-def write_map_csv(path, xs, ys, b, bt, extra=None):
-    """Write a branching map as CSV with header x,y,B,beta_total[,...]."""
-    cols = ["x", "y", "B", "beta_total"] + (list(extra) if extra else [])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, px in enumerate(xs):
-            for j, py in enumerate(ys):
-                row = [f"{px:.9g}", f"{py:.9g}", f"{b[i, j]:.9g}", f"{bt[i, j]:.9g}"]
-                if extra:
-                    for name, arr in extra.items():
-                        row.append(f"{arr[i, j]:.9g}")
-                fh.write(",".join(row) + "\n")

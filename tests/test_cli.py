@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -82,9 +81,9 @@ def test_detuning_sweep_rows():
             "n_g_list": (20, 56),
         }
     )
-    result = run_scenario(config)
-    assert len(result.rows) == 2 * 4 * 2
-    for row in result.rows:
+    rows = run_scenario(config)
+    assert len(rows) == 2 * 4 * 2
+    for row in rows:
         assert row["total_first_order"] == pytest.approx(
             row["e_ph"] + row["e_exc"] + row["e_br"]
         )
@@ -92,7 +91,7 @@ def test_detuning_sweep_rows():
     # total decreases monotonically with detuning at fixed (n_g, N)
     series = [
         r["total_first_order"]
-        for r in result.rows
+        for r in rows
         if r["n_g"] == 56 and r["n_photons"] == 3
     ]
     assert series == sorted(series, reverse=True)
@@ -122,11 +121,11 @@ def test_photon_scaling_ideal_numeric():
     config = build_config(
         {"scenario": "photon_scaling", "preset": "ideal", "photons": (1, 2, 3)}
     )
-    result = run_scenario(config)
-    for row in result.rows:
+    rows = run_scenario(config)
+    for row in rows:
         assert row["numeric_infidelity"] < 1e-8
     config = build_config({"scenario": "photon_scaling", "photons": (1,), "numeric": False})
-    assert "numeric_infidelity" not in run_scenario(config).columns
+    assert "numeric_infidelity" not in run_scenario(config)[0]
 
 
 def test_echo_demo_columns():
@@ -138,21 +137,21 @@ def test_echo_demo_columns():
             "sample_count": 12,
         }
     )
-    result = run_scenario(config)
-    assert result.rows[0]["fidelity_echo"] == result.rows[0]["fidelity_no_echo"]
-    assert result.rows[1]["fidelity_echo"] == pytest.approx(
-        result.rows[0]["fidelity_echo"], abs=1e-6
+    rows = run_scenario(config)
+    assert rows[0]["fidelity_echo"] == rows[0]["fidelity_no_echo"]
+    assert rows[1]["fidelity_echo"] == pytest.approx(
+        rows[0]["fidelity_echo"], abs=1e-6
     )
-    assert result.rows[1]["fidelity_no_echo"] < result.rows[1]["fidelity_echo"]
+    assert rows[1]["fidelity_no_echo"] < rows[1]["fidelity_echo"]
 
 
 def test_branching_map_scenario():
     config = build_config(
         {"scenario": "branching_map", "n_g": 20, "resolution": 11}
     )
-    result = run_scenario(config)
-    assert len(result.rows) == 121
-    center = [r for r in result.rows if r["x"] == 0.0 and r["y"] == 0.0][0]
+    rows = run_scenario(config)
+    assert len(rows) == 121
+    center = [r for r in rows if r["x"] == 0.0 and r["y"] == 0.0][0]
     assert center["B"] == pytest.approx(49.0)
     assert center["branching_infidelity"] < 0.01
 
@@ -161,9 +160,9 @@ def test_write_result_determinism(tmp_path):
     config = build_config(
         {"scenario": "branching_map", "n_g": 20, "resolution": 5}
     )
-    result = run_scenario(config)
+    rows = run_scenario(config)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_result(result, config, a)
+    write_result(rows, config, a)
     write_result(run_scenario(config), config, b)
     assert a.read_bytes() == b.read_bytes()
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
@@ -191,8 +190,8 @@ def test_pulse_optimization_scenario():
     config = build_config(
         {"scenario": "pulse_optimization", "delta_over_gamma": (30,)}
     )
-    result = run_scenario(config)
-    row = result.rows[0]
+    rows = run_scenario(config)
+    row = rows[0]
     assert 0.48 < row["coefficient"] < 0.88
     assert row["coefficient"] == pytest.approx(row["error_min"] * 30.0)
 
@@ -206,10 +205,20 @@ def test_pulse_optimization_scenario():
         ("echo_demo", "n_photons = three\n", "n_photons"),
         ("echo_demo", "n_photon = 3\n", "n_photon"),
         ("photon_scaling", "numeric = no\n", "numeric"),
+        (
+            "photon_scaling",
+            "sweep_name = delta\nsweep_min = 1\nsweep_max = 2\nsweep_points = 3\n",
+            "sweep_name",
+        ),
+        ("branching_map", "photons = 7\n", "photons"),
+        ("pulse_optimization", "preset = improved\n", "preset"),
+        ("photon_scaling", "photons = ,\n", "photons"),
+        ("detuning_sweep", "sweep_min = 1\n", "sweep_name"),
     ],
     ids=[
         "missing-sweep_min", "unknown-param", "bad-kind", "bad-n_photons",
-        "unknown-key", "non-bool-numeric",
+        "unknown-key", "non-bool-numeric", "unread-sweep", "unread-photons",
+        "unread-preset", "empty-list", "sweep-without-name",
     ],
 )
 def test_main_names_the_bad_key(tmp_path, capsys, scenario, text, key):
@@ -221,3 +230,54 @@ def test_main_names_the_bad_key(tmp_path, capsys, scenario, text, key):
     assert captured.err.startswith("error: ConfigError:")
     assert key in captured.err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, text, header",
+    [
+        (
+            "detuning_sweep",
+            "photons = 1\nsweep_name = delta\nsweep_min = 4\nsweep_max = 8\nsweep_points = 2\n",
+            "n_g,delta,delta_rad_ns,n_photons,e_ph,e_exc,e_br,total_first_order,asymptote",
+        ),
+        (
+            "detuning_sweep",
+            "photons = 1\nsweep_name = b_field\nsweep_min = 0.5\nsweep_max = 1\nsweep_points = 2\n",
+            "n_g,b_field,delta_rad_ns,n_photons,e_ph,e_exc,e_br,total_first_order,asymptote",
+        ),
+        (
+            "photon_scaling",
+            "photons = 1\nnumeric = true\n",
+            "n_photons,e_ph,e_exc,e_br,total_first_order,rate_mhz,"
+            "numeric_infidelity,success_probability",
+        ),
+        (
+            "photon_scaling",
+            "photons = 1\nnumeric = false\n",
+            "n_photons,e_ph,e_exc,e_br,total_first_order,rate_mhz",
+        ),
+        (
+            "pulse_optimization",
+            "delta_over_gamma = 30\n",
+            "delta_over_gamma,duration_opt,error_min,coefficient",
+        ),
+        (
+            "echo_demo",
+            "sigma_list = 0.0\nn_photons = 1\n",
+            "sigma_overhauser,fidelity_echo,fidelity_no_echo",
+        ),
+        ("branching_map", "resolution = 2\n", "x,y,B,beta_total,branching_infidelity"),
+    ],
+    ids=[
+        "detuning-delta", "detuning-b_field", "scaling-numeric", "scaling-budget-only",
+        "pulse", "echo", "map",
+    ],
+)
+def test_csv_column_header(tmp_path, scenario, text, header):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2] == header
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert manifest["columns"] == header.split(",")

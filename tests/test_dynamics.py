@@ -71,7 +71,10 @@ def test_fast_pi_pulse_inverts():
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[GROUND_DOWN, GROUND_DOWN] = 1.0
     pulse = Pulse(shape="square", duration=0.01)
-    ts = integrate_master_equation(sys_, pulse, rho0, horizon=0.01, tolerance=1e-10)
+    ts = integrate_master_equation(
+        sys_, pulse, rho0, horizon=0.01, tolerance=1e-10, n_samples=20
+    )
+    assert ts.states.shape == (20, 4, 4)
     assert ts.states[-1][TRION_DOWN, TRION_DOWN].real == pytest.approx(1.0, abs=1e-3)
 
 
@@ -109,18 +112,6 @@ def test_optimize_rejects_endpoint_minimum():
     with pytest.raises(ParamError):
         # monotone decreasing on this tiny bracket: minimum at the edge
         optimize_pulse_duration(sys_, bounds=(1e-4, 2e-4), n_scan=8)
-
-
-def test_timeseries_csv_dump(tmp_path):
-    sys_ = make_system(gamma=1.0, delta=50.0)
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[GROUND_UP, GROUND_UP] = 1.0
-    ts = integrate_master_equation(sys_, None, rho0, horizon=1.0, n_samples=20)
-    out = tmp_path / "series.csv"
-    ts.dump_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("# time_ns")
-    assert len(lines) == 21
 
 
 # -- oracle: the hand-written Lindblad right-hand sides the generator replaced

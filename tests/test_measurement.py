@@ -14,7 +14,6 @@ from timebinsim.measurement import (
     ghz_parity_settings,
     joint_outcome_distribution,
     povm_elements,
-    records_to_csv,
     sample_measurements,
     sample_measurements_with_eta,
     sample_stabilizer_expectations,
@@ -24,7 +23,6 @@ from timebinsim.protocol import (
     TargetKind,
     _frame_signs,
     canonical_stabilizers,
-    conditional_fidelity,
     ideal_target,
     run_protocol,
     stabilizer_expectations,
@@ -310,13 +308,3 @@ def test_stabilizer_sampling_diagnostic():
     est = sample_stabilizer_expectations(st, TargetKind.CLUSTER, shots=20000, seed=3)
     for e, s in zip(exact, est):
         assert abs(e - s) < 0.02
-
-
-def test_records_to_csv(tmp_path):
-    st = run_protocol(ideal_cycle_map(), 1)
-    recs = sample_measurements(st, [BasisSetting.z(), BasisSetting.x(0.5)], 10, seed=0)
-    out = tmp_path / "records.csv"
-    records_to_csv(recs, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "shot,setting,qubit,outcome"
-    assert len(lines) == 1 + 20

@@ -7,6 +7,7 @@ import pytest
 from timebinsim.cyclemap import CycleOptions, build_cycle_map, ideal_cycle_map
 from timebinsim.params import BranchingBetas, ParamError, betas_from_branching, preset
 from timebinsim.protocol import (
+    PHOTON_CAP,
     CapacityError,
     NoiseConfig,
     TargetKind,
@@ -148,7 +149,7 @@ def test_branching_only_matches_first_order():
 def test_capacity_cap():
     cm = ideal_cycle_map()
     with pytest.raises(CapacityError):
-        run_protocol(cm, 5, cap=4)
+        run_protocol(cm, PHOTON_CAP + 1)
     with pytest.raises(ParamError):
         run_protocol(cm, 0)
 
@@ -241,7 +242,7 @@ def test_noise_samples_share_one_success_probability(echo):
         rng_seed=5,
     )
     base = CycleOptions(echo=echo)
-    succ = [s.success_probability for s in _noise_samples(p, 4, base, noise, cap=10)]
+    succ = [s.success_probability for s in _noise_samples(p, 4, base, noise)]
     assert len(succ) == 20
     assert max(succ) - min(succ) <= 1e-12 * max(succ)
 
@@ -264,14 +265,6 @@ def test_conditional_fidelity_dimension_check():
     st = run_protocol(ideal_cycle_map(), 2)
     with pytest.raises(ParamError):
         conditional_fidelity(st, ideal_target(3, TargetKind.GHZ))
-
-
-def test_hybrid_state_dump(tmp_path):
-    st = run_protocol(ideal_cycle_map(), 1)
-    out = tmp_path / "state.txt"
-    st.dump(out)
-    head = out.read_text().splitlines()[0]
-    assert head.startswith("dim 4 photons 1")
 
 
 @pytest.mark.parametrize("betas, opts, n_kraus", ORACLE_MAPS)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from timebinsim.waveguide import (
     gamma_of_group_index,
     load_mode_field,
     synthetic_w1_mode,
-    write_map_csv,
 )
 
 
@@ -132,13 +129,3 @@ def test_gamma_lookup():
     assert low.value < 3.2
     with pytest.raises(ParamError):
         gamma_of_group_index(-1.0)
-
-
-def test_write_map_csv(tmp_path):
-    mode = synthetic_w1_mode(20.0, points=11)
-    xs, ys, b, bt = branching_map(mode, resolution=5)
-    out = tmp_path / "map.csv"
-    write_map_csv(out, xs, ys, b, bt)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "x,y,B,beta_total"
-    assert len(lines) == 1 + 25
