@@ -6,7 +6,6 @@ four-level emitter coupled to a photonic-crystal waveguide.
 __version__ = "0.1.0"
 
 from .params import (
-    FULLY_CYCLING,
     MU_B_OVER_H_GHZ_PER_T,
     BranchingBetas,
     ParamError,

@@ -143,6 +143,13 @@ def _flag(value):
     return value
 
 
+def _whole(value):
+    """Cast for a whole-number value: only a parsed int (not a bool) passes."""
+    if type(value) is not int:
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return value
+
+
 def _tuple_of(cast):
     """Cast for a scalar or non-empty comma-list value: a tuple of ``cast`` items."""
 
@@ -188,10 +195,10 @@ def build_config(raw, scenario=None):
             name=_option(raw.pop, "sweep_name", str),
             lo=_option(raw.pop, "sweep_min", float),
             hi=_option(raw.pop, "sweep_max", float),
-            points=_option(raw.pop, "sweep_points", int),
+            points=_option(raw.pop, "sweep_points", _whole),
             scale=_option(raw.pop, "sweep_scale", str, "linear"),
         )
-    photons = _option(raw.pop, "photons", _tuple_of(int), (1, 2, 3))
+    photons = _option(raw.pop, "photons", _tuple_of(_whole), (1, 2, 3))
     overrides = {}
     for key in [k for k in raw if k.startswith("param.")]:
         overrides[key[len("param."):]] = _option(raw.pop, key, float)
@@ -201,7 +208,7 @@ def build_config(raw, scenario=None):
         overrides=overrides,
         sweep=sweep,
         photons=photons,
-        rng_seed=_option(raw.pop, "seed", int, 0),
+        rng_seed=_option(raw.pop, "seed", _whole, 0),
         out=raw.pop("out", None),
         options=raw,
     )
@@ -314,8 +321,8 @@ def scenario_echo_demo(config):
     sigmas = _option(
         config.options.get, "sigma_list", _tuple_of(float), (0.0, 0.25, 0.5, 0.7071067811865476)
     )
-    n = _option(config.options.get, "n_photons", int, config.photons[0])
-    samples = _option(config.options.get, "sample_count", int, 40)
+    n = _option(config.options.get, "n_photons", _whole, config.photons[0])
+    samples = _option(config.options.get, "sample_count", _whole, 40)
     kind = _option(config.options.get, "kind", TargetKind, "ghz")
     target = ideal_target(n, kind)
     rows = []
@@ -350,20 +357,18 @@ def scenario_branching_map(config):
         mode = synthetic_w1_mode(_option(config.options.get, "n_g", float, 20.0))
     else:
         mode = load_mode_field(source)
-    resolution = _option(config.options.get, "resolution", int, 21)
+    resolution = _option(config.options.get, "resolution", _whole, 21)
     leak = _option(config.options.get, "leak_fraction", float, 0.1)
     xs, ys, b, bt = branching_map(mode, resolution=resolution, leak_fraction=leak)
     rows = []
     for i, px in enumerate(xs):
         for j, py in enumerate(ys):
-            ratio = b[i, j]
-            infid = 0.0 if math.isinf(ratio) else 1.0 / (4.0 * (ratio + 1.0))
             rows.append({
                 "x": float(px),
                 "y": float(py),
-                "B": float(ratio),
+                "B": float(b[i, j]),
                 "beta_total": float(bt[i, j]),
-                "branching_infidelity": infid,
+                "branching_infidelity": 1.0 / (4.0 * (b[i, j] + 1.0)),
             })
     return rows
 

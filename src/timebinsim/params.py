@@ -25,23 +25,6 @@ class ParamError(ValueError):
     """A physical-parameter invariant is violated; message names the field."""
 
 
-class FullyCycling:
-    """Sentinel for an infinite branching ratio (no diagonal decay weight)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "FULLY_CYCLING"
-
-
-FULLY_CYCLING = FullyCycling()
-
-
 @dataclass(frozen=True)
 class PhysicalParams:
     """All emitter/photonics scalars of the architecture.
@@ -129,13 +112,11 @@ def zeeman_detuning(g_factor, b_field):
 def branching_from_betas(betas):
     """Branching ratio (beta_par + beta_par_leak) / (beta_perp + beta_perp_leak).
 
-    Returns the FULLY_CYCLING sentinel when the diagonal weight vanishes.
+    Returns ``math.inf`` (fully cycling) when the diagonal weight vanishes.
     """
     num = betas.beta_par + betas.beta_par_leak
     den = betas.beta_perp + betas.beta_perp_leak
-    if den == 0.0:
-        return FULLY_CYCLING
-    return num / den
+    return math.inf if den == 0.0 else num / den
 
 
 def betas_from_branching(branching, beta_total=1.0):
@@ -163,7 +144,8 @@ def validate_params(params):
 
     Raises ParamError naming each violated field.
     """
-    problems = []
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    problems = [f"{name} must be finite" for name, v in values.items() if not math.isfinite(v)]
     for name in ("gamma", "t_cycle", "t2_star", "t2", "g_factor", "n_g", "gamma_bulk"):
         if getattr(params, name) <= 0:
             problems.append(f"{name} must be strictly positive")

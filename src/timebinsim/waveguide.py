@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import FULLY_CYCLING, BranchingBetas, ParamError, branching_from_betas
+from .params import BranchingBetas, ParamError, branching_from_betas
 
 # Waveguide-rate calibration: gamma_wg = RATE_SCALE * n_g * |E|^2 / norm
 # * gamma_bulk, with RATE_SCALE chosen so the synthetic fixture center at
@@ -58,23 +58,23 @@ class ModeField:
             )
         if not np.all(np.isfinite(f.view(float))):
             raise ModeFieldError("field contains non-finite entries")
-        if self.norm <= 0:
-            raise ModeFieldError(f"normalization must be positive, got {self.norm}")
+        for name in ("n_g", "norm"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ModeFieldError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "field", f)
 
     def interpolate(self, position):
-        """Bilinear interpolation of the three field components."""
-        px, py = position
-        if not (self.x[0] <= px <= self.x[-1] and self.y[0] <= py <= self.y[-1]):
+        """Bilinear (Ex, Ey, Ez) at ``(x, y)``, scalars or arrays of one shape."""
+        px, py = (np.asarray(c, dtype=float) for c in position)
+        inside = (self.x[0] <= px) & (px <= self.x[-1]) & (self.y[0] <= py) & (py <= self.y[-1])
+        if not np.all(inside):
             raise ModeFieldError(f"position {position} outside the grid")
-        ix = min(np.searchsorted(self.x, px, side="right") - 1, self.x.size - 2)
-        iy = min(np.searchsorted(self.y, py, side="right") - 1, self.y.size - 2)
-        ix = max(ix, 0)
-        iy = max(iy, 0)
-        tx = (px - self.x[ix]) / (self.x[ix + 1] - self.x[ix])
-        ty = (py - self.y[iy]) / (self.y[iy + 1] - self.y[iy])
+        ix = np.clip(np.searchsorted(self.x, px, side="right") - 1, 0, self.x.size - 2)
+        iy = np.clip(np.searchsorted(self.y, py, side="right") - 1, 0, self.y.size - 2)
+        tx = ((px - self.x[ix]) / (self.x[ix + 1] - self.x[ix]))[..., None]
+        ty = ((py - self.y[iy]) / (self.y[iy + 1] - self.y[iy]))[..., None]
         f = self.field
         return (
             f[ix, iy] * (1 - tx) * (1 - ty)
@@ -176,8 +176,6 @@ def synthetic_w1_mode(n_g, points=41):
     center; the orthogonal in-plane component (Ex) has a nodal line through
     the center (y = 0), so the branching ratio peaks there.
     """
-    if n_g <= 0:
-        raise ParamError(f"n_g must be positive, got {n_g}")
     x = np.linspace(-0.5, 0.5, points)
     y = np.linspace(-0.5, 0.5, points)
     gx, gy = np.meshgrid(x, y, indexing="ij")
@@ -189,53 +187,54 @@ def synthetic_w1_mode(n_g, points=41):
     return ModeField(x=x, y=y, field=field, n_g=float(n_g), a_nm=240.0, norm=1.0)
 
 
-def coupling_at(mode, position, gamma_bulk=1.0, leak_fraction=0.1):
-    """Decay channels of the two in-plane linear dipoles at a position.
+def _decay_weights(mode, px, py, gamma_bulk, leak_fraction):
+    """Decay weights (par, perp, leak per dipole) and total rate at x = px, y in py.
 
     The vertical dipole projects on the dominant transverse component (Ey),
     the diagonal dipole on the orthogonal in-plane component (Ex); each
     waveguide rate scales as n_g |E|^2. Leak rates out of the waveguide are
     ``leak_fraction * gamma_bulk`` per dipole.
     """
-    if gamma_bulk <= 0:
-        raise ParamError(f"gamma_bulk must be positive, got {gamma_bulk}")
-    if leak_fraction < 0:
-        raise ParamError(f"leak_fraction must be >= 0, got {leak_fraction}")
-    e = mode.interpolate(position)
-    g_par = RATE_SCALE * mode.n_g * abs(e[1]) ** 2 / mode.norm * gamma_bulk
-    g_perp = RATE_SCALE * mode.n_g * abs(e[0]) ** 2 / mode.norm * gamma_bulk
+    if not 0.0 < gamma_bulk < math.inf:
+        raise ParamError(f"gamma_bulk must be finite and > 0, got {gamma_bulk}")
+    if not 0.0 <= leak_fraction < math.inf:
+        raise ParamError(f"leak_fraction must be finite and >= 0, got {leak_fraction}")
+    e = mode.interpolate((px, py))
+    g_par = RATE_SCALE * mode.n_g * np.abs(e[..., 1]) ** 2 / mode.norm * gamma_bulk
+    g_perp = RATE_SCALE * mode.n_g * np.abs(e[..., 0]) ** 2 / mode.norm * gamma_bulk
     g_leak = leak_fraction * gamma_bulk
     total = g_par + g_perp + 2.0 * g_leak
-    if total <= 0:
-        raise ModeFieldError(f"zero total decay rate at {position}")
-    betas = BranchingBetas(
-        beta_par=g_par / total,
-        beta_perp=g_perp / total,
-        beta_par_leak=g_leak / total,
-        beta_perp_leak=g_leak / total,
-    )
+    zero = total <= 0
+    if np.any(zero):
+        raise ModeFieldError(f"zero total decay rate at ({px}, {np.asarray(py)[zero][0]})")
+    return g_par / total, g_perp / total, g_leak / total, total
+
+
+def coupling_at(mode, position, gamma_bulk=1.0, leak_fraction=0.1):
+    """Decay channels of the two in-plane linear dipoles at a position."""
+    par, perp, leak, total = _decay_weights(mode, *position, gamma_bulk, leak_fraction)
     return EmitterCoupling(
-        betas=betas, gamma_total=total, purcell_factor=total / gamma_bulk
+        BranchingBetas(par, perp, leak, leak), gamma_total=total, purcell_factor=total / gamma_bulk
     )
 
 
-def branching_map(mode, resolution=21, gamma_bulk=1.0, leak_fraction=0.1):
-    """Evaluate coupling_at on a uniform grid over the cell.
+def branching_map(mode, resolution=21, leak_fraction=0.1):
+    """B and beta_total on a uniform grid over the cell, one row (one x, all y) at a time.
 
-    Returns (x, y, B, beta_total) arrays; B is +inf where fully cycling.
+    Both are ratios of rates, so the bulk rate cancels. Returns (x, y, B,
+    beta_total) arrays; B is +inf where fully cycling.
     """
     if resolution < 2:
         raise ParamError(f"resolution must be >= 2, got {resolution}")
     xs = np.linspace(mode.x[0], mode.x[-1], resolution)
     ys = np.linspace(mode.y[0], mode.y[-1], resolution)
-    b = np.zeros((resolution, resolution))
-    bt = np.zeros((resolution, resolution))
+    b = np.empty((resolution, resolution))
+    bt = np.empty((resolution, resolution))
     for i, px in enumerate(xs):
-        for j, py in enumerate(ys):
-            c = coupling_at(mode, (px, py), gamma_bulk, leak_fraction)
-            ratio = c.branching
-            b[i, j] = math.inf if ratio is FULLY_CYCLING else ratio
-            bt[i, j] = c.beta_waveguide
+        par, perp, leak, _ = _decay_weights(mode, px, ys, 1.0, leak_fraction)
+        with np.errstate(divide="ignore"):
+            b[i] = (par + leak) / (perp + leak)
+        bt[i] = par + perp
     return xs, ys, b, bt
 
 

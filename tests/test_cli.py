@@ -214,11 +214,24 @@ def test_pulse_optimization_scenario():
         ("pulse_optimization", "preset = improved\n", "preset"),
         ("photon_scaling", "photons = ,\n", "photons"),
         ("detuning_sweep", "sweep_min = 1\n", "sweep_name"),
+        ("photon_scaling", "photons = 2.7\nnumeric = false\n", "photons"),
+        ("branching_map", "resolution = 4.9\n", "resolution"),
+        ("branching_map", "resolution = true\n", "resolution"),
+        ("echo_demo", "n_photons = 2.0\n", "n_photons"),
+        ("echo_demo", "sample_count = 4.5\n", "sample_count"),
+        ("photon_scaling", "seed = 1.5\nnumeric = false\n", "seed"),
+        (
+            "detuning_sweep",
+            "sweep_name = delta\nsweep_min = 1\nsweep_max = 2\nsweep_points = 3.5\n",
+            "sweep_points",
+        ),
     ],
     ids=[
         "missing-sweep_min", "unknown-param", "bad-kind", "bad-n_photons",
         "unknown-key", "non-bool-numeric", "unread-sweep", "unread-photons",
-        "unread-preset", "empty-list", "sweep-without-name",
+        "unread-preset", "empty-list", "sweep-without-name", "fractional-photons",
+        "fractional-resolution", "bool-resolution", "float-n_photons",
+        "fractional-sample_count", "fractional-seed", "fractional-sweep_points",
     ],
 )
 def test_main_names_the_bad_key(tmp_path, capsys, scenario, text, key):
@@ -229,6 +242,16 @@ def test_main_names_the_bad_key(tmp_path, capsys, scenario, text, key):
     assert code == 1
     assert captured.err.startswith("error: ConfigError:")
     assert key in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_main_rejects_non_finite_param(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("param.branching = nan\nnumeric = false\n")
+    code = main(["photon_scaling", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ParamError: branching must be finite")
     assert not (tmp_path / "out.csv").exists()
 
 

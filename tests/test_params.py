@@ -1,9 +1,9 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 
 from timebinsim.params import (
-    FULLY_CYCLING,
     MU_B_OVER_H_GHZ_PER_T,
     BranchingBetas,
     ParamError,
@@ -51,9 +51,9 @@ def test_zeeman_detuning_value():
 def test_branching_from_betas():
     betas = BranchingBetas(0.9, 0.06, 0.03, 0.01)
     assert branching_from_betas(betas) == pytest.approx(0.93 / 0.07)
-    # zero diagonal weight is reported as a distinct variant, not a number
+    # zero diagonal weight is fully cycling: B = inf
     cycling = BranchingBetas(0.5, 0.0, 0.5, 0.0)
-    assert branching_from_betas(cycling) is FULLY_CYCLING
+    assert branching_from_betas(cycling) == math.inf
 
 
 def test_beta_weights_must_sum_to_one():
@@ -98,6 +98,12 @@ def test_validate_params_names_fields():
         validate_params(bad)
     assert "gamma" in str(err.value)
     assert "eta" in str(err.value)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(PhysicalParams)])
+def test_validate_params_rejects_nan(name):
+    with pytest.raises(ParamError, match=rf"\b{name} must be finite"):
+        validate_params(replace(preset("reference"), **{name: math.nan}))
 
 
 def test_load_params(tmp_path):
