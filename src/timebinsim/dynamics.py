@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .params import BranchingBetas, ParamError, betas_from_branching
 
@@ -51,6 +52,19 @@ class LevelSystem:
     rate_diagonal_leak: float
     dephasing: float = 0.0
 
+    def __post_init__(self):
+        rates = ("rate_vertical_wg", "rate_vertical_leak", "rate_diagonal_wg",
+                 "rate_diagonal_leak", "dephasing")
+        problems = [f"{name} must be finite and non-negative, got {getattr(self, name)}"
+                    for name in rates if not 0.0 <= getattr(self, name) < math.inf]
+        problems += [f"{name} must be finite, got {getattr(self, name)}"
+                     for name in ("ground_splitting", "delta")
+                     if not math.isfinite(getattr(self, name))]
+        if not self.gamma > 0:
+            problems.append(f"gamma (the total decay rate) must be positive, got {self.gamma}")
+        if problems:
+            raise ParamError("; ".join(problems))
+
     @property
     def gamma(self):
         return (
@@ -73,8 +87,6 @@ class LevelSystem:
     @classmethod
     def from_rates(cls, gamma, betas, delta, dephasing=0.0, ground_splitting=0.0):
         """Split a total decay rate over the four channels of ``betas``."""
-        if gamma <= 0:
-            raise ParamError(f"gamma must be positive, got {gamma}")
         return cls(
             ground_splitting=ground_splitting,
             delta=delta,
@@ -108,6 +120,9 @@ class Pulse:
     def __post_init__(self):
         if self.shape not in ("square", "gaussian"):
             raise ParamError(f"unknown pulse shape {self.shape!r}")
+        for name in ("duration", "area", "carrier_detuning"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParamError(f"pulse {name} must be finite, got {getattr(self, name)}")
         if self.duration <= 0:
             raise ParamError(f"pulse duration must be positive, got {self.duration}")
 
@@ -293,19 +308,32 @@ class ExcitationErrors:
 def excitation_error_probability(system, pulse, tolerance=1e-10):
     """Driving-error budget of one excitation pulse.
 
-    Computed from the integrated dynamics: expected emissions beyond the
-    first on the driven branch give the re-excitation weight, emissions on
-    the detuned branch (starting from the spectator ground state) give the
-    off-resonant weight, and the no-jump survival of the ground manifold
-    gives the incomplete-inversion weight.
+    Computed from the dynamics over the pulse: expected emissions beyond
+    the first on the driven branch give the re-excitation weight, emissions
+    on the detuned branch (starting from the spectator ground state) give
+    the off-resonant weight, and the no-jump survival of the ground manifold
+    gives the incomplete-inversion weight. A square pulse has a constant
+    generator, so its exact propagator ``expm(G * duration)`` is used; a
+    gaussian pulse is integrated by ``solve_ivp`` at relative tolerance
+    ``tolerance``, which therefore affects gaussian pulses only.
     """
     if abs(pulse.area - math.pi) > 1e-9:
         raise ParamError(f"excitation pulses must have area pi, got {pulse.area}")
 
+    propagators = {}
+    if pulse.shape == "square":
+        for jumps in (True, False):
+            g0, g1 = _generator(system, pulse.carrier_detuning, jumps)
+            propagators[jumps] = expm((g0 + pulse.peak_rabi * g1) * pulse.duration)
+
     def final(level, jumps=True):
-        rho0 = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
-        rho0[level, level] = 1.0
-        y = _evolve(system, pulse, rho0, pulse.span, tolerance, jumps, atol=1e-14).y[:, -1]
+        if propagators:
+            # column of the initial state |level><level| in the row-major vector
+            y = propagators[jumps][:, level * (N_LEVELS + 1)]
+        else:
+            rho0 = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
+            rho0[level, level] = 1.0
+            y = _evolve(system, pulse, rho0, pulse.span, tolerance, jumps, atol=1e-14).y[:, -1]
         return y[: N_LEVELS**2].reshape(N_LEVELS, N_LEVELS).real, y[N_LEVELS**2 :].real
 
     # The free decay after the pulse needs no integration: every remaining
@@ -334,6 +362,8 @@ def optimize_pulse_duration(
     The error landscape carries an oscillatory off-resonant component, so a
     geometric coarse scan brackets the global minimum before a golden-section
     refinement to relative duration tolerance ``DURATION_REL_TOL``.
+    ``tolerance`` is the solver tolerance of ``excitation_error_probability``
+    and affects gaussian pulses only; square pulses are propagated exactly.
     """
     if bounds is None:
         bounds = (1.5 / system.delta, 30.0 / system.delta)

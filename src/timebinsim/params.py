@@ -125,11 +125,12 @@ def betas_from_branching(branching, beta_total=1.0):
     ``beta_total`` is the summed into-waveguide weight beta_par + beta_perp;
     the remaining 1 - beta_total leaks out of the waveguide, split between
     the vertical and diagonal leak channels in proportion to their decay
-    weights so that the overall vertical weight stays at B/(B+1).
+    weights so that the overall vertical weight stays at B/(B+1), which is
+    exactly 1 for a fully cycling emitter (B = ``math.inf``).
     """
-    if branching < 0:
+    if not branching >= 0:
         raise ParamError(f"branching must be non-negative, got {branching}")
-    p_vert = branching / (branching + 1.0)
+    p_vert = 1.0 if branching == math.inf else branching / (branching + 1.0)
     leak = 1.0 - beta_total
     return BranchingBetas(
         beta_par=p_vert * beta_total,

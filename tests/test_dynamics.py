@@ -51,6 +51,54 @@ def test_pulse_validation():
         Pulse(shape="square", duration=0.0)
 
 
+@pytest.mark.parametrize("field", ["duration", "area", "carrier_detuning"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pulse_rejects_non_finite_field(field, value):
+    with pytest.raises(ParamError, match=field):
+        Pulse(**{"shape": "square", "duration": 0.1, field: value})
+
+
+LEVEL_FIELDS = dict(
+    ground_splitting=0.5,
+    delta=30.0,
+    rate_vertical_wg=0.8,
+    rate_vertical_leak=0.1,
+    rate_diagonal_wg=0.05,
+    rate_diagonal_leak=0.05,
+    dephasing=0.2,
+)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (name, value)
+        for name in (
+            "rate_vertical_wg",
+            "rate_vertical_leak",
+            "rate_diagonal_wg",
+            "rate_diagonal_leak",
+            "dephasing",
+        )
+        for value in (-1.0, math.nan, math.inf)
+    ]
+    + [(name, value) for name in ("delta", "ground_splitting") for value in (math.nan, math.inf)],
+)
+def test_level_system_rejects_bad_field(field, value):
+    LevelSystem(**LEVEL_FIELDS)
+    with pytest.raises(ParamError, match=field):
+        LevelSystem(**{**LEVEL_FIELDS, field: value})
+
+
+def test_level_system_needs_a_decay_rate():
+    no_decay = {name: 0.0 for name in LEVEL_FIELDS if name.startswith("rate_")}
+    with pytest.raises(ParamError, match="gamma"):
+        LevelSystem(**{**LEVEL_FIELDS, **no_decay})
+    for gamma in (0.0, -1.0):
+        with pytest.raises(ParamError, match="gamma"):
+            make_system(gamma=gamma)
+
+
 def test_master_equation_trace_and_positivity():
     sys_ = make_system(gamma=1.0, delta=50.0)
     rho0 = np.zeros((4, 4), dtype=complex)
@@ -227,6 +275,21 @@ def test_generator_matches_reference_rhs(shape):
     assert np.max(np.abs(ts.states[-1] - y[:16].reshape(4, 4))) <= 1e-12
     assert ts.emissions_trion_down == pytest.approx(y[16].real, abs=1e-12)
     assert ts.emissions_trion_up == pytest.approx(y[17].real, abs=1e-12)
+
+
+@pytest.mark.parametrize("ratio", [30.0, 100.0, 300.0])
+def test_square_propagator_matches_solver(ratio):
+    # the exact expm path against solve_ivp at rtol 1e-12 across the
+    # optimizer's default duration bounds; per-component relative error is
+    # not meaningful because incomplete_inversion falls to 3e-7 on this grid
+    system = make_system(gamma=1.0, delta=ratio)
+    for duration in np.geomspace(1.5 / ratio, 30.0 / ratio, 5):
+        pulse = Pulse(shape="square", duration=duration)
+        errs = excitation_error_probability(system, pulse)
+        want = _reference_excitation_errors(system, pulse, 1e-12)
+        for name, value in want.items():
+            assert getattr(errs, name) == pytest.approx(value, rel=0, abs=1e-12), name
+        assert errs.total == pytest.approx(sum(want.values()), rel=1e-9)
 
 
 def test_jump_generator_preserves_trace():

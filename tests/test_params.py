@@ -71,6 +71,19 @@ def test_betas_from_branching_roundtrip():
             assert betas.beta_par + betas.beta_perp == pytest.approx(bt)
 
 
+def test_betas_from_branching_fully_cycling():
+    betas = betas_from_branching(math.inf, beta_total=0.9)
+    assert (betas.beta_par, betas.beta_par_leak) == pytest.approx((0.9, 0.1))
+    assert betas.beta_perp == betas.beta_perp_leak == 0.0
+    assert branching_from_betas(betas) == math.inf
+
+
+@pytest.mark.parametrize("branching", [math.nan, -1.0])
+def test_betas_from_branching_rejects_bad_branching(branching):
+    with pytest.raises(ParamError, match="branching"):
+        betas_from_branching(branching)
+
+
 def test_presets():
     ref = preset("reference")
     assert ref.gamma == 3.2
