@@ -370,6 +370,9 @@ def optimize_pulse_duration(
     lo, hi = bounds
     if not (0 < lo < hi):
         raise ParamError(f"invalid duration bounds {bounds}")
+    if n_scan < 3:
+        # fewer points cannot bracket an interior minimum
+        raise ParamError(f"n_scan must be >= 3, got {n_scan}")
 
     def err(duration):
         return excitation_error_probability(

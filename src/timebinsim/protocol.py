@@ -10,16 +10,22 @@ in either time bin are pruned every round; only their probability is kept
 scalar alongside the density operator, normalized so that
 ``trace(rho) + orthogonal_error_mass = 1`` after each round.
 
-Each round applies one 16x4 spin superoperator (the cycle map's Kraus
-blocks summed, with the round's normalization folded in) to rho as a single
-matrix product on the (i j) x (rest, rest) view of rho.
+Each round is one 16x4 spin superoperator (the cycle map's Kraus blocks
+summed, with the round's normalization folded in). Photons are never acted
+on after emission, so a state is kept as its sequence of superoperators:
+the normalizations come from a forward recursion on the 2x2 spin-reduced
+state, and fidelities and stabilizer expectations are contracted round by
+round, as in the matrix-product picture of sequential photon sources
+(Schoen et al., PRL 95, 110503, 2005). The dense rho is built only when
+``HybridState.rho`` is read, one matrix product per round on the
+(i j) x (rest, rest) view of rho.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,15 +38,19 @@ from .cyclemap import (
 )
 from .params import ParamError, PhysicalParams
 
-# largest photon number for which the dense 2^(N+1) density operator is built
+# largest photon number for which a dense 2^(N+1) state or target is built
 PHOTON_CAP = 10
 
 # spin state after initialization: R(pi/2) applied to spin-down
 _PSI0 = rotation_matrix(math.pi / 2.0) @ np.array([1.0, 0.0], dtype=complex)
+_RHO0 = np.outer(_PSI0, _PSI0.conj())
+
+# target factors keep singular values above this fraction of the largest
+_SVD_CUT = 1e-13
 
 
 class CapacityError(RuntimeError):
-    """Requested photon number exceeds the density-operator cap PHOTON_CAP."""
+    """A dense state or target for more than PHOTON_CAP photons was requested."""
 
 
 class TargetKind(Enum):
@@ -82,18 +92,67 @@ def drift_diffusion_from_t2(t2, t_cycle, c_model=0.5):
     return 4.0 * c_model / (t2**2 * t_cycle)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class HybridState:
-    """Post-selected state of spin (x) N time-bin qubits."""
+    """Post-selected state of spin (x) N time-bin qubits, held as its cycle sequence.
 
-    rho: np.ndarray
-    success_probability: float
-    orthogonal_error_mass: float
-    photon_count: int
+    ``superoperators`` has shape (samples, N, 16, 4): the normalized spin
+    superoperator of every round for every noise sample. The state is the
+    equal-weight average of its samples; ``successes``, ``traces`` and
+    ``orthogonal_masses`` hold each sample's success probability, trace of
+    rho and orthogonal mass (trace + orthogonal mass = 1 per sample). The
+    dense rho is built on first read and only up to PHOTON_CAP photons.
+    """
+
+    superoperators: np.ndarray
+    successes: np.ndarray
+    traces: np.ndarray
+    orthogonal_masses: np.ndarray
+
+    @property
+    def photon_count(self):
+        return self.superoperators.shape[1]
 
     @property
     def dim(self):
-        return self.rho.shape[0]
+        return 2 ** (self.photon_count + 1)
+
+    @property
+    def success_probability(self):
+        return _sample_mean(self.successes)
+
+    @property
+    def orthogonal_error_mass(self):
+        return _sample_mean(self.orthogonal_masses)
+
+    @property
+    def trace(self):
+        return _sample_mean(self.traces)
+
+    @cached_property
+    def rho(self):
+        """Dense density operator, the sample average, summed one sample at a time."""
+        _check_cap(self.photon_count, "density operator")
+        total = None
+        for sample in self.superoperators:
+            rho = _RHO0
+            for sup in sample:
+                rho = _apply_superoperator(rho, sup)
+            total = rho if total is None else total + rho
+        count = len(self.superoperators)
+        return total / count if count > 1 else total
+
+
+def _sample_mean(values):
+    return sum(values.tolist()) / len(values)
+
+
+def _check_cap(n, what):
+    if n > PHOTON_CAP:
+        raise CapacityError(
+            f"{n} photons exceeds the cap of {PHOTON_CAP} for a dense {what} "
+            f"({2**(n+1)}-dimensional)"
+        )
 
 
 def _spin_superoperator(cycle):
@@ -113,22 +172,26 @@ def _apply_superoperator(rho, s):
 
 
 def run_protocol_cycles(cycles):
-    """Run the protocol with an explicit per-round sequence of cycle maps."""
-    n = len(cycles)
-    if n > PHOTON_CAP:
-        raise CapacityError(
-            f"{n} photons exceeds the cap of {PHOTON_CAP} "
-            f"(density operator would be {2**(n+1)}-dimensional)"
-        )
-    rho = np.outer(_PSI0, _PSI0.conj())
+    """Run the protocol with an explicit per-round sequence of cycle maps.
+
+    Only the forward recursion on the 2x2 spin-reduced state runs here; it
+    fixes each round's normalization, the success probability and the
+    orthogonal mass. Nothing of size 2^(N+1) is built.
+    """
+    if not cycles:
+        raise ParamError("cycles must hold at least one cycle map")
+    # one superoperator per distinct map: [cycle] * n repeats a single object
+    built = {id(c): _spin_superoperator(c) for c in {id(c): c for c in cycles}.values()}
+    sups = np.stack([built[id(c)] for c in cycles]).reshape(len(cycles), 16, 4)
+    # the new photon traced out: spin transfer [(a b), (i j)] of each round
+    reduced = np.einsum("tapbpx->tabx", sups.reshape(-1, 2, 2, 2, 2, 4)).reshape(-1, 4, 4)
+    sigma = _RHO0.reshape(4)
     orth = 0.0
     success = 1.0
-    for cycle in cycles:
-        tr_in = float(np.trace(rho).real)
-        sup = _spin_superoperator(cycle)
-        # detected weight: diagonal of S against the photon-traced spin state
-        t = rho.reshape(2, rho.shape[0] // 2, 2, -1)
-        det = float(np.einsum("xxij,irjr->", sup, t).real)
+    for t, cycle in enumerate(cycles):
+        tr_in = (sigma[0] + sigma[3]).real
+        sigma = reduced[t] @ sigma
+        det = (sigma[0] + sigma[3]).real
         p_o = cycle.orthogonal_prob
         # the orthogonal sector keeps taking part in later rounds; its
         # per-round detection probability is taken equal to the coherent one
@@ -138,14 +201,24 @@ def run_protocol_cycles(cycles):
         if total <= 0.0:
             raise ParamError("protocol lost all probability; check the cycle map")
         success *= total
-        rho = _apply_superoperator(rho, sup.reshape(16, 4) * ((1.0 - p_o) / total))
+        scale = (1.0 - p_o) / total
+        sigma = sigma * scale
+        sups[t] *= scale
         orth = orth / total
     return HybridState(
-        rho=rho,
-        success_probability=success,
-        orthogonal_error_mass=orth,
-        photon_count=n,
+        superoperators=sups[None],
+        successes=np.array([success]),
+        traces=np.array([(sigma[0] + sigma[3]).real]),
+        orthogonal_masses=np.array([orth]),
     )
+
+
+def _stack(states):
+    """One state holding the equal-weight average of same-length samples."""
+    states = list(states)
+    return HybridState(*(
+        np.concatenate([getattr(s, f.name) for s in states]) for f in fields(HybridState)
+    ))
 
 
 def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None):
@@ -154,7 +227,8 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
     ``cycle`` may be a ready CycleMap or a PhysicalParams from which a map
     with the kind's rotation angle is built. With a NoiseConfig, samples of
     the quasi-static detuning (and drift) are averaged at the density-
-    operator level; reproducible for a fixed rng_seed.
+    operator level (one state with a sample axis); reproducible for a
+    fixed rng_seed.
     """
     n = int(n_photons)
     if n < 1:
@@ -172,11 +246,7 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
     if noise is None:
         return run_protocol_cycles([build_cycle_map(cycle, base)] * n)
 
-    states = list(_noise_samples(cycle, n, base, noise))
-    rho = sum(s.rho for s in states) / len(states)
-    orth = sum(s.orthogonal_error_mass for s in states) / len(states)
-    succ = sum(s.success_probability for s in states) / len(states)
-    return HybridState(rho, succ, orth, n)
+    return _stack(_noise_samples(cycle, n, base, noise))
 
 
 def _noise_samples(params, n, base, noise):
@@ -216,6 +286,7 @@ def ideal_target(n_photons, kind):
     n = int(n_photons)
     if n < 1:
         raise ParamError(f"n_photons must be >= 1, got {n_photons}")
+    _check_cap(n, "target")
     # ideal cycle isometry as [spin_out, photon, spin_in]
     v = ideal_cycle_map(kind.rotation_angle).kraus[0].reshape(2, 2, 2)
     psi = _PSI0
@@ -228,15 +299,61 @@ def ideal_target(n_photons, kind):
 
 
 def conditional_fidelity(state, target):
-    """Overlap with the target within the detected sector."""
+    """Overlap with the target within the detected sector.
+
+    <psi|rho|psi> / (tr rho + orthogonal mass), contracted round by round
+    without building rho.
+    """
+    num = _overlaps(state, target)
+    return float(num.mean()) / (state.trace + state.orthogonal_error_mass)
+
+
+def _target_factors(target, n):
+    """Split a dense target into per-photon factors by a left-to-right SVD sweep.
+
+    The chain runs p1..pN and closes with the spin, so
+    psi[s, p1..pN] = A_1[p1] ... A_N[pN] C[:, s] with A_t[left, photon,
+    right]. Singular values below _SVD_CUT of the largest are cut, which
+    leaves bond dimension 2 for the ideal GHZ and cluster targets.
+    """
+    factors = []
+    rest = target.reshape(2, -1).T  # [(p1..pN), s]
+    chi = 1
+    for _ in range(n):
+        u, sv, vh = np.linalg.svd(rest.reshape(2 * chi, -1), full_matrices=False)
+        keep = max(1, int(np.count_nonzero(sv > _SVD_CUT * sv[0])))
+        factors.append(u[:, :keep])  # [(left photon), right]
+        rest, chi = sv[:keep, None] * vh[:keep], keep
+    return factors, rest.reshape(-1)
+
+
+def _overlaps(state, target):
+    """<psi|rho_s|psi> for every noise sample s, one environment push per round.
+
+    The environment E[(i j), (alpha beta)] is rho's spin block with the
+    photons emitted so far contracted against the target factors on both
+    sides; a round applies the superoperator to the spin indices and
+    absorbs the new photon into the next bond.
+    """
     target = np.asarray(target, dtype=complex)
     if target.shape != (state.dim,):
         raise ParamError(
             f"dimension mismatch: state dim {state.dim}, target {target.shape}"
         )
-    num = float(np.real(target.conj() @ state.rho @ target))
-    den = float(np.trace(state.rho).real) + state.orthogonal_error_mass
-    return num / den
+    factors, close = _target_factors(target, state.photon_count)
+    samples = len(state.superoperators)
+    env = np.broadcast_to(_RHO0.reshape(1, 4, 1), (samples, 4, 1))
+    chi = 1
+    for t, a in enumerate(factors):
+        x = state.superoperators[:, t] @ env  # [(a p b c), (alpha beta)]
+        x = x.reshape(samples, 2, 2, 2, 2, chi, chi).transpose(0, 1, 3, 5, 2, 6, 4)
+        x = x.reshape(samples, 2, 2, 2 * chi, 2 * chi)  # [a, b, (alpha p), (beta c)]
+        chi = a.shape[1]
+        env = (a.conj().T @ x @ a).reshape(samples, 4, chi * chi)
+    # E[(i j), (alpha beta)] -> [(alpha i), (beta j)], closed by C[alpha, i]
+    env = env.reshape(samples, 2, 2, chi, chi).transpose(0, 3, 1, 4, 2)
+    env = env.reshape(samples, 2 * chi, 2 * chi)
+    return (close.conj() @ (env @ close[:, None]))[:, 0].real
 
 
 def canonical_stabilizers(n_photons, kind):
@@ -268,28 +385,39 @@ def canonical_stabilizers(n_photons, kind):
     return gens
 
 
-def _pauli_action(label, dim):
-    """P|j> = s_j |j ^ x> for a label over I, X, Z; returns (j ^ x, s_j).
+# I, X, Z on one qubit, and the label letters that pick them
+_PAULIS = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], np.diag([1.0, -1.0])], dtype=complex)
+_PAULI_INDEX = {"I": 0, "X": 1, "Z": 2}
 
-    The first label character is the most significant bit of the index;
-    s_j = (-1)^popcount(j & z) with x, z the label's X and Z bit masks.
+
+def _pauli_traces(state, labels):
+    """Tr(P rho_s) per noise sample (rows) and Pauli label (columns).
+
+    A forward recursion on the 2x2 spin operator Tr_photons[(P_1..P_t) rho_t]:
+    round t traces its new photon against the label's Pauli on that photon,
+    and the spin's Pauli closes the chain. All labels run at once.
     """
-    x = z = 0
-    for c in label:
-        x, z = (x << 1) | (c == "X"), (z << 1) | (c == "Z")
-    j = np.arange(dim)
-    parity = np.bitwise_count(j & z).astype(int) & 1
-    return j ^ x, 1 - 2 * parity
+    codes = np.array([[_PAULI_INDEX[c] for c in label] for label in labels])
+    samples, n = state.superoperators.shape[:2]
+    sup = state.superoperators.reshape(samples, n, 2, 2, 2, 2, 4)  # [a, p, b, c, (i j)]
+    # sum_{p c} P[c, p] S[(a p), (b c), (i j)] for each round and Pauli
+    reduced = np.einsum("stapbcx,kcp->stkabx", sup, _PAULIS).reshape(samples, n, 3, 4, 4)
+    sigma = np.broadcast_to(_RHO0.reshape(4), (samples, len(labels), 4))
+    for t in range(n):
+        # [sample, label, (a b), (i j)] applied to [sample, label, (i j)]
+        sigma = np.einsum("sgxy,sgy->sgx", reduced[:, t, codes[:, t + 1]], sigma)
+    # Tr(P sigma) = sum_{a b} P[b, a] sigma[a, b]
+    close = _PAULIS.transpose(0, 2, 1).reshape(3, 4)[codes[:, 0]]
+    return (sigma * close).sum(axis=-1).real
 
 
 @lru_cache(maxsize=32)
 def _frame_signs(n_photons, kind):
     """Signs fixing the local frame of the ideal protocol output."""
-    psi = ideal_target(n_photons, kind)
+    labels = canonical_stabilizers(n_photons, kind)
+    ideal = run_protocol_cycles([ideal_cycle_map(kind.rotation_angle)] * n_photons)
     signs = []
-    for label in canonical_stabilizers(n_photons, kind):
-        flipped, s = _pauli_action(label, psi.size)
-        val = float(np.real(np.vdot(psi[flipped], s * psi)))
+    for label, val in zip(labels, _pauli_traces(ideal, labels)[0]):
         if abs(abs(val) - 1.0) > 1e-9:
             raise RuntimeError(
                 f"stabilizer {label} is not +-1 on the ideal state ({val}); "
@@ -300,28 +428,18 @@ def _frame_signs(n_photons, kind):
 
 
 def stabilizer_expectations(state, kind):
-    """Expectations of the N+1 frame-corrected stabilizers.
-
-    Tr(P rho) = sum_j s_j rho[j, j ^ x] needs no dense Pauli operator.
-    """
+    """Expectations of the N+1 frame-corrected stabilizers, without rho."""
     n = state.photon_count
-    signs = _frame_signs(n, kind)
-    den = float(np.trace(state.rho).real) + state.orthogonal_error_mass
-    rows = np.arange(state.dim)
-    out = []
-    for sign, label in zip(signs, canonical_stabilizers(n, kind)):
-        flipped, s = _pauli_action(label, state.dim)
-        out.append(sign * float(np.sum(s * state.rho[rows, flipped]).real) / den)
-    return out
+    vals = _pauli_traces(state, canonical_stabilizers(n, kind)).mean(axis=0)
+    den = state.trace + state.orthogonal_error_mass
+    return [sign * float(v) / den for sign, v in zip(_frame_signs(n, kind), vals)]
 
 
 def overhauser_average(params, n_photons, kind, noise, options=None):
     """Monte Carlo average of the conditional fidelity over Overhauser noise."""
     base = replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
-    target = ideal_target(n_photons, kind)
-    fids = np.asarray([
-        conditional_fidelity(st, target)
-        for st in _noise_samples(params, n_photons, base, noise)
-    ])
+    state = _stack(_noise_samples(params, n_photons, base, noise))
+    nums = _overlaps(state, ideal_target(n_photons, kind))
+    fids = nums / (state.traces + state.orthogonal_masses)
     std_err = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
     return {"mean_fidelity": float(fids.mean()), "std_error": std_err}

@@ -162,6 +162,12 @@ def test_optimize_rejects_endpoint_minimum():
         optimize_pulse_duration(sys_, bounds=(1e-4, 2e-4), n_scan=8)
 
 
+@pytest.mark.parametrize("n_scan", [0, 1, 2])
+def test_optimize_rejects_scan_too_short_to_bracket(n_scan):
+    with pytest.raises(ParamError, match="n_scan"):
+        optimize_pulse_duration(make_system(gamma=1.0, delta=30.0), n_scan=n_scan)
+
+
 # -- oracle: the hand-written Lindblad right-hand sides the generator replaced
 
 def _reference_collapse_ops(system):

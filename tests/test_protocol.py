@@ -147,11 +147,14 @@ def test_branching_only_matches_first_order():
 
 
 def test_capacity_cap():
-    cm = ideal_cycle_map()
-    with pytest.raises(CapacityError):
-        run_protocol(cm, PHOTON_CAP + 1)
+    # the cap applies where a dense object is built, not to the run itself
+    st = run_protocol(ideal_cycle_map(), PHOTON_CAP + 1)
+    with pytest.raises(CapacityError, match=f"cap of {PHOTON_CAP}"):
+        st.rho
+    with pytest.raises(CapacityError, match=f"cap of {PHOTON_CAP}"):
+        ideal_target(PHOTON_CAP + 1, TargetKind.GHZ)
     with pytest.raises(ParamError):
-        run_protocol(cm, 0)
+        run_protocol(ideal_cycle_map(), 0)
 
 
 def test_stabilizers_on_ideal_states():
@@ -261,6 +264,11 @@ def test_run_protocol_cycles_mixed_sequence():
     assert 0.9 < st.success_probability <= 1.0
 
 
+def test_run_protocol_cycles_rejects_empty_sequence():
+    with pytest.raises(ParamError, match="cycles"):
+        run_protocol_cycles([])
+
+
 def test_conditional_fidelity_dimension_check():
     st = run_protocol(ideal_cycle_map(), 2)
     with pytest.raises(ParamError):
@@ -335,3 +343,116 @@ def test_driftless_noise_shares_one_map_per_sample():
         assert np.array_equal(st.rho, sum(s.rho for s in states) / len(states))
         assert st.success_probability == sum(s.success_probability for s in states) / len(states)
         assert st.orthogonal_error_mass == sum(s.orthogonal_error_mass for s in states) / len(states)
+
+
+# -- oracles: the per-round contractions against the dense rho they replace
+
+
+def _dephasing_map(kind):
+    return build_cycle_map(
+        VERTICAL_ONLY, CycleOptions(rotation_angle=kind.rotation_angle, indistinguishability=0.93)
+    )
+
+
+def _drifting_cycles(kind, n):
+    params = preset("reference")
+    return [
+        build_cycle_map(
+            params,
+            CycleOptions(
+                rotation_angle=kind.rotation_angle,
+                echo=False,
+                quasistatic_detuning=0.02 * (t + 1),
+                drift_phase=0.3 * math.sin(t),
+            ),
+        )
+        for t in range(n)
+    ]
+
+
+_NOISE = NoiseConfig(
+    overhauser_sigma=0.4, drift_diffusion=2e-5, sample_count=4, rng_seed=7
+)
+
+# name -> state of n photons for a target kind
+STATES = {
+    "dephasing-oracle": lambda kind, n: run_protocol(_dephasing_map(kind), n, kind=kind),
+    "improved": lambda kind, n: run_protocol(preset("improved"), n, kind=kind),
+    "drifting": lambda kind, n: run_protocol_cycles(_drifting_cycles(kind, n)),
+    "noise-averaged": lambda kind, n: run_protocol(
+        preset("reference"), n, kind=kind, noise=_NOISE, options=CycleOptions(echo=False)
+    ),
+}
+
+
+def _dense_fidelity(state, psi):
+    return (psi.conj() @ state.rho @ psi).real / (
+        np.trace(state.rho).real + state.orthogonal_error_mass
+    )
+
+
+@pytest.mark.parametrize("name", sorted(STATES))
+@pytest.mark.parametrize("kind", list(TargetKind))
+def test_contraction_matches_dense_fidelity(name, kind):
+    for n in range(1, 9):
+        st = STATES[name](kind, n)
+        psi = ideal_target(n, kind)
+        assert conditional_fidelity(st, psi) == pytest.approx(
+            _dense_fidelity(st, psi), rel=1e-12
+        ), n
+
+
+def test_contraction_matches_dense_fidelity_for_a_generic_target():
+    # a random target needs bond dimensions up to 2^(N/2), not just 2
+    rng = np.random.default_rng(3)
+    for n in range(1, 8):
+        psi = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+        psi /= np.linalg.norm(psi)
+        st = STATES["improved"](TargetKind.CLUSTER, n)
+        assert conditional_fidelity(st, psi) == pytest.approx(
+            _dense_fidelity(st, psi), rel=1e-12
+        ), n
+
+
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_spin_recursion_matches_dense_trace(name):
+    for kind in TargetKind:
+        for n in range(1, 9):
+            st = STATES[name](kind, n)
+            assert st.trace == pytest.approx(np.trace(st.rho).real, rel=1e-12)
+            assert st.trace + st.orthogonal_error_mass == pytest.approx(1.0, rel=1e-12)
+
+
+def test_noise_averaged_stabilizers_match_full_trace():
+    for kind in TargetKind:
+        for n in range(1, 6):
+            st = STATES["noise-averaged"](kind, n)
+            psi = ideal_target(n, kind)
+            den = np.trace(st.rho).real + st.orthogonal_error_mass
+            scale = np.abs(st.rho).max()
+            for val, label in zip(stabilizer_expectations(st, kind), canonical_stabilizers(n, kind)):
+                op = _dense_pauli(label)
+                sign = np.sign((psi.conj() @ op @ psi).real)
+                full = sign * np.trace(op @ st.rho).real / den
+                assert abs(val - full) <= 1e-12 * scale, label
+
+
+# -- beyond the dense cap
+
+
+def test_run_protocol_beyond_cap_builds_no_rho():
+    st = run_protocol(_dephasing_map(TargetKind.GHZ), 1000)
+    assert st.photon_count == 1000
+    assert "rho" not in vars(st)
+    assert st.success_probability == pytest.approx(1.0, rel=1e-12)
+    assert st.trace + st.orthogonal_error_mass == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(TargetKind))
+def test_stabilizers_beyond_cap_match_dephasing_closed_form(kind):
+    # photon dephasing scales a generator by I once per photon X factor
+    n, ind = 100, 0.93
+    st = run_protocol(_dephasing_map(kind), n, kind=kind)
+    for val, label in zip(stabilizer_expectations(st, kind), canonical_stabilizers(n, kind)):
+        assert val == pytest.approx(ind ** label[1:].count("X"), abs=1e-12), label
+    assert "rho" not in vars(st)
