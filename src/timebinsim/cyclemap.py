@@ -150,6 +150,68 @@ def _mix(kraus, op, p):
     return [m for k in kraus for m in (keep * k, flip * (op @ k))]
 
 
+def _resolve(betas_or_params, options):
+    """The branching weights and options a map is built from.
+
+    PhysicalParams set the indistinguishability, the excitation-error
+    weight and the half-cycle time of the options.
+    """
+    if options is None:
+        options = CycleOptions()
+    if isinstance(betas_or_params, BranchingBetas):
+        return betas_or_params, options
+    if not isinstance(betas_or_params, PhysicalParams):
+        raise ParamError(
+            f"expected BranchingBetas or PhysicalParams, got {type(betas_or_params)}"
+        )
+    p = betas_or_params
+    return betas_from_branching(p.branching), replace(
+        options,
+        indistinguishability=indist_fn(p.gamma, p.gamma_d),
+        orthogonal_error_prob=EXC_COEFFICIENT * p.gamma / p.delta,
+        half_cycle_time=p.t_cycle / 2.0,
+    )
+
+
+def arm_phases(options, detuning_shift=0.0, drift_shift=0.0):
+    """Phases (rad) of the early- and late-emitting arms of the main Kraus block.
+
+    Quasi-static detuning phase accumulates while an arm sits in spin-up.
+    The arm emitting early spends the late half there; the arm emitting
+    late spends the early half. With the pi flip both halves are equal and
+    the phase is common (the built-in spin echo); without it, one arm
+    dephases over the full inter-bin delay. The drift phase adds to the
+    early arm either way. The shifts add to the options'
+    ``quasistatic_detuning`` and ``drift_phase`` and may be numpy arrays.
+    """
+    tau = options.half_cycle_time
+    detuning = options.quasistatic_detuning + detuning_shift
+    drift = options.drift_phase + drift_shift
+    if options.echo:
+        return detuning * tau + drift, detuning * tau
+    return detuning * 2.0 * tau + drift, 0.0
+
+
+# early-late phase differences of the three maps of a phase split
+SPLIT_PHASES = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+
+
+def phase_split_maps(betas_or_params, options=None):
+    """Maps at early-late phase differences SPLIT_PHASES, and their options.
+
+    Detuning and drift enter a map only through the phase difference D of
+    its main Kraus block, so every derived Kraus block is A + e^{iD} B up to
+    a global phase, and the map's superoperator is S0 + e^{iD} S+ +
+    e^{-iD} S-: three maps fix it for every D. The returned options are the
+    caller's with PhysicalParams applied; ``arm_phases`` on them gives D for
+    any detuning and drift shift.
+    """
+    betas, options = _resolve(betas_or_params, options)
+    flat = replace(options, quasistatic_detuning=0.0)
+    maps = [build_cycle_map(betas, replace(flat, drift_phase=d)) for d in SPLIT_PHASES]
+    return maps, options
+
+
 def build_cycle_map(betas_or_params, options=None):
     """Compose one excite-emit-flip-excite-emit-rotate round into a CycleMap.
 
@@ -164,45 +226,12 @@ def build_cycle_map(betas_or_params, options=None):
     with it off, the waveguide-coupled ones (``beta_perp``) reach the
     detector as orthogonal-error photons.
     """
-    if options is None:
-        options = CycleOptions()
-
-    if isinstance(betas_or_params, PhysicalParams):
-        p = betas_or_params
-        betas = betas_from_branching(p.branching)
-        exc = EXC_COEFFICIENT * p.gamma / p.delta
-        options = replace(
-            options,
-            indistinguishability=indist_fn(p.gamma, p.gamma_d),
-            orthogonal_error_prob=exc,
-            half_cycle_time=p.t_cycle / 2.0,
-        )
-    elif isinstance(betas_or_params, BranchingBetas):
-        betas = betas_or_params
-    else:
-        raise ParamError(
-            f"expected BranchingBetas or PhysicalParams, got {type(betas_or_params)}"
-        )
-
+    betas, options = _resolve(betas_or_params, options)
     q_det = betas.beta_par
     q_flip = betas.beta_perp + betas.beta_perp_leak
     p_off = options.off_resonant_prob
 
-    # Quasi-static detuning phase accumulated while an arm sits in spin-up.
-    # The arm emitting early spends the late half there; the arm emitting
-    # late spends the early half. With the pi flip both halves are equal and
-    # the phase is common (the built-in spin echo); without it, one arm
-    # dephases over the full inter-bin delay.
-    tau = options.half_cycle_time
-    if options.echo:
-        phase_early_arm = options.quasistatic_detuning * tau + options.drift_phase
-        phase_late_arm = options.quasistatic_detuning * tau
-    else:
-        phase_early_arm = (
-            options.quasistatic_detuning * 2.0 * tau + options.drift_phase
-        )
-        phase_late_arm = 0.0
-
+    phase_early_arm, phase_late_arm = arm_phases(options)
     amp_main = math.sqrt(q_det * (1.0 - p_off))
     k_main = amp_main * (
         np.exp(1j * phase_early_arm) * np.outer(_ket(SPIN_UP, EARLY), [1, 0])

@@ -23,17 +23,21 @@ round, as in the matrix-product picture of sequential photon sources
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+import numbers
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .cyclemap import (
+    SPLIT_PHASES,
     CycleMap,
     CycleOptions,
+    arm_phases,
     build_cycle_map,
     ideal_cycle_map,
+    phase_split_maps,
     rotation_matrix,
 )
 from .params import ParamError, PhysicalParams
@@ -47,6 +51,10 @@ _RHO0 = np.outer(_PSI0, _PSI0.conj())
 
 # target factors keep singular values above this fraction of the largest
 _SVD_CUT = 1e-13
+
+# Fourier weights e^{-i k d} / 3 (k = 0, +1, -1) that split superoperators
+# built at the phase differences d of SPLIT_PHASES into S0, S+, S-
+_SPLIT_WEIGHTS = np.exp(-1j * np.outer([0, 1, -1], SPLIT_PHASES)) / 3.0
 
 
 class CapacityError(RuntimeError):
@@ -70,7 +78,9 @@ class NoiseConfig:
     (rad/ns), related to the inhomogeneous dephasing time by
     sigma = sqrt(2) / t2_star. ``drift_diffusion`` (rad^2/ns^3) feeds a
     per-cycle Wiener phase imbalance of variance drift_diffusion *
-    t_cycle^3 that the echo does not cancel.
+    t_cycle^3 that the echo does not cancel. Both add to the static
+    ``quasistatic_detuning`` and ``drift_phase`` of the caller's
+    CycleOptions.
     """
 
     overhauser_sigma: float
@@ -79,8 +89,12 @@ class NoiseConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ParamError(f"sample_count must be >= 1, got {self.sample_count}")
+        for name, least in (("sample_count", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParamError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ParamError(f"{name} must be >= {least}, got {value}")
         for name in ("overhauser_sigma", "drift_diffusion"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -182,43 +196,43 @@ def run_protocol_cycles(cycles):
         raise ParamError("cycles must hold at least one cycle map")
     # one superoperator per distinct map: [cycle] * n repeats a single object
     built = {id(c): _spin_superoperator(c) for c in {id(c): c for c in cycles}.values()}
-    sups = np.stack([built[id(c)] for c in cycles]).reshape(len(cycles), 16, 4)
+    sups = np.stack([built[id(c)] for c in cycles]).reshape(1, len(cycles), 16, 4)
+    return _normalized_state(sups, np.array([c.orthogonal_prob for c in cycles]))
+
+
+def _normalized_state(sups, orth_probs):
+    """State of raw per-round superoperators (samples, N, 16, 4).
+
+    Of the weight detected in round t, the fraction orth_probs[t] is
+    orthogonal, and the orthogonal sector keeps taking part in later rounds
+    with the coherent detection probability. So a round's normalization is
+    its detection probability det for a unit-trace spin input (the success
+    probability is their product), the round's superoperator is scaled by
+    (1 - orth_probs[t]) / det, and the final trace is the product of the
+    (1 - orth_probs). Only det depends on the state: one forward recursion
+    on the 2x2 spin-reduced state, batched over samples.
+    """
+    samples, n = sups.shape[:2]
     # the new photon traced out: spin transfer [(a b), (i j)] of each round
-    reduced = np.einsum("tapbpx->tabx", sups.reshape(-1, 2, 2, 2, 2, 4)).reshape(-1, 4, 4)
-    sigma = _RHO0.reshape(4)
-    orth = 0.0
-    success = 1.0
-    for t, cycle in enumerate(cycles):
-        tr_in = (sigma[0] + sigma[3]).real
-        sigma = reduced[t] @ sigma
-        det = (sigma[0] + sigma[3]).real
-        p_o = cycle.orthogonal_prob
-        # the orthogonal sector keeps taking part in later rounds; its
-        # per-round detection probability is taken equal to the coherent one
-        d_rate = det / max(tr_in, 1e-300)
-        orth = orth * d_rate + p_o * det
-        total = (1.0 - p_o) * det + orth
-        if total <= 0.0:
-            raise ParamError("protocol lost all probability; check the cycle map")
-        success *= total
-        scale = (1.0 - p_o) / total
-        sigma = sigma * scale
-        sups[t] *= scale
-        orth = orth / total
+    reduced = np.einsum("stapbpx->stabx", sups.reshape(samples, n, 2, 2, 2, 2, 4))
+    reduced = reduced.reshape(samples, n, 4, 4)
+    sigma = _RHO0.reshape(1, 4, 1)
+    dets = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(n):
+            sigma = reduced[:, t] @ sigma
+            dets.append(sigma[:, :1] + sigma[:, 3:])
+            sigma = sigma / dets[-1]
+    det = np.concatenate(dets, axis=1).real.reshape(samples, n)
+    if not (det > 0.0).all():
+        raise ParamError("protocol lost all probability; check the cycle map")
+    log_keep = np.log1p(-orth_probs).sum()
     return HybridState(
-        superoperators=sups[None],
-        successes=np.array([success]),
-        traces=np.array([(sigma[0] + sigma[3]).real]),
-        orthogonal_masses=np.array([orth]),
+        superoperators=sups * ((1.0 - orth_probs) / det)[..., None, None],
+        successes=det.prod(axis=1),
+        traces=np.full(samples, math.exp(log_keep)),
+        orthogonal_masses=np.full(samples, -math.expm1(log_keep)),
     )
-
-
-def _stack(states):
-    """One state holding the equal-weight average of same-length samples."""
-    states = list(states)
-    return HybridState(*(
-        np.concatenate([getattr(s, f.name) for s in states]) for f in fields(HybridState)
-    ))
 
 
 def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None):
@@ -228,7 +242,8 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
     with the kind's rotation angle is built. With a NoiseConfig, samples of
     the quasi-static detuning (and drift) are averaged at the density-
     operator level (one state with a sample axis); reproducible for a
-    fixed rng_seed.
+    fixed rng_seed. The options' ``quasistatic_detuning`` and
+    ``drift_phase`` are static offsets that the sampled shifts add to.
     """
     n = int(n_photons)
     if n < 1:
@@ -245,39 +260,37 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
     base = replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
     if noise is None:
         return run_protocol_cycles([build_cycle_map(cycle, base)] * n)
+    return _noise_state(cycle, n, base, noise)
 
-    return _stack(_noise_samples(cycle, n, base, noise))
 
-
-def _noise_samples(params, n, base, noise):
-    """Run the protocol once per noise sample; sample i draws from child seed i.
+def _noise_state(params, n, base, noise):
+    """All noise samples as one state; sample i draws from child seed i.
 
     Child seeds are spawned from ``noise.rng_seed``, so results do not
-    depend on evaluation order. Detuning and drift enter the cycle map only
-    as phases of its main Kraus block, so every sample has the same success
+    depend on evaluation order. A sample draws its detuning shift, then one
+    drift kick per round; both add to the static offsets in ``base``.
+    They enter a round only through the early-late phase difference D of
+    the main Kraus block, so its superoperator is S0 + e^{iD} S+ +
+    e^{-iD} S-, split once per call from three cycle maps. D leaves the
+    spin-reduced map unchanged, so every sample has the same success
     probability and the equal-weight average is the success-weighted one.
     """
-    for seq in np.random.SeedSequence(noise.rng_seed).spawn(noise.sample_count):
-        cycles = _noisy_cycles(params, n, base, noise, np.random.default_rng(seq))
-        yield run_protocol_cycles(cycles)
-
-
-def _noisy_cycles(params, n, base, noise, rng):
-    delta_shift = rng.normal(0.0, noise.overhauser_sigma) if noise.overhauser_sigma else 0.0
-    drift_std = (
-        math.sqrt(noise.drift_diffusion * params.t_cycle**3)
-        if noise.drift_diffusion
-        else 0.0
-    )
-
-    def cycle_map(kick):
-        opts = replace(base, quasistatic_detuning=delta_shift, drift_phase=kick)
-        return build_cycle_map(params, opts)
-
-    if not drift_std:
-        # no per-cycle draw: every round shares one map
-        return [cycle_map(0.0)] * n
-    return [cycle_map(rng.normal(0.0, drift_std)) for _ in range(n)]
+    maps, options = phase_split_maps(params, base)
+    drift_std = math.sqrt(noise.drift_diffusion * params.t_cycle**3)
+    shifts = np.zeros((noise.sample_count, 1))
+    kicks = np.zeros((noise.sample_count, n))
+    for i, seq in enumerate(np.random.SeedSequence(noise.rng_seed).spawn(noise.sample_count)):
+        rng = np.random.default_rng(seq)
+        if noise.overhauser_sigma:
+            shifts[i] = rng.normal(0.0, noise.overhauser_sigma)
+        if drift_std:
+            kicks[i] = rng.normal(0.0, drift_std, size=n)
+    early, late = arm_phases(options, shifts, kicks)
+    phase = np.exp(1j * (early - late))[..., None]
+    parts = _SPLIT_WEIGHTS @ np.stack([_spin_superoperator(m) for m in maps]).reshape(3, 64)
+    sups = parts[0] + phase * parts[1] + phase.conj() * parts[2]
+    orth_probs = np.full(n, maps[0].orthogonal_prob)
+    return _normalized_state(sups.reshape(noise.sample_count, n, 16, 4), orth_probs)
 
 
 @lru_cache(maxsize=32)
@@ -304,7 +317,12 @@ def conditional_fidelity(state, target):
     <psi|rho|psi> / (tr rho + orthogonal mass), contracted round by round
     without building rho.
     """
-    num = _overlaps(state, target)
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (state.dim,):
+        raise ParamError(
+            f"dimension mismatch: state dim {state.dim}, target {target.shape}"
+        )
+    num = _overlaps(state, _target_factors(target, state.photon_count))
     return float(num.mean()) / (state.trace + state.orthogonal_error_mass)
 
 
@@ -327,20 +345,22 @@ def _target_factors(target, n):
     return factors, rest.reshape(-1)
 
 
-def _overlaps(state, target):
+@lru_cache(maxsize=32)
+def _ideal_factors(n_photons, kind):
+    """Target factors of ideal_target(n_photons, kind), split once; not to be mutated."""
+    return _target_factors(ideal_target(n_photons, kind), n_photons)
+
+
+def _overlaps(state, target_factors):
     """<psi|rho_s|psi> for every noise sample s, one environment push per round.
 
-    The environment E[(i j), (alpha beta)] is rho's spin block with the
-    photons emitted so far contracted against the target factors on both
-    sides; a round applies the superoperator to the spin indices and
-    absorbs the new photon into the next bond.
+    ``target_factors`` is the (factors, close) split of psi made by
+    _target_factors. The environment E[(i j), (alpha beta)] is rho's spin
+    block with the photons emitted so far contracted against the target
+    factors on both sides; a round applies the superoperator to the spin
+    indices and absorbs the new photon into the next bond.
     """
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (state.dim,):
-        raise ParamError(
-            f"dimension mismatch: state dim {state.dim}, target {target.shape}"
-        )
-    factors, close = _target_factors(target, state.photon_count)
+    factors, close = target_factors
     samples = len(state.superoperators)
     env = np.broadcast_to(_RHO0.reshape(1, 4, 1), (samples, 4, 1))
     chi = 1
@@ -436,10 +456,15 @@ def stabilizer_expectations(state, kind):
 
 
 def overhauser_average(params, n_photons, kind, noise, options=None):
-    """Monte Carlo average of the conditional fidelity over Overhauser noise."""
+    """Monte Carlo average of the conditional fidelity over Overhauser noise.
+
+    The options' ``quasistatic_detuning`` and ``drift_phase`` are static
+    offsets that the sampled shifts add to.
+    """
+    factors = _ideal_factors(n_photons, kind)
     base = replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
-    state = _stack(_noise_samples(params, n_photons, base, noise))
-    nums = _overlaps(state, ideal_target(n_photons, kind))
+    state = _noise_state(params, n_photons, base, noise)
+    nums = _overlaps(state, factors)
     fids = nums / (state.traces + state.orthogonal_masses)
     std_err = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
     return {"mean_fidelity": float(fids.mean()), "std_error": std_err}

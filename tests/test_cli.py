@@ -145,6 +145,21 @@ def test_echo_demo_columns():
     assert rows[1]["fidelity_no_echo"] < rows[1]["fidelity_echo"]
 
 
+def test_echo_demo_default_rows_are_pinned(tmp_path):
+    # rows of the default configuration (reference preset, 3 photons, 40
+    # samples, seed 0), fixed before the batched noise path replaced the
+    # per-sample runs
+    out = tmp_path / "echo.csv"
+    assert main(["echo_demo", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2:] == [
+        "sigma_overhauser,fidelity_echo,fidelity_no_echo",
+        "0,0.94455184139,0.94455184139",
+        "0.25,0.94455184139,0.42665644041",
+        "0.5,0.94455184139,0.545274358179",
+        "0.707106781187,0.94455184139,0.457494141031",
+    ]
+
+
 def test_branching_map_scenario():
     config = build_config(
         {"scenario": "branching_map", "n_g": 20, "resolution": 11}

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from timebinsim.cyclemap import CycleOptions, build_cycle_map, ideal_cycle_map
+from timebinsim.cyclemap import CycleMap, CycleOptions, build_cycle_map, ideal_cycle_map
 from timebinsim.params import BranchingBetas, ParamError, betas_from_branching, preset
 from timebinsim.protocol import (
     PHOTON_CAP,
@@ -13,7 +13,6 @@ from timebinsim.protocol import (
     TargetKind,
     canonical_stabilizers,
     conditional_fidelity,
-    _noise_samples,
     drift_diffusion_from_t2,
     ideal_target,
     overhauser_average,
@@ -225,6 +224,13 @@ def test_options_require_params():
         ("drift_diffusion", -1e-6),
         ("drift_diffusion", math.nan),
         ("drift_diffusion", math.inf),
+        ("sample_count", 2.5),
+        ("sample_count", "3"),
+        ("sample_count", True),
+        ("rng_seed", 1.5),
+        ("rng_seed", "0"),
+        ("rng_seed", False),
+        ("rng_seed", -1),
     ],
 )
 def test_noise_config_rejects_bad_fields(field, value):
@@ -244,8 +250,8 @@ def test_noise_samples_share_one_success_probability(echo):
         sample_count=20,
         rng_seed=5,
     )
-    base = CycleOptions(echo=echo)
-    succ = [s.success_probability for s in _noise_samples(p, 4, base, noise)]
+    state = run_protocol(p, 4, noise=noise, options=CycleOptions(echo=echo))
+    succ = state.successes
     assert len(succ) == 20
     assert max(succ) - min(succ) <= 1e-12 * max(succ)
 
@@ -267,6 +273,12 @@ def test_run_protocol_cycles_mixed_sequence():
 def test_run_protocol_cycles_rejects_empty_sequence():
     with pytest.raises(ParamError, match="cycles"):
         run_protocol_cycles([])
+
+
+def test_run_protocol_cycles_rejects_a_map_that_detects_nothing():
+    dark = CycleMap(kraus=[np.zeros((4, 2), dtype=complex)])
+    with pytest.raises(ParamError, match="lost all probability"):
+        run_protocol_cycles([ideal_cycle_map(), dark])
 
 
 def test_conditional_fidelity_dimension_check():
@@ -318,15 +330,43 @@ def test_stabilizer_expectations_match_full_trace():
 
 
 def _per_cycle_noisy_states(params, n, kind, noise, options):
-    """Noise samples drawn as run_protocol does, with a fresh map per cycle."""
+    """Noise samples drawn as run_protocol does, with a fresh map per cycle.
+
+    Sample i draws from child seed i: the detuning shift first, then one
+    scalar drift kick per cycle; both add to the options' static offsets.
+    """
     base = replace(options, rotation_angle=kind.rotation_angle)
+    drift_std = math.sqrt(noise.drift_diffusion * params.t_cycle**3)
     states = []
     for seq in np.random.SeedSequence(noise.rng_seed).spawn(noise.sample_count):
         rng = np.random.default_rng(seq)
-        delta = rng.normal(0.0, noise.overhauser_sigma)
-        opts = replace(base, quasistatic_detuning=delta, drift_phase=0.0)
-        states.append(run_protocol_cycles([build_cycle_map(params, opts) for _ in range(n)]))
+        delta = rng.normal(0.0, noise.overhauser_sigma) if noise.overhauser_sigma else 0.0
+        cycles = []
+        for _ in range(n):
+            kick = rng.normal(0.0, drift_std) if drift_std else 0.0
+            opts = replace(
+                base,
+                quasistatic_detuning=base.quasistatic_detuning + delta,
+                drift_phase=base.drift_phase + kick,
+            )
+            cycles.append(build_cycle_map(params, opts))
+        states.append(run_protocol_cycles(cycles))
     return states
+
+
+def _assert_matches_per_cycle_oracle(params, n, kind, noise, options):
+    states = _per_cycle_noisy_states(params, n, kind, noise, options)
+    st = run_protocol(params, n, kind=kind, noise=noise, options=options)
+    want = np.concatenate([s.superoperators for s in states])
+    assert np.abs(st.superoperators - want).max() <= 1e-12 * np.abs(want).max()
+    for name in ("successes", "traces", "orthogonal_masses"):
+        want = np.concatenate([getattr(s, name) for s in states])
+        assert getattr(st, name) == pytest.approx(want, rel=1e-12, abs=1e-300), name
+    fids = np.asarray([conditional_fidelity(s, ideal_target(n, kind)) for s in states])
+    avg = overhauser_average(params, n, kind, noise, options=options)
+    assert avg["mean_fidelity"] == pytest.approx(fids.mean(), rel=1e-12)
+    std_error = fids.std(ddof=1) / math.sqrt(len(fids)) if len(fids) > 1 else 0.0
+    assert avg["std_error"] == pytest.approx(std_error, rel=1e-12, abs=1e-12)
 
 
 def test_driftless_noise_shares_one_map_per_sample():
@@ -337,12 +377,66 @@ def test_driftless_noise_shares_one_map_per_sample():
         states = _per_cycle_noisy_states(p, 3, kind, noise, opts)
         fids = np.asarray([conditional_fidelity(s, ideal_target(3, kind)) for s in states])
         avg = overhauser_average(p, 3, kind, noise, options=opts)
-        assert avg["mean_fidelity"] == float(fids.mean())
-        assert avg["std_error"] == float(fids.std(ddof=1) / math.sqrt(len(fids)))
+        assert avg["mean_fidelity"] == pytest.approx(float(fids.mean()), rel=1e-12)
+        assert avg["std_error"] == pytest.approx(
+            float(fids.std(ddof=1) / math.sqrt(len(fids))), rel=1e-12
+        )
         st = run_protocol(p, 3, kind=kind, noise=noise, options=opts)
-        assert np.array_equal(st.rho, sum(s.rho for s in states) / len(states))
-        assert st.success_probability == sum(s.success_probability for s in states) / len(states)
-        assert st.orthogonal_error_mass == sum(s.orthogonal_error_mass for s in states) / len(states)
+        rho = sum(s.rho for s in states) / len(states)
+        assert np.abs(st.rho - rho).max() <= 1e-12 * np.abs(rho).max()
+        assert st.success_probability == pytest.approx(
+            sum(s.success_probability for s in states) / len(states), rel=1e-12
+        )
+        assert st.orthogonal_error_mass == pytest.approx(
+            sum(s.orthogonal_error_mass for s in states) / len(states), rel=1e-12
+        )
+
+
+# every option the noise path passes through to the map, with static offsets
+NOISE_ORACLE_OPTIONS = [
+    CycleOptions(),
+    CycleOptions(echo=False),
+    CycleOptions(quasistatic_detuning=0.05, drift_phase=0.4),
+    CycleOptions(echo=False, quasistatic_detuning=-0.02, drift_phase=0.3),
+    CycleOptions(off_resonant_prob=0.04, rotation_error_std=0.15, filter_on=False),
+    CycleOptions(echo=False, off_resonant_prob=0.03, rotation_error_std=0.2, filter_on=False),
+]
+
+
+@pytest.mark.parametrize("options", NOISE_ORACLE_OPTIONS)
+@pytest.mark.parametrize("drift", [False, True])
+@pytest.mark.parametrize("preset_name", ["reference", "improved"])
+def test_batched_noise_state_matches_per_cycle_maps(options, drift, preset_name):
+    # the phase-split superoperators and the batched spin recursion against
+    # one build_cycle_map per cycle and one run_protocol_cycles per sample
+    p = preset(preset_name)
+    noise = NoiseConfig(
+        overhauser_sigma=0.4,
+        drift_diffusion=drift_diffusion_from_t2(150.0, p.t_cycle) if drift else 0.0,
+        sample_count=5,
+        rng_seed=13,
+    )
+    for kind in TargetKind:
+        for n in range(1, 7):
+            _assert_matches_per_cycle_oracle(p, n, kind, noise, options)
+
+
+@pytest.mark.parametrize("echo", [True, False])
+def test_noise_path_keeps_static_phase_offsets(echo):
+    # with no sampled noise, the noise path is the noise-free run at the
+    # caller's detuning and drift phase
+    p = preset("reference")
+    opts = CycleOptions(echo=echo, quasistatic_detuning=0.3, drift_phase=0.7)
+    noise = NoiseConfig(0.0, sample_count=3)
+    for kind in TargetKind:
+        clean = run_protocol(p, 4, kind=kind, options=opts)
+        f0 = conditional_fidelity(clean, ideal_target(4, kind))
+        avg = overhauser_average(p, 4, kind, noise, options=opts)
+        assert avg["mean_fidelity"] == pytest.approx(f0, rel=1e-12)
+        st = run_protocol(p, 4, kind=kind, noise=noise, options=opts)
+        want = clean.superoperators[0]
+        for sample in st.superoperators:
+            assert np.abs(sample - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # -- oracles: the per-round contractions against the dense rho they replace
