@@ -34,7 +34,6 @@ from .params import (
     zeeman_detuning,
 )
 from .protocol import (
-    CapacityError,
     NoiseConfig,
     TargetKind,
     conditional_fidelity,
@@ -487,9 +486,7 @@ def main(argv=None):
             config.out = f"{config.scenario}.csv"
         rows = run_scenario(config)
         write_result(rows, config, config.out)
-    except (
-        ConfigError, ParamError, ModeFieldError, CapacityError, IntegrationError, OSError
-    ) as exc:
+    except (ConfigError, ParamError, ModeFieldError, IntegrationError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(f"{config.scenario}: {len(rows)} rows -> {config.out}")

@@ -84,6 +84,9 @@ class CycleOptions:
                 raise ParamError(f"{name} must be finite, got {getattr(self, name)}")
 
 
+_DEFAULT_OPTIONS = CycleOptions()
+
+
 def rotation_matrix(angle):
     """Ground-state Raman rotation about the y axis."""
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
@@ -154,7 +157,8 @@ def _resolve(betas_or_params, options):
     """The branching weights and options a map is built from.
 
     PhysicalParams set the indistinguishability, the excitation-error
-    weight and the half-cycle time of the options.
+    weight and the half-cycle time of the options, so options that also set
+    one of them are refused.
     """
     if options is None:
         options = CycleOptions()
@@ -164,6 +168,12 @@ def _resolve(betas_or_params, options):
         raise ParamError(
             f"expected BranchingBetas or PhysicalParams, got {type(betas_or_params)}"
         )
+    for name in ("indistinguishability", "orthogonal_error_prob", "half_cycle_time"):
+        if getattr(options, name) != getattr(_DEFAULT_OPTIONS, name):
+            raise ParamError(
+                f"{name} is set by PhysicalParams; leave it at its default "
+                "or build from BranchingBetas"
+            )
     p = betas_or_params
     return betas_from_branching(p.branching), replace(
         options,

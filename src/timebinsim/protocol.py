@@ -14,11 +14,12 @@ Each round is one 16x4 spin superoperator (the cycle map's Kraus blocks
 summed, with the round's normalization folded in). Photons are never acted
 on after emission, so a state is kept as its sequence of superoperators:
 the normalizations come from a forward recursion on the 2x2 spin-reduced
-state, and fidelities and stabilizer expectations are contracted round by
-round, as in the matrix-product picture of sequential photon sources
-(Schoen et al., PRL 95, 110503, 2005). The dense rho is built only when
-``HybridState.rho`` is read, one matrix product per round on the
-(i j) x (rest, rest) view of rho.
+state, and stabilizer expectations are contracted round by round, as in the
+matrix-product picture of sequential photon sources (Schoen et al., PRL 95,
+110503, 2005). The ideal target is a state of the same kind, the ideal
+protocol's own run, so a fidelity is one contraction of two such chains.
+The dense rho is built only when ``HybridState.rho`` is read, one matrix
+product per round on the (i j) x (rest, rest) view of rho.
 """
 from __future__ import annotations
 
@@ -42,15 +43,12 @@ from .cyclemap import (
 )
 from .params import ParamError, PhysicalParams
 
-# largest photon number for which a dense 2^(N+1) state or target is built
+# largest photon number for which a dense 2^(N+1) state is built
 PHOTON_CAP = 10
 
 # spin state after initialization: R(pi/2) applied to spin-down
 _PSI0 = rotation_matrix(math.pi / 2.0) @ np.array([1.0, 0.0], dtype=complex)
 _RHO0 = np.outer(_PSI0, _PSI0.conj())
-
-# target factors keep singular values above this fraction of the largest
-_SVD_CUT = 1e-13
 
 # Fourier weights e^{-i k d} / 3 (k = 0, +1, -1) that split superoperators
 # built at the phase differences d of SPLIT_PHASES into S0, S+, S-
@@ -58,7 +56,7 @@ _SPLIT_WEIGHTS = np.exp(-1j * np.outer([0, 1, -1], SPLIT_PHASES)) / 3.0
 
 
 class CapacityError(RuntimeError):
-    """A dense state or target for more than PHOTON_CAP photons was requested."""
+    """A dense state for more than PHOTON_CAP photons was requested."""
 
 
 class TargetKind(Enum):
@@ -90,15 +88,20 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name, least in (("sample_count", 1), ("rng_seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ParamError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ParamError(f"{name} must be >= {least}, got {value}")
+            _whole(name, getattr(self, name), least)
         for name in ("overhauser_sigma", "drift_diffusion"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ParamError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _whole(name, value, least):
+    """``value`` as an int; ParamError naming ``name`` unless an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParamError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParamError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def drift_diffusion_from_t2(t2, t_cycle, c_model=0.5):
@@ -114,8 +117,9 @@ class HybridState:
     superoperator of every round for every noise sample. The state is the
     equal-weight average of its samples; ``successes``, ``traces`` and
     ``orthogonal_masses`` hold each sample's success probability, trace of
-    rho and orthogonal mass (trace + orthogonal mass = 1 per sample). The
-    dense rho is built on first read and only up to PHOTON_CAP photons.
+    rho and orthogonal mass (trace + orthogonal mass = 1 per sample). A
+    single-sample state also serves as a fidelity target (``ideal_target``).
+    The dense rho is built on first read and only up to PHOTON_CAP photons.
     """
 
     superoperators: np.ndarray
@@ -146,7 +150,11 @@ class HybridState:
     @cached_property
     def rho(self):
         """Dense density operator, the sample average, summed one sample at a time."""
-        _check_cap(self.photon_count, "density operator")
+        if self.photon_count > PHOTON_CAP:
+            raise CapacityError(
+                f"{self.photon_count} photons exceeds the cap of {PHOTON_CAP} for a "
+                f"dense density operator ({self.dim}-dimensional)"
+            )
         total = None
         for sample in self.superoperators:
             rho = _RHO0
@@ -159,14 +167,6 @@ class HybridState:
 
 def _sample_mean(values):
     return sum(values.tolist()) / len(values)
-
-
-def _check_cap(n, what):
-    if n > PHOTON_CAP:
-        raise CapacityError(
-            f"{n} photons exceeds the cap of {PHOTON_CAP} for a dense {what} "
-            f"({2**(n+1)}-dimensional)"
-        )
 
 
 def _spin_superoperator(cycle):
@@ -245,9 +245,7 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
     fixed rng_seed. The options' ``quasistatic_detuning`` and
     ``drift_phase`` are static offsets that the sampled shifts add to.
     """
-    n = int(n_photons)
-    if n < 1:
-        raise ParamError(f"n_photons must be >= 1, got {n_photons}")
+    n = _whole("n_photons", n_photons, 1)
     if isinstance(cycle, CycleMap):
         if noise is not None:
             raise ParamError("noise averaging needs PhysicalParams, not a fixed CycleMap")
@@ -293,87 +291,57 @@ def _noise_state(params, n, base, noise):
     return _normalized_state(sups.reshape(noise.sample_count, n, 16, 4), orth_probs)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def ideal_target(n_photons, kind):
-    """Statevector output of the imperfection-free protocol."""
-    n = int(n_photons)
-    if n < 1:
-        raise ParamError(f"n_photons must be >= 1, got {n_photons}")
-    _check_cap(n, "target")
-    # ideal cycle isometry as [spin_out, photon, spin_in]
-    v = ideal_cycle_map(kind.rotation_angle).kraus[0].reshape(2, 2, 2)
-    psi = _PSI0
-    for _ in range(n):
-        r = psi.size // 2
-        t = psi.reshape(2, r)
-        t = np.einsum("api,ir->arp", v, t)
-        psi = t.reshape(-1)
-    return psi
+    """The imperfection-free protocol's output: a single-sample, pure HybridState.
+
+    Cached and shared between callers, so not to be mutated.
+    """
+    n = _whole("n_photons", n_photons, 1)
+    return run_protocol_cycles([ideal_cycle_map(kind.rotation_angle)] * n)
 
 
 def conditional_fidelity(state, target):
     """Overlap with the target within the detected sector.
 
-    <psi|rho|psi> / (tr rho + orthogonal mass), contracted round by round
-    without building rho.
+    Tr(rho_target rho) / (tr rho + orthogonal mass), averaged over the
+    state's samples; for a pure target such as ``ideal_target(n, kind)``
+    this is <psi|rho|psi>. Neither rho is built.
     """
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (state.dim,):
+    return float(_overlaps(state, target).mean()) / (state.trace + state.orthogonal_error_mass)
+
+
+def _overlaps(state, target):
+    """Tr(rho_target rho_s) for every noise sample s, one environment push per round.
+
+    The environment E[(i j), (k l)] is rho_s's spin block (i j) against the
+    conjugate of rho_target's (k l), with every photon emitted so far traced
+    pairwise. A round applies S_t to (i j) and conj(T_t) to (k l) and traces
+    the new photon pair; the spins are traced pairwise at the end.
+    """
+    if not isinstance(target, HybridState):
         raise ParamError(
-            f"dimension mismatch: state dim {state.dim}, target {target.shape}"
+            f"target must be a HybridState such as ideal_target(n, kind), "
+            f"got {type(target).__name__}"
         )
-    num = _overlaps(state, _target_factors(target, state.photon_count))
-    return float(num.mean()) / (state.trace + state.orthogonal_error_mass)
-
-
-def _target_factors(target, n):
-    """Split a dense target into per-photon factors by a left-to-right SVD sweep.
-
-    The chain runs p1..pN and closes with the spin, so
-    psi[s, p1..pN] = A_1[p1] ... A_N[pN] C[:, s] with A_t[left, photon,
-    right]. Singular values below _SVD_CUT of the largest are cut, which
-    leaves bond dimension 2 for the ideal GHZ and cluster targets.
-    """
-    factors = []
-    rest = target.reshape(2, -1).T  # [(p1..pN), s]
-    chi = 1
-    for _ in range(n):
-        u, sv, vh = np.linalg.svd(rest.reshape(2 * chi, -1), full_matrices=False)
-        keep = max(1, int(np.count_nonzero(sv > _SVD_CUT * sv[0])))
-        factors.append(u[:, :keep])  # [(left photon), right]
-        rest, chi = sv[:keep, None] * vh[:keep], keep
-    return factors, rest.reshape(-1)
-
-
-@lru_cache(maxsize=32)
-def _ideal_factors(n_photons, kind):
-    """Target factors of ideal_target(n_photons, kind), split once; not to be mutated."""
-    return _target_factors(ideal_target(n_photons, kind), n_photons)
-
-
-def _overlaps(state, target_factors):
-    """<psi|rho_s|psi> for every noise sample s, one environment push per round.
-
-    ``target_factors`` is the (factors, close) split of psi made by
-    _target_factors. The environment E[(i j), (alpha beta)] is rho's spin
-    block with the photons emitted so far contracted against the target
-    factors on both sides; a round applies the superoperator to the spin
-    indices and absorbs the new photon into the next bond.
-    """
-    factors, close = target_factors
-    samples = len(state.superoperators)
-    env = np.broadcast_to(_RHO0.reshape(1, 4, 1), (samples, 4, 1))
-    chi = 1
-    for t, a in enumerate(factors):
-        x = state.superoperators[:, t] @ env  # [(a p b c), (alpha beta)]
-        x = x.reshape(samples, 2, 2, 2, 2, chi, chi).transpose(0, 1, 3, 5, 2, 6, 4)
-        x = x.reshape(samples, 2, 2, 2 * chi, 2 * chi)  # [a, b, (alpha p), (beta c)]
-        chi = a.shape[1]
-        env = (a.conj().T @ x @ a).reshape(samples, 4, chi * chi)
-    # E[(i j), (alpha beta)] -> [(alpha i), (beta j)], closed by C[alpha, i]
-    env = env.reshape(samples, 2, 2, chi, chi).transpose(0, 3, 1, 4, 2)
-    env = env.reshape(samples, 2 * chi, 2 * chi)
-    return (close.conj() @ (env @ close[:, None]))[:, 0].real
+    if len(target.superoperators) != 1:
+        raise ParamError(
+            f"target must be a single-sample state, got {len(target.superoperators)} samples"
+        )
+    if target.photon_count != state.photon_count:
+        raise ParamError(
+            f"target has {target.photon_count} photons, the state {state.photon_count}"
+        )
+    samples, n = state.superoperators.shape[:2]
+    # S[(a p), (b c), (i j)] -> [(a b p c), (i j)], and conj(T) -> [(a b), (p c k l)]
+    sups = state.superoperators.reshape(samples, n, 2, 2, 2, 2, 4).transpose(0, 1, 2, 4, 3, 5, 6)
+    sups = sups.reshape(samples, n, 16, 4)
+    tgt = target.superoperators[0].conj().reshape(n, 2, 2, 2, 2, 4).transpose(0, 1, 3, 2, 4, 5)
+    tgt = tgt.reshape(n, 4, 16).transpose(0, 2, 1)
+    env = np.broadcast_to(np.outer(_RHO0, _RHO0.conj()), (samples, 4, 4))
+    for t in range(n):
+        env = (sups[:, t] @ env).reshape(samples, 4, 16) @ tgt[t]
+    return np.trace(env, axis1=1, axis2=2).real
 
 
 def canonical_stabilizers(n_photons, kind):
@@ -435,9 +403,8 @@ def _pauli_traces(state, labels):
 def _frame_signs(n_photons, kind):
     """Signs fixing the local frame of the ideal protocol output."""
     labels = canonical_stabilizers(n_photons, kind)
-    ideal = run_protocol_cycles([ideal_cycle_map(kind.rotation_angle)] * n_photons)
     signs = []
-    for label, val in zip(labels, _pauli_traces(ideal, labels)[0]):
+    for label, val in zip(labels, _pauli_traces(ideal_target(n_photons, kind), labels)[0]):
         if abs(abs(val) - 1.0) > 1e-9:
             raise RuntimeError(
                 f"stabilizer {label} is not +-1 on the ideal state ({val}); "
@@ -461,10 +428,8 @@ def overhauser_average(params, n_photons, kind, noise, options=None):
     The options' ``quasistatic_detuning`` and ``drift_phase`` are static
     offsets that the sampled shifts add to.
     """
-    factors = _ideal_factors(n_photons, kind)
-    base = replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
-    state = _noise_state(params, n_photons, base, noise)
-    nums = _overlaps(state, factors)
+    state = run_protocol(params, n_photons, kind=kind, noise=noise, options=options)
+    nums = _overlaps(state, ideal_target(n_photons, kind))
     fids = nums / (state.traces + state.orthogonal_masses)
     std_err = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
     return {"mean_fidelity": float(fids.mean()), "std_error": std_err}

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -126,6 +127,18 @@ def test_photon_scaling_ideal_numeric():
         assert row["numeric_infidelity"] < 1e-8
     config = build_config({"scenario": "photon_scaling", "photons": (1,), "numeric": False})
     assert "numeric_infidelity" not in run_scenario(config)[0]
+
+
+def test_photon_scaling_runs_beyond_the_dense_cap(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("photons = 11,100\nnumeric = true\nkind = cluster\n")
+    out = tmp_path / "out.csv"
+    assert main(["photon_scaling", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[2:]))
+    assert [int(r["n_photons"]) for r in rows] == [11, 100]
+    for r in rows:
+        for key in ("numeric_infidelity", "success_probability"):
+            assert 0.0 < float(r[key]) < 1.0, key
 
 
 def test_echo_demo_columns():

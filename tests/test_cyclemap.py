@@ -10,6 +10,7 @@ from timebinsim.cyclemap import (
     rotation_matrix,
 )
 from timebinsim.params import BranchingBetas, ParamError, betas_from_branching, preset
+from timebinsim.protocol import NoiseConfig, run_protocol
 
 VERTICAL_ONLY = BranchingBetas(1.0, 0.0, 0.0, 0.0)
 
@@ -146,3 +147,23 @@ def test_channel_sanity_fuzz():
         w_split = cm.weights()
         assert sum(w_split.values()) == pytest.approx(1.0, abs=1e-9)
         assert w_split["loss"] > -1e-9
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("indistinguishability", 0.5), ("orthogonal_error_prob", 0.2), ("half_cycle_time", 3.0)],
+)
+def test_params_refuse_options_they_set(field, value):
+    # PhysicalParams fix these fields; BranchingBetas take them from the options
+    p = preset("reference")
+    opts = CycleOptions(**{field: value})
+    noise = NoiseConfig(overhauser_sigma=0.1, sample_count=2)
+    calls = (
+        lambda: build_cycle_map(p, opts),
+        lambda: run_protocol(p, 3, options=opts),
+        lambda: run_protocol(p, 3, noise=noise, options=opts),
+    )
+    for call in calls:
+        with pytest.raises(ParamError, match=field):
+            call()
+    build_cycle_map(VERTICAL_ONLY, opts)

@@ -31,11 +31,6 @@ from timebinsim.protocol import (
 VERTICAL_ONLY = BranchingBetas(1.0, 0.0, 0.0, 0.0)
 
 
-def _ghz_rho(n):
-    psi = ideal_target(n, TargetKind.GHZ)
-    return np.outer(psi, psi.conj())
-
-
 def _collect(state, nq, shots, seed0, eta=1.0, sample=sample_measurements_with_eta):
     """Record sets for the GHZ estimator: all-Z plus the 2*nq parity scans."""
     recs = {"Z": sample(state, [BasisSetting.z()] * nq, shots, seed=seed0, eta=eta)}
@@ -168,7 +163,7 @@ def test_basis_setting_validation():
 
 
 def test_ghz_all_z_patterns():
-    rho = _ghz_rho(2)
+    rho = ideal_target(2, TargetKind.GHZ).rho
     outs, probs = joint_outcome_distribution(rho, [BasisSetting.z()] * 3)
     support = {o for o, p in zip(outs, probs) if p > 1e-12}
     assert support == {("early",) * 3, ("late",) * 3}
@@ -176,7 +171,7 @@ def test_ghz_all_z_patterns():
 
 
 def test_sampling_determinism_and_frequencies():
-    rho = _ghz_rho(2)
+    rho = ideal_target(2, TargetKind.GHZ).rho
     settings = [BasisSetting.x(0.0)] * 3
     a = sample_measurements(rho, settings, shots=2000, seed=42)
     b = sample_measurements(rho, settings, shots=2000, seed=42)

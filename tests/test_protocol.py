@@ -55,6 +55,19 @@ def _reference_protocol(cycles):
     return rho, success, orth
 
 
+def _dense_ideal_psi(n, kind):
+    """The ideal output as a dense 2^(N+1) vector, one einsum per round.
+
+    The dense target that ideal_target's HybridState replaced; kept here as
+    its oracle.
+    """
+    v = ideal_cycle_map(kind.rotation_angle).kraus[0].reshape(2, 2, 2)  # [spin_out, photon, spin_in]
+    psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    for _ in range(n):
+        psi = np.einsum("api,ir->arp", v, psi.reshape(2, -1)).reshape(-1)
+    return psi
+
+
 # (betas, options, Kraus term count): every imperfection switch of the map
 ORACLE_MAPS = [
     (VERTICAL_ONLY, CycleOptions(), 1),
@@ -110,12 +123,45 @@ def test_ideal_protocol_reaches_unit_fidelity():
 def test_ideal_target_single_photon_ghz():
     # one cycle from (|down> + |up>)/sqrt(2): a spin-photon Bell pair up to
     # the final pi rotation
-    psi = ideal_target(1, TargetKind.GHZ)
-    assert psi.shape == (4,)
-    assert np.linalg.norm(psi) == pytest.approx(1.0)
-    probs = np.abs(psi) ** 2
+    target = ideal_target(1, TargetKind.GHZ)
+    assert target.superoperators.shape == (1, 1, 16, 4)
+    rho = target.rho
+    assert np.trace(rho).real == pytest.approx(1.0)
+    assert np.trace(rho @ rho).real == pytest.approx(1.0)
+    probs = np.diag(rho).real
     # two equal-weight components, spin correlated with the time bin
     assert sorted(probs)[2:] == pytest.approx([0.5, 0.5])
+
+
+@pytest.mark.parametrize("kind", list(TargetKind))
+def test_ideal_target_matches_dense_psi(kind):
+    for n in range(1, 9):
+        target = ideal_target(n, kind)
+        assert target.success_probability == pytest.approx(1.0, rel=1e-12)
+        assert target.orthogonal_error_mass == 0.0
+        psi = _dense_ideal_psi(n, kind)
+        assert np.abs(target.rho - np.outer(psi, psi.conj())).max() <= 1e-12, n
+
+
+@pytest.mark.parametrize("n", [2.7, 3.0, True, "3", None, 0, -1])
+def test_photon_count_must_be_a_whole_number(n):
+    p = preset("reference")
+    ideal_target(1, TargetKind.GHZ)  # a cached 1 must not answer for True
+    noise = NoiseConfig(overhauser_sigma=0.1, sample_count=2)
+    calls = (
+        lambda: run_protocol(p, n),
+        lambda: run_protocol(ideal_cycle_map(), n),
+        lambda: ideal_target(n, TargetKind.GHZ),
+        lambda: overhauser_average(p, n, TargetKind.GHZ, noise),
+    )
+    for call in calls:
+        with pytest.raises(ParamError, match="n_photons"):
+            call()
+
+
+def test_photon_count_takes_numpy_integers():
+    assert run_protocol(preset("reference"), np.int64(3)).photon_count == 3
+    assert ideal_target(np.int32(2), TargetKind.CLUSTER).photon_count == 2
 
 
 def test_dephasing_only_oracles():
@@ -151,7 +197,7 @@ def test_capacity_cap():
     with pytest.raises(CapacityError, match=f"cap of {PHOTON_CAP}"):
         st.rho
     with pytest.raises(CapacityError, match=f"cap of {PHOTON_CAP}"):
-        ideal_target(PHOTON_CAP + 1, TargetKind.GHZ)
+        ideal_target(PHOTON_CAP + 1, TargetKind.GHZ).rho
     with pytest.raises(ParamError):
         run_protocol(ideal_cycle_map(), 0)
 
@@ -282,9 +328,16 @@ def test_run_protocol_cycles_rejects_a_map_that_detects_nothing():
 
 
 def test_conditional_fidelity_dimension_check():
+    # a photon-count mismatch, a dense vector and a multi-sample state
     st = run_protocol(ideal_cycle_map(), 2)
-    with pytest.raises(ParamError):
-        conditional_fidelity(st, ideal_target(3, TargetKind.GHZ))
+    bad_targets = (
+        ideal_target(3, TargetKind.GHZ),
+        _dense_ideal_psi(2, TargetKind.GHZ),
+        STATES["noise-averaged"](TargetKind.GHZ, 2),
+    )
+    for target in bad_targets:
+        with pytest.raises(ParamError, match="target"):
+            conditional_fidelity(st, target)
 
 
 @pytest.mark.parametrize("betas, opts, n_kraus", ORACLE_MAPS)
@@ -318,7 +371,7 @@ def test_stabilizer_expectations_match_full_trace():
             cm = build_cycle_map(betas, replace(opts, rotation_angle=kind.rotation_angle))
             for n in range(1, 6):
                 st = run_protocol(cm, n, kind=kind)
-                psi = ideal_target(n, kind)
+                psi = _dense_ideal_psi(n, kind)
                 den = np.trace(st.rho).real + st.orthogonal_error_mass
                 vals = stabilizer_expectations(st, kind)
                 for val, label in zip(vals, canonical_stabilizers(n, kind)):
@@ -490,22 +543,26 @@ def _dense_fidelity(state, psi):
 def test_contraction_matches_dense_fidelity(name, kind):
     for n in range(1, 9):
         st = STATES[name](kind, n)
-        psi = ideal_target(n, kind)
-        assert conditional_fidelity(st, psi) == pytest.approx(
-            _dense_fidelity(st, psi), rel=1e-12
+        assert conditional_fidelity(st, ideal_target(n, kind)) == pytest.approx(
+            _dense_fidelity(st, _dense_ideal_psi(n, kind)), rel=1e-12
         ), n
 
 
 def test_contraction_matches_dense_fidelity_for_a_generic_target():
-    # a random target needs bond dimensions up to 2^(N/2), not just 2
-    rng = np.random.default_rng(3)
-    for n in range(1, 8):
-        psi = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
-        psi /= np.linalg.norm(psi)
-        st = STATES["improved"](TargetKind.CLUSTER, n)
-        assert conditional_fidelity(st, psi) == pytest.approx(
-            _dense_fidelity(st, psi), rel=1e-12
-        ), n
+    # a mixed, complex, non-ideal target with orthogonal mass: Tr(rho_T rho) / (tr + orth)
+    for kind in TargetKind:
+        for n in range(1, 8):
+            target = STATES["drifting"](kind, n)
+            assert target.orthogonal_error_mass > 0.0
+            assert np.abs(target.rho.imag).max() > 1e-3
+            for name in ("improved", "noise-averaged"):
+                st = STATES[name](kind, n)
+                dense = np.trace(target.rho @ st.rho).real / (
+                    np.trace(st.rho).real + st.orthogonal_error_mass
+                )
+                assert conditional_fidelity(st, target) == pytest.approx(
+                    dense, rel=1e-12
+                ), (kind, name, n)
 
 
 @pytest.mark.parametrize("name", sorted(STATES))
@@ -521,7 +578,7 @@ def test_noise_averaged_stabilizers_match_full_trace():
     for kind in TargetKind:
         for n in range(1, 6):
             st = STATES["noise-averaged"](kind, n)
-            psi = ideal_target(n, kind)
+            psi = _dense_ideal_psi(n, kind)
             den = np.trace(st.rho).real + st.orthogonal_error_mass
             scale = np.abs(st.rho).max()
             for val, label in zip(stabilizer_expectations(st, kind), canonical_stabilizers(n, kind)):
@@ -550,3 +607,14 @@ def test_stabilizers_beyond_cap_match_dephasing_closed_form(kind):
     for val, label in zip(stabilizer_expectations(st, kind), canonical_stabilizers(n, kind)):
         assert val == pytest.approx(ind ** label[1:].count("X"), abs=1e-12), label
     assert "rho" not in vars(st)
+
+
+@pytest.mark.parametrize("kind", list(TargetKind))
+@pytest.mark.parametrize("n", [100, 1000])
+def test_fidelity_beyond_cap_matches_dephasing_closed_form(kind, n):
+    ind = 0.93
+    st = run_protocol(_dephasing_map(kind), n, kind=kind)
+    target = ideal_target(n, kind)
+    exact = (1.0 + ind**n) / 2.0 if kind is TargetKind.GHZ else ((1.0 + ind) / 2.0) ** n
+    assert conditional_fidelity(st, target) == pytest.approx(exact, rel=1e-12)
+    assert "rho" not in vars(st) and "rho" not in vars(target)
