@@ -7,6 +7,12 @@ detuning ``delta``. Cross transitions (0 <-> 3, 1 <-> 2 driving) are
 excluded: they are suppressed by laser polarisation in the side-excitation
 geometry. Each trion decays through four channels (vertical / diagonal,
 into / out of the waveguide); pure dephasing acts on the trion levels.
+
+scipy is imported by the propagators that use it, not with this module:
+``scipy.linalg`` on the first square pulse, ``scipy.integrate`` on the
+first ``solve_ivp`` call (gaussian pulses and ``integrate_master_equation``).
+Importing the package then loads numpy alone, which keeps the start of a
+one-shot CLI run short.
 """
 from __future__ import annotations
 
@@ -14,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .params import BranchingBetas, ParamError, betas_from_branching
 
@@ -214,6 +218,13 @@ def _generator(system, carrier_detuning=0.0, jumps=True):
     return g0, g1
 
 
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call."""
+    from scipy import integrate
+
+    return integrate.solve_ivp(*args, **kwargs)
+
+
 def _evolve(system, pulse, rho0, t_span, tolerance, jumps=True, **solver_options):
     """Integrate the generator of ``_generator`` from ``rho0`` over ``t_span``.
 
@@ -322,6 +333,8 @@ def excitation_error_probability(system, pulse, tolerance=1e-10):
 
     propagators = {}
     if pulse.shape == "square":
+        from scipy.linalg import expm
+
         for jumps in (True, False):
             g0, g1 = _generator(system, pulse.carrier_detuning, jumps)
             propagators[jumps] = expm((g0 + pulse.peak_rabi * g1) * pulse.duration)

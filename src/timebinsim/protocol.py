@@ -269,11 +269,12 @@ def _noise_state(params, n, base, noise):
     drift kick per round; both add to the static offsets in ``base``.
     They enter a round only through the early-late phase difference D of
     the main Kraus block, so its superoperator is S0 + e^{iD} S+ +
-    e^{-iD} S-, split once per call from three cycle maps. D leaves the
-    spin-reduced map unchanged, so every sample has the same success
-    probability and the equal-weight average is the success-weighted one.
+    e^{-iD} S-, split from three cycle maps once per (params, options).
+    D leaves the spin-reduced map unchanged, so every sample has the same
+    success probability and the equal-weight average is the
+    success-weighted one.
     """
-    maps, options = phase_split_maps(params, base)
+    parts, options, orth_prob = _split_superoperators(params, base)
     drift_std = math.sqrt(noise.drift_diffusion * params.t_cycle**3)
     shifts = np.zeros((noise.sample_count, 1))
     kicks = np.zeros((noise.sample_count, n))
@@ -285,20 +286,42 @@ def _noise_state(params, n, base, noise):
             kicks[i] = rng.normal(0.0, drift_std, size=n)
     early, late = arm_phases(options, shifts, kicks)
     phase = np.exp(1j * (early - late))[..., None]
-    parts = _SPLIT_WEIGHTS @ np.stack([_spin_superoperator(m) for m in maps]).reshape(3, 64)
     sups = parts[0] + phase * parts[1] + phase.conj() * parts[2]
-    orth_probs = np.full(n, maps[0].orthogonal_prob)
-    return _normalized_state(sups.reshape(noise.sample_count, n, 16, 4), orth_probs)
+    return _normalized_state(sups.reshape(noise.sample_count, n, 16, 4), np.full(n, orth_prob))
+
+
+@lru_cache(maxsize=32)
+def _split_superoperators(params, base):
+    """S0, S+ and S- of one round as read-only rows of shape (3, 64), the
+    resolved options and the orthogonal probability, per (params, options).
+
+    Every noise call with the same inputs shares them, so the three cycle
+    maps of ``phase_split_maps`` are built once.
+    """
+    maps, options = phase_split_maps(params, base)
+    parts = _SPLIT_WEIGHTS @ np.stack([_spin_superoperator(m) for m in maps]).reshape(3, 64)
+    parts.flags.writeable = False
+    return parts, options, maps[0].orthogonal_prob
 
 
 @lru_cache(maxsize=32, typed=True)
+def _ideal_chain(n_photons, kind):
+    """The ideal run's arrays, read-only and shared by every ``ideal_target``."""
+    n = _whole("n_photons", n_photons, 1)
+    state = run_protocol_cycles([ideal_cycle_map(kind.rotation_angle)] * n)
+    arrays = (state.superoperators, state.successes, state.traces, state.orthogonal_masses)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def ideal_target(n_photons, kind):
     """The imperfection-free protocol's output: a single-sample, pure HybridState.
 
-    Cached and shared between callers, so not to be mutated.
+    Each call returns a new state on the cached, read-only chain arrays, so
+    a dense ``rho`` read on it lives only as long as the caller keeps it.
     """
-    n = _whole("n_photons", n_photons, 1)
-    return run_protocol_cycles([ideal_cycle_map(kind.rotation_angle)] * n)
+    return HybridState(*_ideal_chain(n_photons, kind))
 
 
 def conditional_fidelity(state, target):

@@ -1,9 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import timebinsim
 from timebinsim.dynamics import (
     GROUND_DOWN,
     GROUND_UP,
@@ -302,3 +309,45 @@ def test_jump_generator_preserves_trace():
     diagonal_rows = [i * 5 for i in range(4)]
     for g in _generator(ALL_CHANNELS, carrier_detuning=1.3):
         assert np.max(np.abs(g[diagonal_rows, :16].sum(axis=0))) < 1e-14
+
+
+# Run in a fresh interpreter: this test process has imported scipy already.
+IMPORT_PROBE = textwrap.dedent(
+    """
+    import inspect, json, sys
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    import timebinsim, timebinsim.cli
+    from timebinsim import dynamics
+    from timebinsim.params import BranchingBetas
+
+    seen = {"import": scipy_modules()}
+    seen["shim"] = (
+        inspect.isfunction(dynamics.solve_ivp)
+        and dynamics.solve_ivp.__module__ == dynamics.__name__
+    )
+    system = dynamics.LevelSystem.from_rates(1.0, BranchingBetas(1.0, 0.0, 0.0, 0.0), 100.0)
+    for shape in ("square", "gaussian"):
+        dynamics.excitation_error_probability(system, dynamics.Pulse(shape, 0.05))
+        seen[shape] = scipy_modules()
+    print(json.dumps(seen))
+    """
+)
+
+
+def test_scipy_loads_at_the_first_propagator_that_needs_it():
+    src = str(Path(timebinsim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    run = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    seen = json.loads(run.stdout)
+    assert seen["import"] == []
+    assert seen["shim"]
+    assert "scipy.linalg" in seen["square"]
+    assert "scipy.integrate" not in seen["square"]
+    assert "scipy.integrate" in seen["gaussian"]

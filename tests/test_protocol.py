@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from timebinsim import cyclemap
 from timebinsim.cyclemap import CycleMap, CycleOptions, build_cycle_map, ideal_cycle_map
 from timebinsim.params import BranchingBetas, ParamError, betas_from_branching, preset
 from timebinsim.protocol import (
@@ -143,6 +146,21 @@ def test_ideal_target_matches_dense_psi(kind):
         assert np.abs(target.rho - np.outer(psi, psi.conj())).max() <= 1e-12, n
 
 
+def test_ideal_target_frees_its_dense_rho():
+    target = ideal_target(9, TargetKind.GHZ)
+    rho = target.rho
+    dead = weakref.ref(target)
+    del target
+    gc.collect()
+    assert dead() is None
+    again = ideal_target(9, TargetKind.GHZ)
+    assert "rho" not in vars(again)
+    assert np.array_equal(again.rho, rho)
+    assert not again.superoperators.flags.writeable
+    with pytest.raises(ValueError):
+        again.successes[0] = 0.5
+
+
 @pytest.mark.parametrize("n", [2.7, 3.0, True, "3", None, 0, -1])
 def test_photon_count_must_be_a_whole_number(n):
     p = preset("reference")
@@ -248,6 +266,31 @@ def test_noise_averaging_is_seed_deterministic():
     st1 = run_protocol(p, 2, noise=noise, options=opts)
     st2 = run_protocol(p, 2, noise=noise, options=opts)
     assert np.array_equal(st1.rho, st2.rho)
+
+
+def test_noise_calls_share_the_split_superoperators(monkeypatch):
+    p = preset("reference")
+    noise = NoiseConfig(overhauser_sigma=0.3, drift_diffusion=0.01, sample_count=4, rng_seed=5)
+    opts = CycleOptions(echo=False)
+    first = run_protocol(p, 3, noise=noise, options=opts)
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_cycle_map(*args, **kwargs)
+
+    monkeypatch.setattr(cyclemap, "build_cycle_map", counted)
+    second = run_protocol(p, 3, noise=noise, options=opts)
+    assert builds == []
+    for field in ("superoperators", "successes", "traces", "orthogonal_masses"):
+        assert np.array_equal(getattr(first, field), getattr(second, field))
+    assert overhauser_average(p, 3, TargetKind.GHZ, noise, options=opts) == (
+        overhauser_average(p, 3, TargetKind.GHZ, noise, options=opts)
+    )
+    assert builds == []
+    # other options are another cache entry
+    run_protocol(p, 3, noise=noise, options=replace(opts, drift_phase=0.2))
+    assert len(builds) == 3
 
 
 def test_noise_requires_params():
