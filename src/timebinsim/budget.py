@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import indistinguishability, validate_params
+from .params import _whole, indistinguishability
 
 # Coefficient of the optimized square-pulse excitation error, sqrt(3) pi / 8.
 EXC_COEFFICIENT = math.sqrt(3.0) * math.pi / 8.0
@@ -35,10 +35,7 @@ class InfidelityBudget:
 
 def infidelity_first_order(params, n_photons):
     """First-order conditional infidelity budget for an N-photon state."""
-    validate_params(params)
-    n = int(n_photons)
-    if n < 1:
-        raise ValueError(f"n_photons must be >= 1, got {n_photons}")
+    n = _whole("n_photons", n_photons, 1)
     ind = indistinguishability(params.gamma, params.gamma_d)
     e_ph = n * (1.0 - ind) / 2.0
     e_exc = n * EXC_COEFFICIENT * params.gamma / params.delta
@@ -52,7 +49,6 @@ def per_qubit_infidelity(params):
     single_qubit collects the dephasing and excitation contributions,
     two_qubit the branching contribution 1 / (2 (B + 1)).
     """
-    validate_params(params)
     ind = indistinguishability(params.gamma, params.gamma_d)
     single = (1.0 - ind) / 2.0 + EXC_COEFFICIENT * params.gamma / params.delta
     two = 1.0 / (2.0 * (params.branching + 1.0))
@@ -67,7 +63,7 @@ def t2_drift_error(t_cycle, t2, n_photons, c_model=0.5):
     """
     if t2 <= 0:
         raise ValueError(f"t2 must be positive, got {t2}")
-    return n_photons * c_model * (t_cycle / t2) ** 2
+    return _whole("n_photons", n_photons, 1) * c_model * (t_cycle / t2) ** 2
 
 
 def generation_rate(eta, t_cycle, n_photons):
@@ -78,7 +74,5 @@ def generation_rate(eta, t_cycle, n_photons):
     """
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    n = int(n_photons)
-    if n < 1:
-        raise ValueError(f"n_photons must be >= 1, got {n_photons}")
+    n = _whole("n_photons", n_photons, 1)
     return eta**n / (n * t_cycle)

@@ -30,7 +30,6 @@ from .params import (
     indistinguishability,
     preset,
     read_key_values,
-    validate_params,
     zeeman_detuning,
 )
 from .protocol import (
@@ -99,10 +98,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown parameter override(s): param.{', param.'.join(unknown)}")
 
     def params(self):
-        p = preset(self.preset_name)
-        if self.overrides:
-            p = replace(p, **self.overrides)
-        return validate_params(p)
+        return replace(preset(self.preset_name), **self.overrides)
 
 
 def _parse_scalar(text):

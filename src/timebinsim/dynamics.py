@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import BranchingBetas, ParamError, betas_from_branching
+from .params import BranchingBetas, ParamError, _whole, betas_from_branching
 
 N_LEVELS = 4
 GROUND_DOWN, GROUND_UP, TRION_DOWN, TRION_UP = range(N_LEVELS)
@@ -383,9 +383,8 @@ def optimize_pulse_duration(
     lo, hi = bounds
     if not (0 < lo < hi):
         raise ParamError(f"invalid duration bounds {bounds}")
-    if n_scan < 3:
-        # fewer points cannot bracket an interior minimum
-        raise ParamError(f"n_scan must be >= 3, got {n_scan}")
+    # fewer than 3 points cannot bracket an interior minimum
+    n_scan = _whole("n_scan", n_scan, 3)
 
     def err(duration):
         return excitation_error_probability(

@@ -14,6 +14,7 @@ from itertools import product
 
 import numpy as np
 
+from .params import _whole
 from .protocol import _frame_signs, canonical_stabilizers
 
 NO_CLICK = "no_click"
@@ -157,8 +158,7 @@ def sample_measurements(state, settings, shots, seed=0, eta=1.0):
     maximally mixed photon populations, as its photons still trigger the
     detectors. Returns a ShotRecords table. Deterministic for a fixed seed.
     """
-    if shots < 1:
-        raise MeasurementError(f"shots must be >= 1, got {shots}")
+    shots = _whole("shots", shots, 1, error=MeasurementError)
     rho, orth = _as_rho(state)
     outcomes, probs = joint_outcome_distribution(rho, settings, eta=eta)
     if orth > 0.0:
@@ -201,12 +201,14 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
     n, k = 0..2n-1) for the all-X(phi_k) runs. Shots without a click on
     every qubit are discarded (post-selection). ``target_phase`` is the
     phase of the GHZ coherence of the target state (0 or pi for the
-    protocol's frame); any other phase raises MeasurementError.
+    protocol's frame); any other phase raises MeasurementError. The
+    jackknife needs ``n_blocks`` >= 2.
     """
+    n = _whole("n_qubits", n_qubits, 1, error=MeasurementError)
+    n_blocks = _whole("n_blocks", n_blocks, 2, error=MeasurementError)
     phase = target_phase % (2.0 * math.pi)
     if min(phase, abs(phase - math.pi), 2.0 * math.pi - phase) > 1e-9:
         raise MeasurementError(f"target_phase must be 0 or pi (mod 2pi), got {target_phase}")
-    n = n_qubits
     phases = [(k * math.pi / n) % (2.0 * math.pi) for k in range(2 * n)]
     keys = [
         next((key for key in records_by_setting if key != "Z" and _phase_match(key, p)), None)

@@ -14,6 +14,7 @@ error budget is dimensionless and can be formed directly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace, fields
 
 # Bohr magneton over Planck constant, GHz per Tesla (CODATA, rounded).
@@ -55,6 +56,9 @@ class PhysicalParams:
     b_field: float
     n_g: float
     gamma_bulk: float = 1.0
+
+    def __post_init__(self):
+        validate_params(self)
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,8 @@ def betas_from_branching(branching, beta_total=1.0):
 def validate_params(params):
     """Return ``params`` unchanged iff every invariant holds.
 
-    Raises ParamError naming each violated field.
+    Raises ParamError naming each violated field. Every PhysicalParams runs
+    it when built, ``dataclasses.replace`` included.
     """
     values = {f.name: getattr(params, f.name) for f in fields(params)}
     problems = [f"{name} must be finite" for name, v in values.items() if not math.isfinite(v)]
@@ -213,6 +218,15 @@ def preset(name):
 _FIELD_NAMES = {f.name for f in fields(PhysicalParams)}
 
 
+def _whole(name, value, least, error=ParamError):
+    """``value`` as an int; ``error`` naming ``name`` unless an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def read_key_values(path, error=ParamError):
     """Read ``key = value`` lines into {key: (lineno, value text)}.
 
@@ -257,4 +271,4 @@ def load_params(path, base=None):
                 values[key] = float(val)
             except ValueError:
                 raise ParamError(f"{path}:{lineno}: {key} is not a number: {val!r}")
-    return validate_params(replace(base_params, **values))
+    return replace(base_params, **values)

@@ -7,8 +7,8 @@ spin (x) photon_1 (x) ... (x) photon_N with dimension 2^(N+1).
 Post-selected representation: branches in which a cycle yields no photon
 in either time bin are pruned every round; only their probability is kept
 (``success_probability``). Detected-but-orthogonal weight is carried as a
-scalar alongside the density operator, normalized so that
-``trace(rho) + orthogonal_error_mass = 1`` after each round.
+scalar beside the density operator, normalized so that
+``trace(rho) + orthogonal_error_mass = 1``.
 
 Each round is one 16x4 spin superoperator (the cycle map's Kraus blocks
 summed, with the round's normalization folded in). Photons are never acted
@@ -18,13 +18,14 @@ state, and stabilizer expectations are contracted round by round, as in the
 matrix-product picture of sequential photon sources (Schoen et al., PRL 95,
 110503, 2005). The ideal target is a state of the same kind, the ideal
 protocol's own run, so a fidelity is one contraction of two such chains.
+Every PhysicalParams run, noisy or not, is built from one cached phase
+split of a round's superoperator.
 The dense rho is built only when ``HybridState.rho`` is read, one matrix
 product per round on the (i j) x (rest, rest) view of rho.
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -36,12 +37,11 @@ from .cyclemap import (
     CycleMap,
     CycleOptions,
     arm_phases,
-    build_cycle_map,
     ideal_cycle_map,
     phase_split_maps,
     rotation_matrix,
 )
-from .params import ParamError, PhysicalParams
+from .params import ParamError, PhysicalParams, _whole
 
 # largest photon number for which a dense 2^(N+1) state is built
 PHOTON_CAP = 10
@@ -95,15 +95,6 @@ class NoiseConfig:
                 raise ParamError(f"{name} must be finite and >= 0, got {value}")
 
 
-def _whole(name, value, least):
-    """``value`` as an int; ParamError naming ``name`` unless an integer >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParamError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ParamError(f"{name} must be >= {least}, got {value}")
-    return int(value)
-
-
 def drift_diffusion_from_t2(t2, t_cycle, c_model=0.5):
     """Diffusion constant giving per-cycle error c_model*(t_cycle/t2)^2."""
     return 4.0 * c_model / (t2**2 * t_cycle)
@@ -115,17 +106,16 @@ class HybridState:
 
     ``superoperators`` has shape (samples, N, 16, 4): the normalized spin
     superoperator of every round for every noise sample. The state is the
-    equal-weight average of its samples; ``successes``, ``traces`` and
-    ``orthogonal_masses`` hold each sample's success probability, trace of
-    rho and orthogonal mass (trace + orthogonal mass = 1 per sample). A
-    single-sample state also serves as a fidelity target (``ideal_target``).
-    The dense rho is built on first read and only up to PHOTON_CAP photons.
+    equal-weight average of its samples, with their mean success
+    probability and their common orthogonal mass; its trace is
+    ``1 - orthogonal_error_mass``. A single-sample state also serves as a
+    fidelity target (``ideal_target``). The dense rho is built on first
+    read and only up to PHOTON_CAP photons.
     """
 
     superoperators: np.ndarray
-    successes: np.ndarray
-    traces: np.ndarray
-    orthogonal_masses: np.ndarray
+    success_probability: float
+    orthogonal_error_mass: float
 
     @property
     def photon_count(self):
@@ -136,16 +126,8 @@ class HybridState:
         return 2 ** (self.photon_count + 1)
 
     @property
-    def success_probability(self):
-        return _sample_mean(self.successes)
-
-    @property
-    def orthogonal_error_mass(self):
-        return _sample_mean(self.orthogonal_masses)
-
-    @property
     def trace(self):
-        return _sample_mean(self.traces)
+        return 1.0 - self.orthogonal_error_mass
 
     @cached_property
     def rho(self):
@@ -163,10 +145,6 @@ class HybridState:
             total = rho if total is None else total + rho
         count = len(self.superoperators)
         return total / count if count > 1 else total
-
-
-def _sample_mean(values):
-    return sum(values.tolist()) / len(values)
 
 
 def _spin_superoperator(cycle):
@@ -226,12 +204,10 @@ def _normalized_state(sups, orth_probs):
     det = np.concatenate(dets, axis=1).real.reshape(samples, n)
     if not (det > 0.0).all():
         raise ParamError("protocol lost all probability; check the cycle map")
-    log_keep = np.log1p(-orth_probs).sum()
     return HybridState(
         superoperators=sups * ((1.0 - orth_probs) / det)[..., None, None],
-        successes=det.prod(axis=1),
-        traces=np.full(samples, math.exp(log_keep)),
-        orthogonal_masses=np.full(samples, -math.expm1(log_keep)),
+        success_probability=sum(det.prod(axis=1).tolist()) / samples,
+        orthogonal_error_mass=-math.expm1(np.log1p(-orth_probs).sum()),
     )
 
 
@@ -244,6 +220,8 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
     operator level (one state with a sample axis); reproducible for a
     fixed rng_seed. The options' ``quasistatic_detuning`` and
     ``drift_phase`` are static offsets that the sampled shifts add to.
+    Without noise, a PhysicalParams run is the one-sample, zero-shift case
+    of the same path.
     """
     n = _whole("n_photons", n_photons, 1)
     if isinstance(cycle, CycleMap):
@@ -256,9 +234,7 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
     if not isinstance(cycle, PhysicalParams):
         raise ParamError(f"expected CycleMap or PhysicalParams, got {type(cycle)}")
     base = replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
-    if noise is None:
-        return run_protocol_cycles([build_cycle_map(cycle, base)] * n)
-    return _noise_state(cycle, n, base, noise)
+    return _noise_state(cycle, n, base, noise or NoiseConfig(0.0))
 
 
 def _noise_state(params, n, base, noise):
@@ -295,8 +271,8 @@ def _split_superoperators(params, base):
     """S0, S+ and S- of one round as read-only rows of shape (3, 64), the
     resolved options and the orthogonal probability, per (params, options).
 
-    Every noise call with the same inputs shares them, so the three cycle
-    maps of ``phase_split_maps`` are built once.
+    Every run with the same inputs, noisy or not, shares them, so the three
+    cycle maps of ``phase_split_maps`` are built once.
     """
     maps, options = phase_split_maps(params, base)
     parts = _SPLIT_WEIGHTS @ np.stack([_spin_superoperator(m) for m in maps]).reshape(3, 64)
@@ -306,20 +282,18 @@ def _split_superoperators(params, base):
 
 @lru_cache(maxsize=32, typed=True)
 def _ideal_chain(n_photons, kind):
-    """The ideal run's arrays, read-only and shared by every ``ideal_target``."""
+    """The ideal run's read-only chain and two scalars, shared by every ``ideal_target``."""
     n = _whole("n_photons", n_photons, 1)
     state = run_protocol_cycles([ideal_cycle_map(kind.rotation_angle)] * n)
-    arrays = (state.superoperators, state.successes, state.traces, state.orthogonal_masses)
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    state.superoperators.flags.writeable = False
+    return state.superoperators, state.success_probability, state.orthogonal_error_mass
 
 
 def ideal_target(n_photons, kind):
     """The imperfection-free protocol's output: a single-sample, pure HybridState.
 
-    Each call returns a new state on the cached, read-only chain arrays, so
-    a dense ``rho`` read on it lives only as long as the caller keeps it.
+    Each call returns a new state on the cached, read-only chain, so a
+    dense ``rho`` read on it lives only as long as the caller keeps it.
     """
     return HybridState(*_ideal_chain(n_photons, kind))
 
@@ -327,11 +301,12 @@ def ideal_target(n_photons, kind):
 def conditional_fidelity(state, target):
     """Overlap with the target within the detected sector.
 
-    Tr(rho_target rho) / (tr rho + orthogonal mass), averaged over the
-    state's samples; for a pure target such as ``ideal_target(n, kind)``
-    this is <psi|rho|psi>. Neither rho is built.
+    Tr(rho_target rho), averaged over the state's samples; a HybridState
+    holds tr rho + orthogonal mass at 1, so this is the overlap over the
+    whole detected sector. For a pure target such as
+    ``ideal_target(n, kind)`` it is <psi|rho|psi>. Neither rho is built.
     """
-    return float(_overlaps(state, target).mean()) / (state.trace + state.orthogonal_error_mass)
+    return float(_overlaps(state, target).mean())
 
 
 def _overlaps(state, target):
@@ -438,11 +413,14 @@ def _frame_signs(n_photons, kind):
 
 
 def stabilizer_expectations(state, kind):
-    """Expectations of the N+1 frame-corrected stabilizers, without rho."""
+    """Expectations of the N+1 frame-corrected stabilizers, without rho.
+
+    Tr(P rho) over the detected sector, whose weight tr rho + orthogonal
+    mass a HybridState holds at 1.
+    """
     n = state.photon_count
     vals = _pauli_traces(state, canonical_stabilizers(n, kind)).mean(axis=0)
-    den = state.trace + state.orthogonal_error_mass
-    return [sign * float(v) / den for sign, v in zip(_frame_signs(n, kind), vals)]
+    return [sign * float(v) for sign, v in zip(_frame_signs(n, kind), vals)]
 
 
 def overhauser_average(params, n_photons, kind, noise, options=None):
@@ -452,7 +430,6 @@ def overhauser_average(params, n_photons, kind, noise, options=None):
     offsets that the sampled shifts add to.
     """
     state = run_protocol(params, n_photons, kind=kind, noise=noise, options=options)
-    nums = _overlaps(state, ideal_target(n_photons, kind))
-    fids = nums / (state.traces + state.orthogonal_masses)
+    fids = _overlaps(state, ideal_target(n_photons, kind))
     std_err = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
     return {"mean_fidelity": float(fids.mean()), "std_error": std_err}

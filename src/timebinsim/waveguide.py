@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import BranchingBetas, ParamError, branching_from_betas
+from .params import BranchingBetas, ParamError, _whole, branching_from_betas
 
 # Waveguide-rate calibration: gamma_wg = RATE_SCALE * n_g * |E|^2 / norm
 # * gamma_bulk, with RATE_SCALE chosen so the synthetic fixture center at
@@ -224,8 +224,7 @@ def branching_map(mode, resolution=21, leak_fraction=0.1):
     Both are ratios of rates, so the bulk rate cancels. Returns (x, y, B,
     beta_total) arrays; B is +inf where fully cycling.
     """
-    if resolution < 2:
-        raise ParamError(f"resolution must be >= 2, got {resolution}")
+    resolution = _whole("resolution", resolution, 2)
     xs = np.linspace(mode.x[0], mode.x[-1], resolution)
     ys = np.linspace(mode.y[0], mode.y[-1], resolution)
     b = np.empty((resolution, resolution))

@@ -9,7 +9,7 @@ from timebinsim.budget import (
     per_qubit_infidelity,
     t2_drift_error,
 )
-from timebinsim.params import preset
+from timebinsim.params import ParamError, preset
 
 
 def test_exc_coefficient():
@@ -63,6 +63,19 @@ def test_generation_rate_log_linear_in_n():
     diffs = [b - a for a, b in zip(logs, logs[1:])]
     for d in diffs:
         assert d == pytest.approx(math.log(eta), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2.7, 3.0, True, "3", None, 0, -1])
+def test_photon_count_must_be_a_whole_number(n):
+    p = preset("reference")
+    calls = (
+        lambda: infidelity_first_order(p, n),
+        lambda: generation_rate(p.eta, p.t_cycle, n),
+        lambda: t2_drift_error(p.t_cycle, p.t2, n),
+    )
+    for call in calls:
+        with pytest.raises(ParamError, match="n_photons"):
+            call()
 
 
 def test_t2_drift_error_quadratic():

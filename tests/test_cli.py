@@ -173,6 +173,23 @@ def test_echo_demo_default_rows_are_pinned(tmp_path):
     ]
 
 
+def test_photon_scaling_default_rows_are_pinned(tmp_path):
+    # rows of the default configuration (reference preset, GHZ, N = 1, 2, 3),
+    # fixed before noise-free preset runs moved onto the phase-split path
+    out = tmp_path / "scaling.csv"
+    assert main(["photon_scaling", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2:] == [
+        "n_photons,e_ph,e_exc,e_br,total_first_order,rate_mhz,numeric_infidelity,"
+        "success_probability",
+        "1,0.02,0.0216506350946,0.015625,0.0572756350946,31.1111111111,0.0554481586095,"
+        "0.966796875",
+        "2,0.04,0.0433012701892,0.046875,0.130176270189,13.0666666667,0.120374346848,"
+        "0.933837890625",
+        "3,0.06,0.0649519052838,0.078125,0.203076905284,7.31733333333,0.179787899757,"
+        "0.901222229004",
+    ]
+
+
 def test_branching_map_scenario():
     config = build_config(
         {"scenario": "branching_map", "n_g": 20, "resolution": 11}

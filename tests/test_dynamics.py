@@ -175,6 +175,12 @@ def test_optimize_rejects_scan_too_short_to_bracket(n_scan):
         optimize_pulse_duration(make_system(gamma=1.0, delta=30.0), n_scan=n_scan)
 
 
+@pytest.mark.parametrize("n_scan", [8.5, 8.0, True, "8"])
+def test_scan_length_must_be_a_whole_number(n_scan):
+    with pytest.raises(ParamError, match="n_scan"):
+        optimize_pulse_duration(make_system(gamma=1.0, delta=30.0), n_scan=n_scan)
+
+
 # -- oracle: the hand-written Lindblad right-hand sides the generator replaced
 
 def _reference_collapse_ops(system):

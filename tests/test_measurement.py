@@ -231,6 +231,22 @@ def test_estimator_efficiency_cancels_under_postselection():
     assert lossy["std_error"] > full["std_error"]
 
 
+@pytest.mark.parametrize("shots", [2.5, 3.0, True, "3", None, 0, -1])
+def test_shot_count_must_be_a_whole_number(shots):
+    st = run_protocol(ideal_cycle_map(), 1)
+    with pytest.raises(MeasurementError, match="shots"):
+        sample_measurements(st, [BasisSetting.z()] * 2, shots)
+
+
+@pytest.mark.parametrize("n_blocks", [2.5, 20.0, True, "20", None, 0, 1])
+def test_block_count_must_be_a_whole_number_of_at_least_two(n_blocks):
+    # one block has no jackknife spread to report
+    recs = _collect(run_protocol(ideal_cycle_map(), 2), 3, 200, 5)
+    with pytest.raises(MeasurementError, match="n_blocks"):
+        estimate_ghz_fidelity(recs, 3, n_blocks=n_blocks)
+    assert estimate_ghz_fidelity(recs, 3, n_blocks=2)["std_error"] >= 0.0
+
+
 def test_estimator_missing_settings():
     st = run_protocol(ideal_cycle_map(), 2)
     recs = {"Z": sample_measurements(st, [BasisSetting.z()] * 3, 100, seed=0)}

@@ -17,6 +17,7 @@ from timebinsim.params import (
     validate_params,
     zeeman_detuning,
 )
+from timebinsim.protocol import run_protocol
 
 
 def test_indistinguishability_formula():
@@ -103,14 +104,22 @@ def test_presets():
 
 
 def test_validate_params_names_fields():
-    bad = PhysicalParams(
-        gamma=-1.0, gamma_d=0.1, delta=10.0, branching=15.0, eta=1.2,
-        t_cycle=27.0, t2_star=2.0, t2=2700.0, g_factor=0.6, b_field=2.0, n_g=20.0,
-    )
     with pytest.raises(ParamError) as err:
-        validate_params(bad)
+        PhysicalParams(
+            gamma=-1.0, gamma_d=0.1, delta=10.0, branching=15.0, eta=1.2,
+            t_cycle=27.0, t2_star=2.0, t2=2700.0, g_factor=0.6, b_field=2.0, n_g=20.0,
+        )
     assert "gamma" in str(err.value)
     assert "eta" in str(err.value)
+    p = preset("reference")
+    assert validate_params(p) is p
+
+
+@pytest.mark.parametrize("name, value", [("delta", 0.0), ("t_cycle", math.nan)])
+def test_bad_params_fail_where_they_are_built(name, value):
+    # before a run divides by delta or halves t_cycle into another field
+    with pytest.raises(ParamError, match=rf"\b{name} must"):
+        run_protocol(replace(preset("reference"), **{name: value}), 2)
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(PhysicalParams)])

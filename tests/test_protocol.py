@@ -158,7 +158,7 @@ def test_ideal_target_frees_its_dense_rho():
     assert np.array_equal(again.rho, rho)
     assert not again.superoperators.flags.writeable
     with pytest.raises(ValueError):
-        again.successes[0] = 0.5
+        again.superoperators[0, 0, 0, 0] = 0.5
 
 
 @pytest.mark.parametrize("n", [2.7, 3.0, True, "3", None, 0, -1])
@@ -282,11 +282,13 @@ def test_noise_calls_share_the_split_superoperators(monkeypatch):
     monkeypatch.setattr(cyclemap, "build_cycle_map", counted)
     second = run_protocol(p, 3, noise=noise, options=opts)
     assert builds == []
-    for field in ("superoperators", "successes", "traces", "orthogonal_masses"):
+    for field in ("superoperators", "success_probability", "orthogonal_error_mass"):
         assert np.array_equal(getattr(first, field), getattr(second, field))
     assert overhauser_average(p, 3, TargetKind.GHZ, noise, options=opts) == (
         overhauser_average(p, 3, TargetKind.GHZ, noise, options=opts)
     )
+    # a noise-free run is the same path's one-sample case
+    run_protocol(p, 3, options=opts)
     assert builds == []
     # other options are another cache entry
     run_protocol(p, 3, noise=noise, options=replace(opts, drift_phase=0.2))
@@ -330,8 +332,9 @@ def test_noise_config_rejects_bad_fields(field, value):
 
 @pytest.mark.parametrize("echo", [True, False])
 def test_noise_samples_share_one_success_probability(echo):
-    # detuning and drift only set phases of the main Kraus block, so an
-    # equal-weight average over samples is the success-weighted one
+    # detuning and drift only set phases of the main Kraus block, so every
+    # sample keeps the noise-free success probability and an equal-weight
+    # average over samples is the success-weighted one
     p = preset("reference")
     noise = NoiseConfig(
         overhauser_sigma=0.5,
@@ -339,10 +342,12 @@ def test_noise_samples_share_one_success_probability(echo):
         sample_count=20,
         rng_seed=5,
     )
-    state = run_protocol(p, 4, noise=noise, options=CycleOptions(echo=echo))
-    succ = state.successes
-    assert len(succ) == 20
-    assert max(succ) - min(succ) <= 1e-12 * max(succ)
+    opts = CycleOptions(echo=echo)
+    state = run_protocol(p, 4, noise=noise, options=opts)
+    assert len(state.superoperators) == 20
+    clean = run_protocol(p, 4, options=opts)
+    for name in ("success_probability", "orthogonal_error_mass"):
+        assert getattr(state, name) == pytest.approx(getattr(clean, name), rel=1e-12), name
 
 
 def test_drift_diffusion_calibration():
@@ -455,9 +460,12 @@ def _assert_matches_per_cycle_oracle(params, n, kind, noise, options):
     st = run_protocol(params, n, kind=kind, noise=noise, options=options)
     want = np.concatenate([s.superoperators for s in states])
     assert np.abs(st.superoperators - want).max() <= 1e-12 * np.abs(want).max()
-    for name in ("successes", "traces", "orthogonal_masses"):
-        want = np.concatenate([getattr(s, name) for s in states])
-        assert getattr(st, name) == pytest.approx(want, rel=1e-12, abs=1e-300), name
+    # every sample has the batched state's success probability and orthogonal mass
+    for s in states:
+        for name in ("success_probability", "orthogonal_error_mass", "trace"):
+            assert getattr(st, name) == pytest.approx(
+                getattr(s, name), rel=1e-12, abs=1e-300
+            ), name
     fids = np.asarray([conditional_fidelity(s, ideal_target(n, kind)) for s in states])
     avg = overhauser_average(params, n, kind, noise, options=options)
     assert avg["mean_fidelity"] == pytest.approx(fids.mean(), rel=1e-12)
@@ -533,6 +541,29 @@ def test_noise_path_keeps_static_phase_offsets(echo):
         want = clean.superoperators[0]
         for sample in st.superoperators:
             assert np.abs(sample - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("options", NOISE_ORACLE_OPTIONS)
+@pytest.mark.parametrize("preset_name", ["reference", "improved"])
+def test_params_run_matches_one_built_map(options, preset_name):
+    # a noise-free PhysicalParams run goes through the phase split; the
+    # map built directly for the kind's rotation angle is its oracle
+    p = preset(preset_name)
+    for kind in TargetKind:
+        cm = build_cycle_map(p, replace(options, rotation_angle=kind.rotation_angle))
+        for n in (1, 4):
+            st = run_protocol(p, n, kind=kind, options=options)
+            want = run_protocol_cycles([cm] * n)
+            scale = np.abs(want.superoperators).max()
+            assert np.abs(st.superoperators - want.superoperators).max() <= 1e-12 * scale
+            for name in ("success_probability", "orthogonal_error_mass"):
+                assert getattr(st, name) == pytest.approx(
+                    getattr(want, name), rel=1e-12, abs=1e-300
+                ), name
+            target = ideal_target(n, kind)
+            assert conditional_fidelity(st, target) == pytest.approx(
+                conditional_fidelity(want, target), rel=1e-12
+            )
 
 
 # -- oracles: the per-round contractions against the dense rho they replace

@@ -212,6 +212,12 @@ def test_branching_map_argmax_on_nodal_line():
         branching_map(mode, resolution=1)
 
 
+@pytest.mark.parametrize("resolution", [4.9, 5.0, True, "5"])
+def test_map_resolution_must_be_a_whole_number(resolution):
+    with pytest.raises(ParamError, match="resolution"):
+        branching_map(synthetic_w1_mode(20.0), resolution=resolution)
+
+
 def test_branching_map_fully_cycling_is_inf():
     mode = synthetic_w1_mode(20.0, points=11)
     _, ys, b, _ = branching_map(mode, resolution=11, leak_fraction=0.0)
