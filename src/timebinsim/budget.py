@@ -16,10 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import _whole, indistinguishability
+from .params import _real, _whole, indistinguishability
 
 # Coefficient of the optimized square-pulse excitation error, sqrt(3) pi / 8.
 EXC_COEFFICIENT = math.sqrt(3.0) * math.pi / 8.0
+
+# Default c of the drift error N c (t_cycle / t2)^2, also drift_diffusion_from_t2's.
+_DRIFT_C_MODEL = 0.5
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,14 @@ def per_qubit_infidelity(params):
     return {"single_qubit": single, "two_qubit": two, "total": single + two}
 
 
-def t2_drift_error(t_cycle, t2, n_photons, c_model=0.5):
+def t2_drift_error(t_cycle, t2, n_photons, c_model=_DRIFT_C_MODEL):
     """Slow-drift error estimate N * c_model * (t_cycle / t2)^2.
 
     Only the quadratic scaling is physically fixed; ``c_model`` is a model
     constant (default 1/2, a Gaussian-phase-variance convention).
     """
-    if t2 <= 0:
-        raise ValueError(f"t2 must be positive, got {t2}")
+    _real(("t_cycle", t_cycle, "(0, inf)"), ("t2", t2, "(0, inf)"),
+          ("c_model", c_model, "[0, inf)"))
     return _whole("n_photons", n_photons, 1) * c_model * (t_cycle / t2) ** 2
 
 
@@ -72,7 +75,6 @@ def generation_rate(eta, t_cycle, n_photons):
     Simplest reading of an exponential per-photon outcoupling loss over a
     fixed cycle length; an approximation, not an exact device model.
     """
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    _real(("eta", eta, "(0, 1]"), ("t_cycle", t_cycle, "(0, inf)"))
     n = _whole("n_photons", n_photons, 1)
     return eta**n / (n * t_cycle)

@@ -26,6 +26,7 @@ from .params import (
     BranchingBetas,
     ParamError,
     PhysicalParams,
+    _real,
     gamma_d_for_indistinguishability,
     indistinguishability,
     preset,
@@ -63,6 +64,8 @@ class SweepAxis:
     scale: str = "linear"
 
     def __post_init__(self):
+        _real(("lo", self.lo, "(-inf, inf)"), ("hi", self.hi, "(-inf, inf)"),
+              error=ConfigError)
         if self.lo >= self.hi:
             raise ConfigError(f"sweep bounds must be ordered, got [{self.lo}, {self.hi}]")
         if self.points < 2:

@@ -22,6 +22,7 @@ from .params import (
     BranchingBetas,
     ParamError,
     PhysicalParams,
+    _real_fields,
     betas_from_branching,
     indistinguishability as indist_fn,
 )
@@ -67,24 +68,13 @@ class CycleOptions:
     half_cycle_time: float = 1.0
     rotation_error_std: float = 0.0
 
+    _BOUNDS = {"rotation_angle": "(-inf, inf)", "indistinguishability": "[0, 1]",
+               "orthogonal_error_prob": "[0, 1)", "off_resonant_prob": "[0, 1)",
+               "quasistatic_detuning": "(-inf, inf)", "drift_phase": "(-inf, inf)",
+               "half_cycle_time": "(0, inf)", "rotation_error_std": "[0, inf)"}
+
     def __post_init__(self):
-        if not (0.0 <= self.indistinguishability <= 1.0):
-            raise ParamError(
-                f"indistinguishability must be in [0, 1], got {self.indistinguishability}"
-            )
-        for name in ("orthogonal_error_prob", "off_resonant_prob"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ParamError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.rotation_error_std >= 0.0:
-            raise ParamError(f"rotation_error_std must be >= 0, got {self.rotation_error_std}")
-        if not self.half_cycle_time > 0.0:
-            raise ParamError(f"half_cycle_time must be > 0, got {self.half_cycle_time}")
-        for name in ("rotation_angle", "quasistatic_detuning", "drift_phase"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParamError(f"{name} must be finite, got {getattr(self, name)}")
-
-
-_DEFAULT_OPTIONS = CycleOptions()
+        _real_fields(self)
 
 
 def rotation_matrix(angle):
@@ -169,11 +159,9 @@ def _resolve(betas_or_params, options):
             f"expected BranchingBetas or PhysicalParams, got {type(betas_or_params)}"
         )
     for name in ("indistinguishability", "orthogonal_error_prob", "half_cycle_time"):
-        if getattr(options, name) != getattr(_DEFAULT_OPTIONS, name):
-            raise ParamError(
-                f"{name} is set by PhysicalParams; leave it at its default "
-                "or build from BranchingBetas"
-            )
+        if getattr(options, name) != getattr(CycleOptions, name):
+            raise ParamError(f"{name} is set by PhysicalParams; leave it at its default "
+                             "or build from BranchingBetas")
     p = betas_or_params
     return betas_from_branching(p.branching), replace(
         options,

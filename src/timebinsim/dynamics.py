@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import BranchingBetas, ParamError, _whole, betas_from_branching
+from .params import BranchingBetas, ParamError, _real, _real_fields, _whole, betas_from_branching
 
 N_LEVELS = 4
 GROUND_DOWN, GROUND_UP, TRION_DOWN, TRION_UP = range(N_LEVELS)
@@ -56,27 +56,18 @@ class LevelSystem:
     rate_diagonal_leak: float
     dephasing: float = 0.0
 
+    _BOUNDS = {"ground_splitting": "(-inf, inf)", "delta": "(-inf, inf)",
+               "rate_vertical_wg": "[0, inf)", "rate_vertical_leak": "[0, inf)",
+               "rate_diagonal_wg": "[0, inf)", "rate_diagonal_leak": "[0, inf)",
+               "dephasing": "[0, inf)", "gamma": "(0, inf)"}  # gamma: the total decay rate
+
     def __post_init__(self):
-        rates = ("rate_vertical_wg", "rate_vertical_leak", "rate_diagonal_wg",
-                 "rate_diagonal_leak", "dephasing")
-        problems = [f"{name} must be finite and non-negative, got {getattr(self, name)}"
-                    for name in rates if not 0.0 <= getattr(self, name) < math.inf]
-        problems += [f"{name} must be finite, got {getattr(self, name)}"
-                     for name in ("ground_splitting", "delta")
-                     if not math.isfinite(getattr(self, name))]
-        if not self.gamma > 0:
-            problems.append(f"gamma (the total decay rate) must be positive, got {self.gamma}")
-        if problems:
-            raise ParamError("; ".join(problems))
+        _real_fields(self)
 
     @property
     def gamma(self):
-        return (
-            self.rate_vertical_wg
-            + self.rate_vertical_leak
-            + self.rate_diagonal_wg
-            + self.rate_diagonal_leak
-        )
+        return (self.rate_vertical_wg + self.rate_vertical_leak
+                + self.rate_diagonal_wg + self.rate_diagonal_leak)
 
     @property
     def betas(self):
@@ -121,14 +112,12 @@ class Pulse:
     area: float = math.pi
     carrier_detuning: float = 0.0
 
+    _BOUNDS = {"duration": "(0, inf)", "area": "(-inf, inf)", "carrier_detuning": "(-inf, inf)"}
+
     def __post_init__(self):
         if self.shape not in ("square", "gaussian"):
             raise ParamError(f"unknown pulse shape {self.shape!r}")
-        for name in ("duration", "area", "carrier_detuning"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParamError(f"pulse {name} must be finite, got {getattr(self, name)}")
-        if self.duration <= 0:
-            raise ParamError(f"pulse duration must be positive, got {self.duration}")
+        _real_fields(self)
 
     @property
     def sigma(self):
@@ -164,12 +153,8 @@ class Pulse:
 def _collapse_ops(system):
     """Jump operators: per trion vertical/diagonal decay into/out of the
     waveguide, then pure dephasing of the trion levels."""
-    rates = (
-        system.rate_vertical_wg,
-        system.rate_vertical_leak,
-        system.rate_diagonal_wg,
-        system.rate_diagonal_leak,
-    )
+    rates = (system.rate_vertical_wg, system.rate_vertical_leak,
+             system.rate_diagonal_wg, system.rate_diagonal_leak)
     ops = []
     branches = ((TRION_DOWN, GROUND_DOWN, GROUND_UP), (TRION_UP, GROUND_UP, GROUND_DOWN))
     for trion, same, flipped in branches:
@@ -274,17 +259,16 @@ def integrate_master_equation(
     with the accumulated expected photon-emission numbers from each trion.
     """
     rho0 = _check_density_operator(initial)
-    t0, t1 = pulse.span if pulse is not None else (0.0, 0.0)
+    t1 = pulse.span[1] if pulse is not None else 0.0  # every span starts at 0
     if horizon is None:
         horizon = t1 + DECAY_WINDOW_LIFETIMES / system.gamma
-    if horizon <= t0:
-        raise ParamError(f"horizon {horizon} does not cover the pulse span")
+    _real(("horizon", horizon, "(0, inf)"), ("tolerance", tolerance, "(0, inf)"))
 
     sol = _evolve(
-        system, pulse, rho0, (t0, horizon), tolerance,
-        t_eval=np.linspace(t0, horizon, n_samples),
+        system, pulse, rho0, (0.0, horizon), tolerance,
+        t_eval=np.linspace(0.0, horizon, n_samples),
         atol=tolerance * 1e-3,
-        max_step=(t1 - t0) / 20.0 if t1 > t0 else np.inf,
+        max_step=t1 / 20.0 if t1 > 0.0 else np.inf,
     )
     states = sol.y[:16].T.reshape(-1, N_LEVELS, N_LEVELS)
     return TimeSeries(
@@ -328,6 +312,7 @@ def excitation_error_probability(system, pulse, tolerance=1e-10):
     gaussian pulse is integrated by ``solve_ivp`` at relative tolerance
     ``tolerance``, which therefore affects gaussian pulses only.
     """
+    _real(("tolerance", tolerance, "(0, inf)"))
     if abs(pulse.area - math.pi) > 1e-9:
         raise ParamError(f"excitation pulses must have area pi, got {pulse.area}")
 
@@ -379,9 +364,11 @@ def optimize_pulse_duration(
     and affects gaussian pulses only; square pulses are propagated exactly.
     """
     if bounds is None:
+        _real(("delta", system.delta, "(0, inf)"))
         bounds = (1.5 / system.delta, 30.0 / system.delta)
     lo, hi = bounds
-    if not (0 < lo < hi):
+    _real(("bounds", lo, "(0, inf)"), ("bounds", hi, "(0, inf)"))
+    if not lo < hi:
         raise ParamError(f"invalid duration bounds {bounds}")
     # fewer than 3 points cannot bracket an interior minimum
     n_scan = _whole("n_scan", n_scan, 3)

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .params import _whole
+from .params import _real, _whole
 from .protocol import _frame_signs, canonical_stabilizers
 
 NO_CLICK = "no_click"
@@ -35,8 +35,7 @@ class BasisSetting:
     def __post_init__(self):
         if self.kind not in ("Z", "X"):
             raise MeasurementError(f"basis kind must be 'Z' or 'X', got {self.kind!r}")
-        if not (0.0 <= self.phase < 2.0 * math.pi):
-            raise MeasurementError(f"phase must be in [0, 2pi), got {self.phase}")
+        _real(("phase", self.phase, "[0, 2pi)"), error=MeasurementError)
         if self.routing not in ("active", "passive"):
             raise MeasurementError(f"routing must be active or passive, got {self.routing!r}")
 
@@ -101,8 +100,7 @@ def povm_elements(setting, eta=1.0):
     identity. Passive routing splits each shot evenly between the Z and
     phase branches.
     """
-    if not (0.0 <= eta <= 1.0):
-        raise MeasurementError(f"eta must be in [0, 1], got {eta}")
+    _real(("eta", eta, "[0, 1]"), error=MeasurementError)
     z_els = [
         ("early", eta * np.diag([1.0, 0.0]).astype(complex)),
         ("late", eta * np.diag([0.0, 1.0]).astype(complex)),
@@ -131,9 +129,7 @@ def joint_outcome_distribution(rho, settings, eta=1.0):
     rho = np.asarray(rho, dtype=complex)
     n = len(settings)
     if rho.shape != (2**n, 2**n):
-        raise MeasurementError(
-            f"state dimension {rho.shape} does not match {n} settings"
-        )
+        raise MeasurementError(f"state dimension {rho.shape} does not match {n} settings")
     element_sets = [povm_elements(s, eta) for s in settings]
     labels = [[lbl for lbl, _ in els] for els in element_sets]
     t = rho.reshape((2,) * n + (2,) * n)
@@ -206,6 +202,7 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
     """
     n = _whole("n_qubits", n_qubits, 1, error=MeasurementError)
     n_blocks = _whole("n_blocks", n_blocks, 2, error=MeasurementError)
+    _real(("target_phase", target_phase, "(-inf, inf)"), error=MeasurementError)
     phase = target_phase % (2.0 * math.pi)
     if min(phase, abs(phase - math.pi), 2.0 * math.pi - phase) > 1e-9:
         raise MeasurementError(f"target_phase must be 0 or pi (mod 2pi), got {target_phase}")
@@ -291,9 +288,7 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
     signs = _frame_signs(n, kind)
     estimates = []
     for g, (sign, label) in enumerate(zip(signs, canonical_stabilizers(n, kind))):
-        settings = [
-            BasisSetting.x(0.0) if c == "X" else BasisSetting.z() for c in label
-        ]
+        settings = [BasisSetting.x(0.0) if c == "X" else BasisSetting.z() for c in label]
         records = sample_measurements(state, settings, shots, seed=seed + g, eta=eta)
         values = _all_click_values(records, lambda outs: math.prod(
             1.0 if o in ("early", "plus") else -1.0 for c, o in zip(label, outs) if c != "I"

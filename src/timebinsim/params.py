@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace, fields
+from functools import lru_cache
 
 # Bohr magneton over Planck constant, GHz per Tesla (CODATA, rounded).
 # This is the single place the constant is defined.
@@ -24,6 +25,55 @@ MU_B_OVER_H_GHZ_PER_T = 13.996
 
 class ParamError(ValueError):
     """A physical-parameter invariant is violated; message names the field."""
+
+
+def _whole(name, value, least, error=ParamError):
+    """``value`` as an int; ``error`` naming ``name`` unless an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+@lru_cache(maxsize=None)
+def _interval(text):
+    """Closed float ends and message wording of an interval such as "(0, 1]" or "[0, 2pi)".
+
+    An open end becomes the adjacent float inside it, so one ``low <= x <= high``
+    tests the interval: NaN fails it, and so does infinity unless written "inf]".
+    """
+    low, high = (float(end.replace("2pi", repr(2.0 * math.pi))) for end in text[1:-1].split(","))
+    low = low if text[0] == "[" else math.nextafter(low, math.inf)
+    high = high if text[-1] == "]" else math.nextafter(high, -math.inf)
+    wording = {"(-inf, inf)": "", "(0, inf)": " and > 0", "[0, inf)": " and >= 0",
+               "[0, inf]": " and >= 0, or inf"}.get(text, f" and in {text}")
+    return low, high, wording
+
+
+def _real(*checks, error=ParamError):
+    """The bounds check of every real-valued input: one ``error`` naming each bad
+    ``(name, value, interval)`` as ``<name> must be finite and ..., got <value>``."""
+    problems = []
+    for name, value, interval in checks:
+        low, high, wording = _interval(interval)
+        if not low <= value <= high:
+            problems.append(f"{name} must be finite{wording}, got {value}")
+    if problems:
+        raise error("; ".join(problems))
+
+
+@lru_cache(maxsize=None)
+def _field_ends(cls):
+    """(name, low, high) of each attribute that ``cls._BOUNDS`` maps to an interval."""
+    return tuple((name, *_interval(interval)[:2]) for name, interval in cls._BOUNDS.items())
+
+
+def _real_fields(obj, error=ParamError):
+    """``_real`` on the attributes that ``type(obj)._BOUNDS`` maps to intervals."""
+    for name, low, high in _field_ends(type(obj)):
+        if not low <= getattr(obj, name) <= high:
+            _real(*((n, getattr(obj, n), iv) for n, iv in type(obj)._BOUNDS.items()), error=error)
 
 
 @dataclass(frozen=True)
@@ -57,6 +107,11 @@ class PhysicalParams:
     n_g: float
     gamma_bulk: float = 1.0
 
+    _BOUNDS = {"gamma": "(0, inf)", "gamma_d": "[0, inf)", "delta": "(0, inf)",
+               "branching": "[0, inf)", "eta": "[0, 1]", "t_cycle": "(0, inf)",
+               "t2_star": "(0, inf)", "t2": "(0, inf)", "g_factor": "(0, inf)",
+               "b_field": "[0, inf)", "n_g": "(0, inf)", "gamma_bulk": "(0, inf)"}
+
     def __post_init__(self):
         validate_params(self)
 
@@ -78,11 +133,10 @@ class BranchingBetas:
     beta_par_leak: float
     beta_perp_leak: float
 
+    _BOUNDS = dict.fromkeys(("beta_par", "beta_perp", "beta_par_leak", "beta_perp_leak"), "[0, 1]")
+
     def __post_init__(self):
-        for name in ("beta_par", "beta_perp", "beta_par_leak", "beta_perp_leak"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ParamError(f"{name} must be in [0, 1], got {v}")
+        _real_fields(self)
         s = self.beta_par + self.beta_perp + self.beta_par_leak + self.beta_perp_leak
         if abs(s - 1.0) > 1e-12:
             raise ParamError(f"beta weights must sum to 1, got {s!r}")
@@ -90,26 +144,19 @@ class BranchingBetas:
 
 def indistinguishability(gamma, gamma_d):
     """Wavepacket overlap of successively emitted photons, gamma/(gamma+2*gamma_d)."""
-    if gamma <= 0:
-        raise ParamError(f"gamma must be positive, got {gamma}")
-    if gamma_d < 0:
-        raise ParamError(f"gamma_d must be non-negative, got {gamma_d}")
+    _real(("gamma", gamma, "(0, inf)"), ("gamma_d", gamma_d, "[0, inf)"))
     return gamma / (gamma + 2.0 * gamma_d)
 
 
 def gamma_d_for_indistinguishability(gamma, target_i):
     """Dephasing rate that yields exactly the given indistinguishability."""
-    if not (0.0 < target_i <= 1.0):
-        raise ParamError(f"indistinguishability must be in (0, 1], got {target_i}")
+    _real(("gamma", gamma, "(0, inf)"), ("indistinguishability", target_i, "(0, 1]"))
     return gamma * (1.0 - target_i) / (2.0 * target_i)
 
 
 def zeeman_detuning(g_factor, b_field):
     """Zeeman splitting 2*pi * |g| * (mu_B/h) * B in rad/ns."""
-    if g_factor <= 0:
-        raise ParamError(f"g_factor must be positive, got {g_factor}")
-    if b_field < 0:
-        raise ParamError(f"b_field must be non-negative, got {b_field}")
+    _real(("g_factor", g_factor, "(0, inf)"), ("b_field", b_field, "[0, inf)"))
     return 2.0 * math.pi * g_factor * MU_B_OVER_H_GHZ_PER_T * b_field
 
 
@@ -132,8 +179,7 @@ def betas_from_branching(branching, beta_total=1.0):
     weights so that the overall vertical weight stays at B/(B+1), which is
     exactly 1 for a fully cycling emitter (B = ``math.inf``).
     """
-    if not branching >= 0:
-        raise ParamError(f"branching must be non-negative, got {branching}")
+    _real(("branching", branching, "[0, inf]"), ("beta_total", beta_total, "[0, 1]"))
     p_vert = 1.0 if branching == math.inf else branching / (branching + 1.0)
     leak = 1.0 - beta_total
     return BranchingBetas(
@@ -150,20 +196,7 @@ def validate_params(params):
     Raises ParamError naming each violated field. Every PhysicalParams runs
     it when built, ``dataclasses.replace`` included.
     """
-    values = {f.name: getattr(params, f.name) for f in fields(params)}
-    problems = [f"{name} must be finite" for name, v in values.items() if not math.isfinite(v)]
-    for name in ("gamma", "t_cycle", "t2_star", "t2", "g_factor", "n_g", "gamma_bulk"):
-        if getattr(params, name) <= 0:
-            problems.append(f"{name} must be strictly positive")
-    for name in ("gamma_d", "branching", "b_field"):
-        if getattr(params, name) < 0:
-            problems.append(f"{name} must be non-negative")
-    if not (0.0 <= params.eta <= 1.0):
-        problems.append("eta must lie in [0, 1]")
-    if params.delta <= 0:
-        problems.append("delta must be strictly positive")
-    if problems:
-        raise ParamError("; ".join(problems))
+    _real_fields(params)
     return params
 
 
@@ -216,15 +249,6 @@ def preset(name):
 
 
 _FIELD_NAMES = {f.name for f in fields(PhysicalParams)}
-
-
-def _whole(name, value, least, error=ParamError):
-    """``value`` as an int; ``error`` naming ``name`` unless an integer >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise error(f"{name} must be >= {least}, got {value}")
-    return int(value)
 
 
 def read_key_values(path, error=ParamError):

@@ -32,6 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .budget import _DRIFT_C_MODEL
 from .cyclemap import (
     SPLIT_PHASES,
     CycleMap,
@@ -41,7 +42,7 @@ from .cyclemap import (
     phase_split_maps,
     rotation_matrix,
 )
-from .params import ParamError, PhysicalParams, _whole
+from .params import ParamError, PhysicalParams, _real, _real_fields, _whole
 
 # largest photon number for which a dense 2^(N+1) state is built
 PHOTON_CAP = 10
@@ -86,17 +87,18 @@ class NoiseConfig:
     sample_count: int = 1
     rng_seed: int = 0
 
+    _BOUNDS = {"overhauser_sigma": "[0, inf)", "drift_diffusion": "[0, inf)"}
+
     def __post_init__(self):
         for name, least in (("sample_count", 1), ("rng_seed", 0)):
             _whole(name, getattr(self, name), least)
-        for name in ("overhauser_sigma", "drift_diffusion"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ParamError(f"{name} must be finite and >= 0, got {value}")
+        _real_fields(self)
 
 
-def drift_diffusion_from_t2(t2, t_cycle, c_model=0.5):
+def drift_diffusion_from_t2(t2, t_cycle, c_model=_DRIFT_C_MODEL):
     """Diffusion constant giving per-cycle error c_model*(t_cycle/t2)^2."""
+    _real(("t2", t2, "(0, inf)"), ("t_cycle", t_cycle, "(0, inf)"),
+          ("c_model", c_model, "[0, inf)"))
     return 4.0 * c_model / (t2**2 * t_cycle)
 
 
@@ -233,6 +235,8 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
 
     if not isinstance(cycle, PhysicalParams):
         raise ParamError(f"expected CycleMap or PhysicalParams, got {type(cycle)}")
+    if options is not None and options.rotation_angle != CycleOptions.rotation_angle:
+        raise ParamError("rotation_angle is set by the target kind; leave it at its default")
     base = replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
     return _noise_state(cycle, n, base, noise or NoiseConfig(0.0))
 

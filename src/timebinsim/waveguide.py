@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import BranchingBetas, ParamError, _whole, branching_from_betas
+from .params import BranchingBetas, _real, _real_fields, _whole, branching_from_betas
 
 # Waveguide-rate calibration: gamma_wg = RATE_SCALE * n_g * |E|^2 / norm
 # * gamma_bulk, with RATE_SCALE chosen so the synthetic fixture center at
@@ -44,6 +44,8 @@ class ModeField:
     a_nm: float
     norm: float
 
+    _BOUNDS = dict.fromkeys(("n_g", "a_nm", "norm"), "(0, inf)")
+
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
@@ -58,9 +60,7 @@ class ModeField:
             )
         if not np.all(np.isfinite(f.view(float))):
             raise ModeFieldError("field contains non-finite entries")
-        for name in ("n_g", "norm"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ModeFieldError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        _real_fields(self, ModeFieldError)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "field", f)
@@ -195,10 +195,7 @@ def _decay_weights(mode, px, py, gamma_bulk, leak_fraction):
     waveguide rate scales as n_g |E|^2. Leak rates out of the waveguide are
     ``leak_fraction * gamma_bulk`` per dipole.
     """
-    if not 0.0 < gamma_bulk < math.inf:
-        raise ParamError(f"gamma_bulk must be finite and > 0, got {gamma_bulk}")
-    if not 0.0 <= leak_fraction < math.inf:
-        raise ParamError(f"leak_fraction must be finite and >= 0, got {leak_fraction}")
+    _real(("gamma_bulk", gamma_bulk, "(0, inf)"), ("leak_fraction", leak_fraction, "[0, inf)"))
     e = mode.interpolate((px, py))
     g_par = RATE_SCALE * mode.n_g * np.abs(e[..., 1]) ** 2 / mode.norm * gamma_bulk
     g_perp = RATE_SCALE * mode.n_g * np.abs(e[..., 0]) ** 2 / mode.norm * gamma_bulk
@@ -248,8 +245,7 @@ def gamma_of_group_index(n_g):
     Exact at table entries, log-log linear between them; outside the table
     hull the nearest segment extrapolates and the result is flagged.
     """
-    if n_g <= 0:
-        raise ParamError(f"n_g must be positive, got {n_g}")
+    _real(("n_g", n_g, "(0, inf)"))
     if n_g in DEFAULT_GAMMA_TABLE:
         return GammaResult(DEFAULT_GAMMA_TABLE[n_g], extrapolated=False)
     keys = sorted(DEFAULT_GAMMA_TABLE)

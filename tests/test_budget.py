@@ -1,7 +1,9 @@
+import inspect
 import math
 
 import pytest
 
+from timebinsim import budget
 from timebinsim.budget import (
     EXC_COEFFICIENT,
     generation_rate,
@@ -10,6 +12,7 @@ from timebinsim.budget import (
     t2_drift_error,
 )
 from timebinsim.params import ParamError, preset
+from timebinsim.protocol import drift_diffusion_from_t2
 
 
 def test_exc_coefficient():
@@ -85,3 +88,12 @@ def test_t2_drift_error_quadratic():
     assert t2_drift_error(27.0, 2700.0, 5) == pytest.approx(5.0 * base)
     with pytest.raises(ValueError):
         t2_drift_error(27.0, 0.0, 1)
+
+
+def test_drift_models_share_one_default_constant():
+    # the diffusion's per-cycle phase variance D t_cycle^3 is 4x the one-photon drift error
+    t2, tc = 2700.0, 27.0
+    per_cycle = drift_diffusion_from_t2(t2, tc) * tc**3 / 4.0
+    assert per_cycle == pytest.approx(t2_drift_error(tc, t2, 1), rel=1e-12)
+    for func in (t2_drift_error, drift_diffusion_from_t2):
+        assert inspect.signature(func).parameters["c_model"].default is budget._DRIFT_C_MODEL

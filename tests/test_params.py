@@ -1,8 +1,26 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+from timebinsim.budget import generation_rate, t2_drift_error
+from timebinsim.cli import ConfigError, SweepAxis
+from timebinsim.cyclemap import CycleOptions
+from timebinsim.dynamics import (
+    LevelSystem,
+    Pulse,
+    excitation_error_probability,
+    integrate_master_equation,
+    optimize_pulse_duration,
+)
+from timebinsim.measurement import (
+    BasisSetting,
+    MeasurementError,
+    estimate_ghz_fidelity,
+    povm_elements,
+    sample_measurements,
+)
 from timebinsim.params import (
     MU_B_OVER_H_GHZ_PER_T,
     BranchingBetas,
@@ -17,7 +35,14 @@ from timebinsim.params import (
     validate_params,
     zeeman_detuning,
 )
-from timebinsim.protocol import run_protocol
+from timebinsim.protocol import NoiseConfig, drift_diffusion_from_t2, run_protocol
+from timebinsim.waveguide import (
+    ModeFieldError,
+    branching_map,
+    coupling_at,
+    gamma_of_group_index,
+    synthetic_w1_mode,
+)
 
 
 def test_indistinguishability_formula():
@@ -158,3 +183,131 @@ def test_load_params_rejects_duplicate_key(tmp_path):
         load_params(cfg)
     msg = str(err.value)
     assert f"{cfg}:4:" in msg and "'gamma'" in msg and "line 1" in msg
+
+
+def _bad(*out_of_interval):
+    return (math.nan, math.inf, -math.inf, *out_of_interval)
+
+
+def _frozen_rows(instance, error, out_of_interval):
+    """Rows for the real fields of a frozen dataclass, built both by the
+    constructor and by ``dataclasses.replace``; maps field -> bad values."""
+    cls = type(instance)
+    kwargs = {f.name: getattr(instance, f.name) for f in fields(instance)}
+    rows = []
+    for name, out in out_of_interval.items():
+        rows.append((cls.__name__, lambda v, n=name: cls(**{**kwargs, n: v}),
+                     name, error, _bad(*out)))
+        rows.append((f"replace({cls.__name__})", lambda v, n=name: replace(instance, **{n: v}),
+                     name, error, _bad(*out)))
+    return rows
+
+
+_VERTICAL = BranchingBetas(1.0, 0.0, 0.0, 0.0)
+_SYSTEM = LevelSystem.from_rates(1.0, _VERTICAL, 30.0)
+_MODE = synthetic_w1_mode(20.0, points=5)
+_RHO = np.diag([1.0, 0.0, 0.0, 0.0])
+
+# One row per public real-valued input: (label, call with the value, field name,
+# error class, bad values). NaN and both infinities are bad in every row but
+# betas_from_branching's, which admits inf: the fully cycling emitter.
+REAL_INPUTS = [
+    *_frozen_rows(preset("reference"), ParamError, {
+        "gamma": (0.0,), "gamma_d": (-0.1,), "delta": (0.0,), "branching": (-1.0,),
+        "eta": (1.5,), "t_cycle": (0.0,), "t2_star": (0.0,), "t2": (-1.0,),
+        "g_factor": (0.0,), "b_field": (-1.0,), "n_g": (0.0,), "gamma_bulk": (0.0,),
+    }),
+    *_frozen_rows(BranchingBetas(0.9, 0.06, 0.03, 0.01), ParamError, {
+        "beta_par": (1.5,), "beta_perp": (-0.1,), "beta_par_leak": (1.5,),
+        "beta_perp_leak": (-0.1,),
+    }),
+    ("indistinguishability", lambda v: indistinguishability(v, 0.0), "gamma", ParamError,
+     _bad(0.0)),
+    ("indistinguishability", lambda v: indistinguishability(1.0, v), "gamma_d", ParamError,
+     _bad(-0.1)),
+    ("gamma_d_for_indistinguishability", lambda v: gamma_d_for_indistinguishability(v, 0.9),
+     "gamma", ParamError, _bad(0.0)),
+    ("gamma_d_for_indistinguishability", lambda v: gamma_d_for_indistinguishability(3.2, v),
+     "indistinguishability", ParamError, _bad(0.0, 1.5)),
+    ("zeeman_detuning", lambda v: zeeman_detuning(v, 2.0), "g_factor", ParamError, _bad(0.0)),
+    ("zeeman_detuning", lambda v: zeeman_detuning(0.6, v), "b_field", ParamError, _bad(-1.0)),
+    ("betas_from_branching", betas_from_branching, "branching", ParamError,
+     (math.nan, -math.inf, -1.0)),
+    ("betas_from_branching", lambda v: betas_from_branching(15.0, beta_total=v), "beta_total",
+     ParamError, _bad(1.5)),
+    ("t2_drift_error", lambda v: t2_drift_error(v, 100.0, 3), "t_cycle", ParamError, _bad(-27.0)),
+    ("t2_drift_error", lambda v: t2_drift_error(27.0, v, 3), "t2", ParamError, _bad(0.0)),
+    ("t2_drift_error", lambda v: t2_drift_error(27.0, 100.0, 3, v), "c_model", ParamError,
+     _bad(-0.5)),
+    ("generation_rate", lambda v: generation_rate(v, 27.0, 3), "eta", ParamError, _bad(0.0)),
+    ("generation_rate", lambda v: generation_rate(0.8, v, 3), "t_cycle", ParamError,
+     _bad(-1.0, 0.0)),
+    *_frozen_rows(CycleOptions(), ParamError, {
+        "rotation_angle": (), "indistinguishability": (1.5,), "orthogonal_error_prob": (1.0,),
+        "off_resonant_prob": (1.0,), "quasistatic_detuning": (), "drift_phase": (),
+        "half_cycle_time": (0.0,), "rotation_error_std": (-0.1,),
+    }),
+    *_frozen_rows(NoiseConfig(0.3), ParamError, {
+        "overhauser_sigma": (-0.1,), "drift_diffusion": (-1e-6,),
+    }),
+    ("drift_diffusion_from_t2", lambda v: drift_diffusion_from_t2(v, 27.0), "t2", ParamError,
+     _bad(0.0, -5.0)),
+    ("drift_diffusion_from_t2", lambda v: drift_diffusion_from_t2(2700.0, v), "t_cycle",
+     ParamError, _bad(0.0)),
+    ("drift_diffusion_from_t2", lambda v: drift_diffusion_from_t2(2700.0, 27.0, v), "c_model",
+     ParamError, _bad(-1.0)),
+    *_frozen_rows(_SYSTEM, ParamError, {
+        "ground_splitting": (), "delta": (), "rate_vertical_wg": (-1.0,),
+        "rate_vertical_leak": (-1.0,), "rate_diagonal_wg": (-1.0,),
+        "rate_diagonal_leak": (-1.0,), "dephasing": (-1.0,),
+    }),
+    *_frozen_rows(Pulse("square", 0.05), ParamError, {
+        "duration": (0.0,), "area": (), "carrier_detuning": (),
+    }),
+    ("optimize_pulse_duration", lambda v: optimize_pulse_duration(_SYSTEM, bounds=(v, 1.0)),
+     "bounds", ParamError, _bad(-0.1)),
+    ("optimize_pulse_duration", lambda v: optimize_pulse_duration(_SYSTEM, bounds=(0.01, v)),
+     "bounds", ParamError, _bad(0.0)),
+    ("optimize_pulse_duration",
+     lambda v: optimize_pulse_duration(LevelSystem.from_rates(1.0, _VERTICAL, v)),
+     "delta", ParamError, _bad(0.0)),
+    ("integrate_master_equation", lambda v: integrate_master_equation(_SYSTEM, None, _RHO, v),
+     "horizon", ParamError, _bad(0.0)),
+    ("integrate_master_equation",
+     lambda v: integrate_master_equation(_SYSTEM, None, _RHO, tolerance=v),
+     "tolerance", ParamError, _bad(0.0)),
+    ("excitation_error_probability",
+     lambda v: excitation_error_probability(_SYSTEM, Pulse("gaussian", 0.05), tolerance=v),
+     "tolerance", ParamError, _bad(-1e-9)),
+    *_frozen_rows(_MODE, ModeFieldError, {"n_g": (0.0,), "a_nm": (0.0,), "norm": (0.0,)}),
+    ("coupling_at", lambda v: coupling_at(_MODE, (0.1, 0.2), gamma_bulk=v), "gamma_bulk",
+     ParamError, _bad(0.0)),
+    ("coupling_at", lambda v: coupling_at(_MODE, (0.1, 0.2), leak_fraction=v), "leak_fraction",
+     ParamError, _bad(-0.1)),
+    ("branching_map", lambda v: branching_map(_MODE, resolution=3, leak_fraction=v),
+     "leak_fraction", ParamError, _bad(-0.1)),
+    ("gamma_of_group_index", gamma_of_group_index, "n_g", ParamError, _bad(0.0)),
+    *_frozen_rows(BasisSetting.x(0.3), MeasurementError, {"phase": (-0.1, 2.0 * math.pi)}),
+    ("povm_elements", lambda v: povm_elements(BasisSetting.z(), v), "eta", MeasurementError,
+     _bad(1.5)),
+    ("sample_measurements",
+     lambda v: sample_measurements(np.eye(2) / 2.0, [BasisSetting.z()], 10, eta=v),
+     "eta", MeasurementError, _bad(-0.1)),
+    ("estimate_ghz_fidelity", lambda v: estimate_ghz_fidelity({}, 2, target_phase=v),
+     "target_phase", MeasurementError, _bad()),
+    *_frozen_rows(SweepAxis("delta", 1.0, 2.0, 3), ConfigError, {"lo": (), "hi": ()}),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, error, value",
+    [
+        pytest.param(call, name, error, value, id=f"{label}-{name}={value:g}")
+        for label, call, name, error, bad in REAL_INPUTS
+        for value in bad
+    ],
+)
+def test_real_inputs_reject_non_finite_and_out_of_interval_values(call, name, error, value):
+    # one policy: finite and in an interval, the caller's error class, the field named first
+    with pytest.raises(error, match=rf"^{name} must be finite"):
+        call(value)

@@ -306,6 +306,23 @@ def test_options_require_params():
         run_protocol(ideal_cycle_map(), 2, options=CycleOptions(echo=False))
 
 
+@pytest.mark.parametrize("kind", list(TargetKind))
+def test_params_refuse_a_rotation_angle(kind):
+    # the kind sets the angle of a PhysicalParams run; another one was silently replaced
+    p = preset("reference")
+    opts = CycleOptions(rotation_angle=0.3)
+    noise = NoiseConfig(overhauser_sigma=0.1, sample_count=2)
+    for call in (
+        lambda: run_protocol(p, 3, kind=kind, options=opts),
+        lambda: run_protocol(p, 3, kind=kind, noise=noise, options=opts),
+    ):
+        with pytest.raises(ParamError, match="rotation_angle"):
+            call()
+    explicit = run_protocol(p, 3, kind=kind, options=CycleOptions(rotation_angle=math.pi))
+    default = run_protocol(p, 3, kind=kind)
+    assert np.array_equal(explicit.superoperators, default.superoperators)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
