@@ -189,10 +189,15 @@ def build_config(raw, scenario=None):
         raise ConfigError(f"unknown key(s) for scenario {name}: {', '.join(unknown)}")
     sweep = None
     if _SWEEP & raw.keys():
+        axis = _option(raw.pop, "sweep_name", str)
+        lo, hi = (_option(raw.pop, key, float) for key in ("sweep_min", "sweep_max"))
+        # checked before SweepAxis checks lo and hi, so the error names the config's keys
+        _real(("sweep_min", lo, "(-inf, inf)"), ("sweep_max", hi, "(-inf, inf)"),
+              error=ConfigError)
         sweep = SweepAxis(
-            name=_option(raw.pop, "sweep_name", str),
-            lo=_option(raw.pop, "sweep_min", float),
-            hi=_option(raw.pop, "sweep_max", float),
+            name=axis,
+            lo=lo,
+            hi=hi,
             points=_option(raw.pop, "sweep_points", _whole),
             scale=_option(raw.pop, "sweep_scale", str, "linear"),
         )

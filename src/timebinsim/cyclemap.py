@@ -160,8 +160,10 @@ def _resolve(betas_or_params, options):
         )
     for name in ("indistinguishability", "orthogonal_error_prob", "half_cycle_time"):
         if getattr(options, name) != getattr(CycleOptions, name):
-            raise ParamError(f"{name} is set by PhysicalParams; leave it at its default "
-                             "or build from BranchingBetas")
+            raise ParamError(
+                f"{name} is set by PhysicalParams; leave it at its default "
+                "or build from BranchingBetas"
+            )
     p = betas_or_params
     return betas_from_branching(p.branching), replace(
         options,

@@ -66,8 +66,12 @@ class LevelSystem:
 
     @property
     def gamma(self):
-        return (self.rate_vertical_wg + self.rate_vertical_leak
-                + self.rate_diagonal_wg + self.rate_diagonal_leak)
+        return (
+            self.rate_vertical_wg
+            + self.rate_vertical_leak
+            + self.rate_diagonal_wg
+            + self.rate_diagonal_leak
+        )
 
     @property
     def betas(self):
@@ -153,8 +157,12 @@ class Pulse:
 def _collapse_ops(system):
     """Jump operators: per trion vertical/diagonal decay into/out of the
     waveguide, then pure dephasing of the trion levels."""
-    rates = (system.rate_vertical_wg, system.rate_vertical_leak,
-             system.rate_diagonal_wg, system.rate_diagonal_leak)
+    rates = (
+        system.rate_vertical_wg,
+        system.rate_vertical_leak,
+        system.rate_diagonal_wg,
+        system.rate_diagonal_leak,
+    )
     ops = []
     branches = ((TRION_DOWN, GROUND_DOWN, GROUND_UP), (TRION_UP, GROUND_UP, GROUND_DOWN))
     for trion, same, flipped in branches:
@@ -259,16 +267,18 @@ def integrate_master_equation(
     with the accumulated expected photon-emission numbers from each trion.
     """
     rho0 = _check_density_operator(initial)
-    t1 = pulse.span[1] if pulse is not None else 0.0  # every span starts at 0
+    t0, t1 = pulse.span if pulse is not None else (0.0, 0.0)
     if horizon is None:
         horizon = t1 + DECAY_WINDOW_LIFETIMES / system.gamma
-    _real(("horizon", horizon, "(0, inf)"), ("tolerance", tolerance, "(0, inf)"))
+    _real(("horizon", horizon, "(-inf, inf)"), ("tolerance", tolerance, "(0, inf)"))
+    if horizon <= t0:
+        raise ParamError(f"horizon {horizon} does not cover the pulse span")
 
     sol = _evolve(
-        system, pulse, rho0, (0.0, horizon), tolerance,
-        t_eval=np.linspace(0.0, horizon, n_samples),
+        system, pulse, rho0, (t0, horizon), tolerance,
+        t_eval=np.linspace(t0, horizon, n_samples),
         atol=tolerance * 1e-3,
-        max_step=t1 / 20.0 if t1 > 0.0 else np.inf,
+        max_step=(t1 - t0) / 20.0 if t1 > t0 else np.inf,
     )
     states = sol.y[:16].T.reshape(-1, N_LEVELS, N_LEVELS)
     return TimeSeries(

@@ -129,7 +129,9 @@ def joint_outcome_distribution(rho, settings, eta=1.0):
     rho = np.asarray(rho, dtype=complex)
     n = len(settings)
     if rho.shape != (2**n, 2**n):
-        raise MeasurementError(f"state dimension {rho.shape} does not match {n} settings")
+        raise MeasurementError(
+            f"state dimension {rho.shape} does not match {n} settings"
+        )
     element_sets = [povm_elements(s, eta) for s in settings]
     labels = [[lbl for lbl, _ in els] for els in element_sets]
     t = rho.reshape((2,) * n + (2,) * n)
@@ -288,7 +290,9 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
     signs = _frame_signs(n, kind)
     estimates = []
     for g, (sign, label) in enumerate(zip(signs, canonical_stabilizers(n, kind))):
-        settings = [BasisSetting.x(0.0) if c == "X" else BasisSetting.z() for c in label]
+        settings = [
+            BasisSetting.x(0.0) if c == "X" else BasisSetting.z() for c in label
+        ]
         records = sample_measurements(state, settings, shots, seed=seed + g, eta=eta)
         values = _all_click_values(records, lambda outs: math.prod(
             1.0 if o in ("early", "plus") else -1.0 for c, o in zip(label, outs) if c != "I"

@@ -38,7 +38,7 @@ def _whole(name, value, least, error=ParamError):
 
 @lru_cache(maxsize=None)
 def _interval(text):
-    """Closed float ends and message wording of an interval such as "(0, 1]" or "[0, 2pi)".
+    """Closed float ends of an interval such as "(0, 1]" or "[0, 2pi)".
 
     An open end becomes the adjacent float inside it, so one ``low <= x <= high``
     tests the interval: NaN fails it, and so does infinity unless written "inf]".
@@ -46,34 +46,25 @@ def _interval(text):
     low, high = (float(end.replace("2pi", repr(2.0 * math.pi))) for end in text[1:-1].split(","))
     low = low if text[0] == "[" else math.nextafter(low, math.inf)
     high = high if text[-1] == "]" else math.nextafter(high, -math.inf)
-    wording = {"(-inf, inf)": "", "(0, inf)": " and > 0", "[0, inf)": " and >= 0",
-               "[0, inf]": " and >= 0, or inf"}.get(text, f" and in {text}")
-    return low, high, wording
+    return low, high
 
 
 def _real(*checks, error=ParamError):
     """The bounds check of every real-valued input: one ``error`` naming each bad
-    ``(name, value, interval)`` as ``<name> must be finite and ..., got <value>``."""
+    ``(name, value, interval)`` as ``<name> must be finite and in <interval>, got <value>``."""
     problems = []
     for name, value, interval in checks:
-        low, high, wording = _interval(interval)
+        low, high = _interval(interval)
         if not low <= value <= high:
-            problems.append(f"{name} must be finite{wording}, got {value}")
+            within = "" if interval == "(-inf, inf)" else f" and in {interval}"
+            problems.append(f"{name} must be finite{within}, got {value}")
     if problems:
         raise error("; ".join(problems))
 
 
-@lru_cache(maxsize=None)
-def _field_ends(cls):
-    """(name, low, high) of each attribute that ``cls._BOUNDS`` maps to an interval."""
-    return tuple((name, *_interval(interval)[:2]) for name, interval in cls._BOUNDS.items())
-
-
 def _real_fields(obj, error=ParamError):
     """``_real`` on the attributes that ``type(obj)._BOUNDS`` maps to intervals."""
-    for name, low, high in _field_ends(type(obj)):
-        if not low <= getattr(obj, name) <= high:
-            _real(*((n, getattr(obj, n), iv) for n, iv in type(obj)._BOUNDS.items()), error=error)
+    _real(*((n, getattr(obj, n), iv) for n, iv in type(obj)._BOUNDS.items()), error=error)
 
 
 @dataclass(frozen=True)

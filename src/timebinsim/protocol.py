@@ -223,7 +223,9 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
     fixed rng_seed. The options' ``quasistatic_detuning`` and
     ``drift_phase`` are static offsets that the sampled shifts add to.
     Without noise, a PhysicalParams run is the one-sample, zero-shift case
-    of the same path.
+    of the same path. The kind sets the rotation angle: ``options`` may give
+    the kind's own or the default, pi, which cannot be told apart from an
+    unset angle and so is accepted for a cluster too; any other is refused.
     """
     n = _whole("n_photons", n_photons, 1)
     if isinstance(cycle, CycleMap):
@@ -235,8 +237,10 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
 
     if not isinstance(cycle, PhysicalParams):
         raise ParamError(f"expected CycleMap or PhysicalParams, got {type(cycle)}")
-    if options is not None and options.rotation_angle != CycleOptions.rotation_angle:
-        raise ParamError("rotation_angle is set by the target kind; leave it at its default")
+    if options is not None and options.rotation_angle not in (
+            CycleOptions.rotation_angle, kind.rotation_angle):
+        raise ParamError(f"rotation_angle is set by the target kind; leave it at its "
+                         f"default or give the kind's {kind.rotation_angle}")
     base = replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
     return _noise_state(cycle, n, base, noise or NoiseConfig(0.0))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from timebinsim.budget import generation_rate, t2_drift_error
-from timebinsim.cli import ConfigError, SweepAxis
+from timebinsim.cli import ConfigError, SweepAxis, build_config
 from timebinsim.cyclemap import CycleOptions
 from timebinsim.dynamics import (
     LevelSystem,
@@ -207,6 +207,8 @@ _VERTICAL = BranchingBetas(1.0, 0.0, 0.0, 0.0)
 _SYSTEM = LevelSystem.from_rates(1.0, _VERTICAL, 30.0)
 _MODE = synthetic_w1_mode(20.0, points=5)
 _RHO = np.diag([1.0, 0.0, 0.0, 0.0])
+_SWEEP_CONFIG = {"scenario": "detuning_sweep", "sweep_name": "delta", "sweep_min": 8.0,
+                 "sweep_max": 64.0, "sweep_points": 3}
 
 # One row per public real-valued input: (label, call with the value, field name,
 # error class, bad values). NaN and both infinities are bad in every row but
@@ -272,7 +274,7 @@ REAL_INPUTS = [
      lambda v: optimize_pulse_duration(LevelSystem.from_rates(1.0, _VERTICAL, v)),
      "delta", ParamError, _bad(0.0)),
     ("integrate_master_equation", lambda v: integrate_master_equation(_SYSTEM, None, _RHO, v),
-     "horizon", ParamError, _bad(0.0)),
+     "horizon", ParamError, _bad()),
     ("integrate_master_equation",
      lambda v: integrate_master_equation(_SYSTEM, None, _RHO, tolerance=v),
      "tolerance", ParamError, _bad(0.0)),
@@ -296,6 +298,8 @@ REAL_INPUTS = [
     ("estimate_ghz_fidelity", lambda v: estimate_ghz_fidelity({}, 2, target_phase=v),
      "target_phase", MeasurementError, _bad()),
     *_frozen_rows(SweepAxis("delta", 1.0, 2.0, 3), ConfigError, {"lo": (), "hi": ()}),
+    *(("build_config", lambda v, k=key: build_config({**_SWEEP_CONFIG, k: v}), key, ConfigError,
+       _bad()) for key in ("sweep_min", "sweep_max")),
 ]
 
 

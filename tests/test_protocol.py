@@ -318,9 +318,11 @@ def test_params_refuse_a_rotation_angle(kind):
     ):
         with pytest.raises(ParamError, match="rotation_angle"):
             call()
-    explicit = run_protocol(p, 3, kind=kind, options=CycleOptions(rotation_angle=math.pi))
     default = run_protocol(p, 3, kind=kind)
-    assert np.array_equal(explicit.superoperators, default.superoperators)
+    # the kind's own angle, and the default pi, which looks unset, are accepted
+    for angle in (kind.rotation_angle, math.pi):
+        explicit = run_protocol(p, 3, kind=kind, options=CycleOptions(rotation_angle=angle))
+        assert np.array_equal(explicit.superoperators, default.superoperators)
 
 
 @pytest.mark.parametrize(
