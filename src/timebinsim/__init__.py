@@ -14,9 +14,7 @@ from .params import (
     branching_from_betas,
     gamma_d_for_indistinguishability,
     indistinguishability,
-    load_params,
     preset,
-    validate_params,
     zeeman_detuning,
 )
 from .budget import (
@@ -33,7 +31,6 @@ from .dynamics import (
     LevelSystem,
     Pulse,
     excitation_error_probability,
-    integrate_master_equation,
     optimize_pulse_duration,
 )
 from .cyclemap import (

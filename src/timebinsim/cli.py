@@ -30,7 +30,6 @@ from .params import (
     gamma_d_for_indistinguishability,
     indistinguishability,
     preset,
-    read_key_values,
     zeeman_detuning,
 )
 from .protocol import (
@@ -162,14 +161,30 @@ def _tuple_of(cast):
 def parse_config(path, scenario=None):
     """Read a scenario configuration from ``key = value`` lines.
 
-    Besides ``scenario``, ``seed`` and ``out``, only the keys the scenario
-    reads are accepted (its ``SCENARIOS`` entry): from ``preset``,
-    ``param.<field>`` overrides, ``photons`` (comma list),
-    ``sweep_name``/``sweep_min``/``sweep_max``/``sweep_points``/
-    ``sweep_scale``, and the scenario's own options.
+    Text after ``#`` and blank lines are ignored; a line without ``=`` or a
+    repeated key raises ConfigError prefixed with ``path:lineno``. Besides
+    ``scenario``, ``seed`` and ``out``, only the keys the scenario reads are
+    accepted (its ``SCENARIOS`` entry): from ``preset``, ``param.<field>``
+    overrides, ``photons`` (comma list), ``sweep_name``/``sweep_min``/
+    ``sweep_max``/``sweep_points``/``sweep_scale``, and the scenario's own
+    options.
     """
-    entries = read_key_values(path, error=ConfigError)
-    raw = {key: _parse_value(val) for key, (_, val) in entries.items()}
+    raw, first_line = {}, {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, text in enumerate(fh, start=1):
+            line = text.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key in first_line:
+                raise ConfigError(
+                    f"{path}:{lineno}: duplicate key {key!r} "
+                    f"(first set on line {first_line[key]})"
+                )
+            first_line[key] = lineno
+            raw[key] = _parse_value(val)
     return build_config(raw, scenario=scenario)
 
 

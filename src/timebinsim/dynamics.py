@@ -10,9 +10,8 @@ into / out of the waveguide); pure dephasing acts on the trion levels.
 
 scipy is imported by the propagators that use it, not with this module:
 ``scipy.linalg`` on the first square pulse, ``scipy.integrate`` on the
-first ``solve_ivp`` call (gaussian pulses and ``integrate_master_equation``).
-Importing the package then loads numpy alone, which keeps the start of a
-one-shot CLI run short.
+first ``solve_ivp`` call (the first gaussian pulse). Importing the package
+then loads numpy alone, which keeps the start of a one-shot CLI run short.
 """
 from __future__ import annotations
 
@@ -25,10 +24,6 @@ from .params import BranchingBetas, ParamError, _real, _real_fields, _whole, bet
 
 N_LEVELS = 4
 GROUND_DOWN, GROUND_UP, TRION_DOWN, TRION_UP = range(N_LEVELS)
-
-# Free-decay window appended after each pulse; residual trion population
-# after 8 lifetimes is below 4e-4.
-DECAY_WINDOW_LIFETIMES = 8.0
 
 # Golden-section refinement of the pulse duration stops at this relative width.
 DURATION_REL_TOL = 1e-3
@@ -104,19 +99,18 @@ class LevelSystem:
 
 @dataclass(frozen=True)
 class Pulse:
-    """Excitation pulse on the driven transition.
+    """A pi pulse on the driven transition.
 
     ``duration`` is the full width for a square pulse and the FWHM for a
     gaussian one (truncated at +-3 sigma). The peak Rabi frequency is fixed
-    by the pulse area (default pi).
+    by the pulse area, pi.
     """
 
     shape: str
     duration: float
-    area: float = math.pi
     carrier_detuning: float = 0.0
 
-    _BOUNDS = {"duration": "(0, inf)", "area": "(-inf, inf)", "carrier_detuning": "(-inf, inf)"}
+    _BOUNDS = {"duration": "(0, inf)", "carrier_detuning": "(-inf, inf)"}
 
     def __post_init__(self):
         if self.shape not in ("square", "gaussian"):
@@ -137,11 +131,11 @@ class Pulse:
     @property
     def peak_rabi(self):
         if self.shape == "square":
-            return self.area / self.duration
+            return math.pi / self.duration
         s = self.sigma
         # area of the +-3 sigma truncated gaussian envelope
         norm = s * math.sqrt(2.0 * math.pi) * math.erf(3.0 / math.sqrt(2.0))
-        return self.area / norm
+        return math.pi / norm
 
     def envelope(self, t):
         """Instantaneous Rabi frequency at time t (rad/ns)."""
@@ -218,77 +212,6 @@ def solve_ivp(*args, **kwargs):
     return integrate.solve_ivp(*args, **kwargs)
 
 
-def _evolve(system, pulse, rho0, t_span, tolerance, jumps=True, **solver_options):
-    """Integrate the generator of ``_generator`` from ``rho0`` over ``t_span``.
-
-    ``pulse=None`` means no drive. Returns the ``solve_ivp`` solution.
-    """
-    g0, g1 = _generator(system, pulse.carrier_detuning if pulse else 0.0, jumps)
-    rabi = pulse.envelope if pulse is not None else (lambda t: 0.0)
-    y0 = np.zeros(len(g0), dtype=complex)
-    y0[: N_LEVELS**2] = rho0.ravel()
-    sol = solve_ivp(
-        lambda t, y: g0 @ y + rabi(t) * (g1 @ y), t_span, y0, rtol=tolerance, **solver_options
-    )
-    if not sol.success:
-        raise IntegrationError(f"master-equation integration failed: {sol.message}")
-    return sol
-
-
-def _check_density_operator(rho):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (N_LEVELS, N_LEVELS):
-        raise ParamError(f"density operator must be 4x4, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ParamError("density operator is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ParamError(f"density operator trace is {np.trace(rho).real}, not 1")
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < -1e-12:
-        raise ParamError(f"density operator has negative eigenvalue {w.min()}")
-    return rho
-
-
-@dataclass
-class TimeSeries:
-    times: np.ndarray
-    states: np.ndarray  # shape (n_times, 4, 4)
-    emissions_trion_down: float = 0.0
-    emissions_trion_up: float = 0.0
-
-
-def integrate_master_equation(
-    system, pulse, initial, horizon=None, tolerance=1e-9, n_samples=200
-):
-    """Evolve a density operator under drive plus spontaneous decay.
-
-    Returns a TimeSeries sampled at ``n_samples`` points over the horizon
-    (pulse span plus a decay window of 8 lifetimes by default), together
-    with the accumulated expected photon-emission numbers from each trion.
-    """
-    rho0 = _check_density_operator(initial)
-    t0, t1 = pulse.span if pulse is not None else (0.0, 0.0)
-    if horizon is None:
-        horizon = t1 + DECAY_WINDOW_LIFETIMES / system.gamma
-    _real(("horizon", horizon, "(-inf, inf)"), ("tolerance", tolerance, "(0, inf)"))
-    if horizon <= t0:
-        raise ParamError(f"horizon {horizon} does not cover the pulse span")
-
-    sol = _evolve(
-        system, pulse, rho0, (t0, horizon), tolerance,
-        t_eval=np.linspace(t0, horizon, n_samples),
-        atol=tolerance * 1e-3,
-        max_step=(t1 - t0) / 20.0 if t1 > t0 else np.inf,
-    )
-    states = sol.y[:16].T.reshape(-1, N_LEVELS, N_LEVELS)
-    return TimeSeries(
-        times=sol.t,
-        states=states,
-        emissions_trion_down=float(sol.y[16, -1].real),
-        emissions_trion_up=float(sol.y[17, -1].real),
-    )
-
-
 @dataclass(frozen=True)
 class ExcitationErrors:
     """Per-pulse infidelity contributions of the driving imperfections.
@@ -323,25 +246,30 @@ def excitation_error_probability(system, pulse, tolerance=1e-10):
     ``tolerance``, which therefore affects gaussian pulses only.
     """
     _real(("tolerance", tolerance, "(0, inf)"))
-    if abs(pulse.area - math.pi) > 1e-9:
-        raise ParamError(f"excitation pulses must have area pi, got {pulse.area}")
-
-    propagators = {}
+    generators = {j: _generator(system, pulse.carrier_detuning, j) for j in (True, False)}
     if pulse.shape == "square":
         from scipy.linalg import expm
 
-        for jumps in (True, False):
-            g0, g1 = _generator(system, pulse.carrier_detuning, jumps)
-            propagators[jumps] = expm((g0 + pulse.peak_rabi * g1) * pulse.duration)
+        propagators = {
+            jumps: expm((g0 + pulse.peak_rabi * g1) * pulse.duration)
+            for jumps, (g0, g1) in generators.items()
+        }
 
     def final(level, jumps=True):
-        if propagators:
-            # column of the initial state |level><level| in the row-major vector
+        # |level><level| is entry level * (N_LEVELS + 1) of the row-major vector
+        if pulse.shape == "square":
             y = propagators[jumps][:, level * (N_LEVELS + 1)]
         else:
-            rho0 = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
-            rho0[level, level] = 1.0
-            y = _evolve(system, pulse, rho0, pulse.span, tolerance, jumps, atol=1e-14).y[:, -1]
+            g0, g1 = generators[jumps]
+            y0 = np.zeros(len(g0), dtype=complex)
+            y0[level * (N_LEVELS + 1)] = 1.0
+            sol = solve_ivp(
+                lambda t, y: g0 @ y + pulse.envelope(t) * (g1 @ y),
+                pulse.span, y0, rtol=tolerance, atol=1e-14,
+            )
+            if not sol.success:
+                raise IntegrationError(f"master-equation integration failed: {sol.message}")
+            y = sol.y[:, -1]
         return y[: N_LEVELS**2].reshape(N_LEVELS, N_LEVELS).real, y[N_LEVELS**2 :].real
 
     # The free decay after the pulse needs no integration: every remaining

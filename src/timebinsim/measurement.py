@@ -157,6 +157,7 @@ def sample_measurements(state, settings, shots, seed=0, eta=1.0):
     detectors. Returns a ShotRecords table. Deterministic for a fixed seed.
     """
     shots = _whole("shots", shots, 1, error=MeasurementError)
+    seed = _whole("seed", seed, 0, error=MeasurementError)
     rho, orth = _as_rho(state)
     outcomes, probs = joint_outcome_distribution(rho, settings, eta=eta)
     if orth > 0.0:
@@ -200,7 +201,8 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
     every qubit are discarded (post-selection). ``target_phase`` is the
     phase of the GHZ coherence of the target state (0 or pi for the
     protocol's frame); any other phase raises MeasurementError. The
-    jackknife needs ``n_blocks`` >= 2.
+    jackknife needs ``n_blocks`` >= 2, and at least ``n_blocks`` all-click
+    shots per setting, so that no block is empty.
     """
     n = _whole("n_qubits", n_qubits, 1, error=MeasurementError)
     n_blocks = _whole("n_blocks", n_blocks, 2, error=MeasurementError)
@@ -270,8 +272,12 @@ def _block_statistics(records, n_qubits, func, n_blocks):
             f"records hold {len(records.settings)} qubits per shot but n_qubits is {n_qubits}"
         )
     values = _all_click_values(records, func)
-    if values.size == 0:
-        raise MeasurementError("no all-click shots available for estimation")
+    if values.size < n_blocks:
+        s = records.settings[0]
+        label = "Z" if s.kind == "Z" else f"X({s.phase:.6g})"
+        raise MeasurementError(
+            f"setting {label} has {values.size} all-click shots, fewer than n_blocks = {n_blocks}"
+        )
     block = np.arange(values.size) % n_blocks
     sums = np.bincount(block, weights=values, minlength=n_blocks)
     counts = np.bincount(block, minlength=n_blocks).astype(float)
@@ -307,7 +313,4 @@ def _block_mean(blocks, drop=None):
     sums, counts = blocks
     if drop is None:
         return sums.sum() / counts.sum()
-    total = counts.sum() - counts[drop]
-    if total <= 0:
-        return sums.sum() / counts.sum()
-    return (sums.sum() - sums[drop]) / total
+    return (sums.sum() - sums[drop]) / (counts.sum() - counts[drop])

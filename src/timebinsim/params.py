@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace, fields
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 # Bohr magneton over Planck constant, GHz per Tesla (CODATA, rounded).
@@ -104,7 +104,7 @@ class PhysicalParams:
                "b_field": "[0, inf)", "n_g": "(0, inf)", "gamma_bulk": "(0, inf)"}
 
     def __post_init__(self):
-        validate_params(self)
+        _real_fields(self)
 
 
 @dataclass(frozen=True)
@@ -181,16 +181,6 @@ def betas_from_branching(branching, beta_total=1.0):
     )
 
 
-def validate_params(params):
-    """Return ``params`` unchanged iff every invariant holds.
-
-    Raises ParamError naming each violated field. Every PhysicalParams runs
-    it when built, ``dataclasses.replace`` included.
-    """
-    _real_fields(params)
-    return params
-
-
 def _make_presets():
     # gamma_d in each preset is chosen so the indistinguishability is exactly
     # the headline value (0.96 / 0.98); the independently quoted 0.06 1/ns
@@ -237,53 +227,3 @@ def preset(name):
         return PRESETS[name]
     except KeyError:
         raise ParamError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-
-
-_FIELD_NAMES = {f.name for f in fields(PhysicalParams)}
-
-
-def read_key_values(path, error=ParamError):
-    """Read ``key = value`` lines into {key: (lineno, value text)}.
-
-    Text after ``#`` and blank lines are ignored. A line without ``=`` or a
-    repeated key raises ``error`` prefixed with ``path:lineno``.
-    """
-    entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key in entries:
-                raise error(
-                    f"{path}:{lineno}: duplicate key {key!r} "
-                    f"(first set on line {entries[key][0]})"
-                )
-            entries[key] = (lineno, val.strip())
-    return entries
-
-
-def load_params(path, base=None):
-    """Read parameters from a plain-text file, one ``key = value`` per line.
-
-    Lines starting with ``#`` and blank lines are ignored. Keys must match
-    PhysicalParams field names; a special key ``preset`` selects the base
-    parameter set that the remaining keys override.
-    """
-    values = {}
-    base_params = base if base is not None else PRESETS["reference"]
-    for key, (lineno, val) in read_key_values(path).items():
-        if key == "preset":
-            base_params = preset(val)
-        elif key not in _FIELD_NAMES:
-            raise ParamError(f"{path}:{lineno}: unknown parameter {key!r}")
-        else:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ParamError(f"{path}:{lineno}: {key} is not a number: {val!r}")
-    return replace(base_params, **values)

@@ -127,10 +127,6 @@ class HybridState:
     def dim(self):
         return 2 ** (self.photon_count + 1)
 
-    @property
-    def trace(self):
-        return 1.0 - self.orthogonal_error_mass
-
     @cached_property
     def rho(self):
         """Dense density operator, the sample average, summed one sample at a time."""

@@ -34,7 +34,8 @@ class ModeField:
     """Complex electric field on a regular grid over one unit cell.
 
     ``x`` and ``y`` are strictly increasing coordinates in units of the
-    lattice constant; ``field`` has shape (nx, ny, 3) holding (Ex, Ey, Ez).
+    lattice constant, at least two per axis; ``field`` has shape (nx, ny, 3)
+    holding (Ex, Ey, Ez).
     """
 
     x: np.ndarray
@@ -52,6 +53,9 @@ class ModeField:
         f = np.asarray(self.field, dtype=complex)
         if x.ndim != 1 or y.ndim != 1:
             raise ModeFieldError("grid coordinates must be 1-D")
+        for axis, c in (("x", x), ("y", y)):
+            if c.size < 2:
+                raise ModeFieldError(f"grid needs at least 2 points on {axis}, got {c.size}")
         if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
             raise ModeFieldError("grid must be strictly increasing on both axes")
         if f.shape != (x.size, y.size, 3):
@@ -176,6 +180,7 @@ def synthetic_w1_mode(n_g, points=41):
     center; the orthogonal in-plane component (Ex) has a nodal line through
     the center (y = 0), so the branching ratio peaks there.
     """
+    points = _whole("points", points, 0, error=ModeFieldError)
     x = np.linspace(-0.5, 0.5, points)
     y = np.linspace(-0.5, 0.5, points)
     gx, gy = np.meshgrid(x, y, indexing="ij")

@@ -48,6 +48,31 @@ def test_parse_config_rejects_duplicate_key(tmp_path):
     assert f"{cfg}:4:" in msg and "'photons'" in msg and "line 2" in msg
 
 
+def test_parse_config_rejects_a_line_without_equals(tmp_path):
+    cfg = tmp_path / "colon.cfg"
+    cfg.write_text("scenario = photon_scaling\nphotons : 4\n")
+    with pytest.raises(ConfigError, match=f"^{cfg}:2: expected 'key = value'"):
+        parse_config(cfg)
+
+
+def test_parse_config_counts_comment_lines_in_duplicate_key_errors(tmp_path):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("param.gamma = 4.0\n# comment\n\nparam.gamma = 5.0\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg, scenario="photon_scaling")
+    msg = str(err.value)
+    assert f"{cfg}:4:" in msg and "'param.gamma'" in msg and "line 1" in msg
+
+
+def test_parse_config_ignores_comments_and_blank_lines(tmp_path):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("preset = improved\nparam.gamma = 4.0  # override\n\nparam.b_field = 1.5\n")
+    p = parse_config(cfg, scenario="photon_scaling").params()
+    assert p.gamma == 4.0
+    assert p.b_field == 1.5
+    assert p.branching == 140.0  # from the improved preset
+
+
 def test_parse_config(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -246,6 +271,7 @@ def test_pulse_optimization_scenario():
     [
         ("detuning_sweep", "sweep_name = delta\nsweep_max = 64\nsweep_points = 3\n", "sweep_min"),
         ("photon_scaling", "param.foo = 1\n", "param.foo"),
+        ("photon_scaling", "param.gamma = fast\n", "param.gamma"),
         ("photon_scaling", "kind = foo\n", "kind"),
         ("echo_demo", "n_photons = three\n", "n_photons"),
         ("echo_demo", "n_photon = 3\n", "n_photon"),
@@ -272,7 +298,7 @@ def test_pulse_optimization_scenario():
         ),
     ],
     ids=[
-        "missing-sweep_min", "unknown-param", "bad-kind", "bad-n_photons",
+        "missing-sweep_min", "unknown-param", "non-numeric-param", "bad-kind", "bad-n_photons",
         "unknown-key", "non-bool-numeric", "unread-sweep", "unread-photons",
         "unread-preset", "empty-list", "sweep-without-name", "fractional-photons",
         "fractional-resolution", "bool-resolution", "float-n_photons",

@@ -20,7 +20,6 @@ from timebinsim.dynamics import (
     Pulse,
     _generator,
     excitation_error_probability,
-    integrate_master_equation,
     optimize_pulse_duration,
 )
 from timebinsim.params import BranchingBetas, ParamError, preset
@@ -58,7 +57,7 @@ def test_pulse_validation():
         Pulse(shape="square", duration=0.0)
 
 
-@pytest.mark.parametrize("field", ["duration", "area", "carrier_detuning"])
+@pytest.mark.parametrize("field", ["duration", "carrier_detuning"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_pulse_rejects_non_finite_field(field, value):
     with pytest.raises(ParamError, match=field):
@@ -107,30 +106,30 @@ def test_level_system_needs_a_decay_rate():
 
 
 def test_master_equation_trace_and_positivity():
+    from scipy.linalg import expm
+
     sys_ = make_system(gamma=1.0, delta=50.0)
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[GROUND_DOWN, GROUND_DOWN] = 1.0
     pulse = Pulse(shape="square", duration=0.2)
-    ts = integrate_master_equation(sys_, pulse, rho0, tolerance=1e-10)
-    for rho in ts.states[:: len(ts.states) // 10]:
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-7)
-        assert np.linalg.eigvalsh(rho).min() > -1e-7
-    # a pi pulse excites roughly once; emission all but guaranteed afterwards
-    assert ts.emissions_trion_down == pytest.approx(1.0, abs=0.1)
-    assert ts.emissions_trion_up < 0.05
+    g0, g1 = _generator(sys_)
+    y0 = np.zeros(len(g0), dtype=complex)
+    y0[GROUND_DOWN * 5] = 1.0
+    for t in np.linspace(0.0, pulse.duration, 11):
+        rho = (expm((g0 + pulse.peak_rabi * g1) * t) @ y0)[:16].reshape(4, 4)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() > -1e-12
+    # a pi pulse excites roughly once; emission all but guaranteed after 20 lifetimes
+    y = expm(g0 * 20.0) @ expm((g0 + pulse.peak_rabi * g1) * pulse.duration) @ y0
+    assert y[16].real == pytest.approx(1.0, abs=0.1)
+    assert y[17].real < 0.05
 
 
 def test_fast_pi_pulse_inverts():
-    # pulse much faster than decay: trion population ~1 right after the pulse
-    sys_ = make_system(gamma=0.01, delta=1e4)
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[GROUND_DOWN, GROUND_DOWN] = 1.0
-    pulse = Pulse(shape="square", duration=0.01)
-    ts = integrate_master_equation(
-        sys_, pulse, rho0, horizon=0.01, tolerance=1e-10, n_samples=20
+    # pulse much faster than decay: the ground manifold is all but emptied
+    errs = excitation_error_probability(
+        make_system(gamma=0.01, delta=1e4), Pulse(shape="square", duration=0.01)
     )
-    assert ts.states.shape == (20, 4, 4)
-    assert ts.states[-1][TRION_DOWN, TRION_DOWN].real == pytest.approx(1.0, abs=1e-3)
+    assert errs.incomplete_inversion < 1e-6
+    assert errs.re_excitation < 1e-4
 
 
 def test_excitation_errors_shrink_with_detuning():
@@ -143,12 +142,6 @@ def test_excitation_errors_shrink_with_detuning():
         assert errs.incomplete_inversion >= 0.0
         totals[ratio] = errs.total
     assert totals[120.0] < totals[30.0]
-
-
-def test_excitation_error_requires_pi_area():
-    sys_ = make_system()
-    with pytest.raises(ParamError):
-        excitation_error_probability(sys_, Pulse(shape="square", duration=0.05, area=2.0))
 
 
 def test_optimized_square_pulse_coefficient():
@@ -277,23 +270,6 @@ def test_generator_matches_reference_rhs(shape):
     errs = excitation_error_probability(system, pulse, tolerance=1e-13)
     for name, want in _reference_excitation_errors(system, pulse, 1e-13).items():
         assert getattr(errs, name) == pytest.approx(want, abs=1e-12), name
-
-    rho0 = np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex)
-    rho0[GROUND_DOWN, GROUND_UP] = rho0[GROUND_UP, GROUND_DOWN] = 0.3
-    horizon = pulse.span[1] + 0.5
-    ts = integrate_master_equation(system, pulse, rho0, horizon=horizon, tolerance=1e-13)
-    sol = solve_ivp(
-        _reference_rhs(system, pulse),
-        (0.0, horizon),
-        np.concatenate([rho0.ravel(), [0.0, 0.0]]),
-        rtol=1e-13,
-        atol=1e-16,
-        max_step=pulse.span[1] / 20.0,
-    )
-    y = sol.y[:, -1]
-    assert np.max(np.abs(ts.states[-1] - y[:16].reshape(4, 4))) <= 1e-12
-    assert ts.emissions_trion_down == pytest.approx(y[16].real, abs=1e-12)
-    assert ts.emissions_trion_up == pytest.approx(y[17].real, abs=1e-12)
 
 
 @pytest.mark.parametrize("ratio", [30.0, 100.0, 300.0])

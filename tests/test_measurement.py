@@ -238,6 +238,35 @@ def test_shot_count_must_be_a_whole_number(shots):
         sample_measurements(st, [BasisSetting.z()] * 2, shots)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_seed_must_be_a_whole_number_of_at_least_zero(seed):
+    with pytest.raises(MeasurementError, match="^seed must be"):
+        sample_measurements(np.eye(2) / 2.0, [BasisSetting.z()], 10, seed=seed)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint32])
+def test_numpy_integer_seed_draws_the_same_shots(kind):
+    rho = ideal_target(2, TargetKind.GHZ).rho
+    settings = [BasisSetting.x(0.0)] * 3
+    want = sample_measurements(rho, settings, shots=500, seed=7)
+    assert sample_measurements(rho, settings, shots=500, seed=kind(7)) == want
+
+
+def test_estimator_needs_an_all_click_shot_per_block():
+    # one shot per setting: every jackknife block but one would be empty
+    cm = build_cycle_map(VERTICAL_ONLY, CycleOptions(indistinguishability=0.5))
+    recs = _collect(run_protocol(cm, 3), 4, 1, 0)
+    with pytest.raises(MeasurementError, match="Z has 1 all-click shots, fewer than n_blocks = 20"):
+        estimate_ghz_fidelity(recs, 4, target_phase=math.pi)
+
+
+def test_estimator_accepts_one_all_click_shot_per_block():
+    # no loss: every shot clicks on every qubit, so n_blocks shots are enough
+    recs = _collect(run_protocol(ideal_cycle_map(), 2), 3, 4, 5)
+    out = estimate_ghz_fidelity(recs, 3, n_blocks=4)
+    assert math.isfinite(out["fidelity"]) and math.isfinite(out["std_error"])
+
+
 @pytest.mark.parametrize("n_blocks", [2.5, 20.0, True, "20", None, 0, 1])
 def test_block_count_must_be_a_whole_number_of_at_least_two(n_blocks):
     # one block has no jackknife spread to report

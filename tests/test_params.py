@@ -11,7 +11,6 @@ from timebinsim.dynamics import (
     LevelSystem,
     Pulse,
     excitation_error_probability,
-    integrate_master_equation,
     optimize_pulse_duration,
 )
 from timebinsim.measurement import (
@@ -30,9 +29,7 @@ from timebinsim.params import (
     branching_from_betas,
     gamma_d_for_indistinguishability,
     indistinguishability,
-    load_params,
     preset,
-    validate_params,
     zeeman_detuning,
 )
 from timebinsim.protocol import NoiseConfig, drift_diffusion_from_t2, run_protocol
@@ -128,7 +125,7 @@ def test_presets():
         preset("nope")
 
 
-def test_validate_params_names_fields():
+def test_physical_params_names_every_bad_field():
     with pytest.raises(ParamError) as err:
         PhysicalParams(
             gamma=-1.0, gamma_d=0.1, delta=10.0, branching=15.0, eta=1.2,
@@ -137,7 +134,7 @@ def test_validate_params_names_fields():
     assert "gamma" in str(err.value)
     assert "eta" in str(err.value)
     p = preset("reference")
-    assert validate_params(p) is p
+    assert PhysicalParams(**{f.name: getattr(p, f.name) for f in fields(p)}) == p
 
 
 @pytest.mark.parametrize("name, value", [("delta", 0.0), ("t_cycle", math.nan)])
@@ -148,41 +145,9 @@ def test_bad_params_fail_where_they_are_built(name, value):
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(PhysicalParams)])
-def test_validate_params_rejects_nan(name):
+def test_physical_params_rejects_nan(name):
     with pytest.raises(ParamError, match=rf"\b{name} must be finite"):
-        validate_params(replace(preset("reference"), **{name: math.nan}))
-
-
-def test_load_params(tmp_path):
-    cfg = tmp_path / "params.txt"
-    cfg.write_text("preset = improved\ngamma = 4.0  # override\n\nb_field = 1.5\n")
-    p = load_params(cfg)
-    assert p.gamma == 4.0
-    assert p.b_field == 1.5
-    assert p.branching == 140.0  # from the improved preset
-
-
-def test_load_params_errors(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("gamma : 4\n")
-    with pytest.raises(ParamError):
-        load_params(bad)
-    bad.write_text("unknown_key = 4\n")
-    with pytest.raises(ParamError) as err:
-        load_params(bad)
-    assert "unknown_key" in str(err.value)
-    bad.write_text("gamma = fast\n")
-    with pytest.raises(ParamError):
-        load_params(bad)
-
-
-def test_load_params_rejects_duplicate_key(tmp_path):
-    cfg = tmp_path / "params.txt"
-    cfg.write_text("gamma = 4.0\n# comment\n\ngamma = 5.0\n")
-    with pytest.raises(ParamError) as err:
-        load_params(cfg)
-    msg = str(err.value)
-    assert f"{cfg}:4:" in msg and "'gamma'" in msg and "line 1" in msg
+        replace(preset("reference"), **{name: math.nan})
 
 
 def _bad(*out_of_interval):
@@ -206,7 +171,6 @@ def _frozen_rows(instance, error, out_of_interval):
 _VERTICAL = BranchingBetas(1.0, 0.0, 0.0, 0.0)
 _SYSTEM = LevelSystem.from_rates(1.0, _VERTICAL, 30.0)
 _MODE = synthetic_w1_mode(20.0, points=5)
-_RHO = np.diag([1.0, 0.0, 0.0, 0.0])
 _SWEEP_CONFIG = {"scenario": "detuning_sweep", "sweep_name": "delta", "sweep_min": 8.0,
                  "sweep_max": 64.0, "sweep_points": 3}
 
@@ -264,7 +228,7 @@ REAL_INPUTS = [
         "rate_diagonal_leak": (-1.0,), "dephasing": (-1.0,),
     }),
     *_frozen_rows(Pulse("square", 0.05), ParamError, {
-        "duration": (0.0,), "area": (), "carrier_detuning": (),
+        "duration": (0.0,), "carrier_detuning": (),
     }),
     ("optimize_pulse_duration", lambda v: optimize_pulse_duration(_SYSTEM, bounds=(v, 1.0)),
      "bounds", ParamError, _bad(-0.1)),
@@ -273,11 +237,6 @@ REAL_INPUTS = [
     ("optimize_pulse_duration",
      lambda v: optimize_pulse_duration(LevelSystem.from_rates(1.0, _VERTICAL, v)),
      "delta", ParamError, _bad(0.0)),
-    ("integrate_master_equation", lambda v: integrate_master_equation(_SYSTEM, None, _RHO, v),
-     "horizon", ParamError, _bad()),
-    ("integrate_master_equation",
-     lambda v: integrate_master_equation(_SYSTEM, None, _RHO, tolerance=v),
-     "tolerance", ParamError, _bad(0.0)),
     ("excitation_error_probability",
      lambda v: excitation_error_probability(_SYSTEM, Pulse("gaussian", 0.05), tolerance=v),
      "tolerance", ParamError, _bad(-1e-9)),

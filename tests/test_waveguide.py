@@ -67,6 +67,35 @@ def test_mode_field_validation():
         ModeField(x=x, y=x, field=good, n_g=20.0, a_nm=240.0, norm=0.0)
 
 
+@pytest.mark.parametrize("points", [0, 1])
+def test_mode_field_needs_two_points_per_axis(points):
+    # bilinear interpolation needs a cell, so two points per axis
+    with pytest.raises(ModeFieldError, match=f"at least 2 points on x, got {points}"):
+        synthetic_w1_mode(20.0, points=points)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_mode_field_names_the_axis_with_one_point(axis):
+    grid = {"x": np.linspace(-0.5, 0.5, 5), "y": np.linspace(-0.5, 0.5, 5)}
+    grid[axis] = np.array([0.0])
+    field = np.zeros((grid["x"].size, grid["y"].size, 3), dtype=complex)
+    with pytest.raises(ModeFieldError, match=f"at least 2 points on {axis}, got 1"):
+        ModeField(**grid, field=field, n_g=20.0, a_nm=240.0, norm=1.0)
+
+
+def test_two_points_per_axis_make_a_usable_mode_field():
+    mode = synthetic_w1_mode(20.0, points=2)
+    assert mode.field.shape == (2, 2, 3)
+    _, _, b, beta = branching_map(mode, resolution=3)
+    assert np.all(np.isfinite(b)) and np.all(np.isfinite(beta))
+
+
+@pytest.mark.parametrize("points", [-1, 2.5, True])
+def test_synthetic_mode_point_count_must_be_a_whole_number(points):
+    with pytest.raises(ModeFieldError, match="^points must be"):
+        synthetic_w1_mode(20.0, points=points)
+
+
 @pytest.mark.parametrize(
     "name, value",
     [("n_g", 0.0), ("n_g", -20.0), ("n_g", math.nan), ("norm", math.nan)],
@@ -119,6 +148,13 @@ def test_load_mode_field_errors(tmp_path):
     with pytest.raises(ModeFieldError) as err:
         load_mode_field(f)
     assert "duplicate" in str(err.value)
+
+
+def test_load_mode_field_rejects_a_single_column(tmp_path):
+    f = tmp_path / "mode.txt"
+    _write_mode_file(f, rows=["0 0 0 0 1 0 0 0", "0 1 0 0 1 0 0 0"])
+    with pytest.raises(ModeFieldError, match="at least 2 points on x, got 1"):
+        load_mode_field(f)
 
 
 def test_load_mode_field_rejects_negative_group_index(tmp_path):
