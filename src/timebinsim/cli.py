@@ -27,6 +27,7 @@ from .params import (
     ParamError,
     PhysicalParams,
     _real,
+    _whole as _count,
     gamma_d_for_indistinguishability,
     indistinguishability,
     preset,
@@ -93,8 +94,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _registered(self.scenario)
-        if any(int(n) < 1 for n in self.photons):
-            raise ConfigError(f"photon numbers must be >= 1, got {self.photons}")
+        for n in self.photons:
+            _count("photons", n, 1, error=ConfigError)
         unknown = sorted(set(self.overrides) - {f.name for f in fields(PhysicalParams)})
         if unknown:
             raise ConfigError(f"unknown parameter override(s): param.{', param.'.join(unknown)}")

@@ -161,15 +161,19 @@ def sample_measurements(state, settings, shots, seed=0, eta=1.0):
     rho, orth = _as_rho(state)
     outcomes, probs = joint_outcome_distribution(rho, settings, eta=eta)
     if orth > 0.0:
-        mixed = np.eye(rho.shape[0], dtype=complex) / rho.shape[0]
-        _, p2 = joint_outcome_distribution(mixed, settings, eta=eta)
-        probs = probs + orth * p2
+        probs = probs + orth * _mixed_distribution(settings, eta)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     combo = np.repeat(np.arange(len(outcomes)), rng.multinomial(shots, probs / probs.sum()))
     # multinomial counts come grouped by outcome; shuffle the shot order so
     # consecutive shots (and hence jackknife blocks) are exchangeable
     rng.shuffle(combo)
     return ShotRecords(settings=tuple(settings), outcomes=outcomes, combo=combo)
+
+
+def _mixed_distribution(settings, eta):
+    """The maximally mixed state's outcome distribution: the product over qubits of Tr(E) / 2."""
+    traces = [[np.trace(op).real / 2.0 for _, op in povm_elements(s, eta)] for s in settings]
+    return np.prod(list(product(*traces)), axis=1)
 
 
 # earlier name of the same sampler, kept for existing callers

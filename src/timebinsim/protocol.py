@@ -20,8 +20,8 @@ matrix-product picture of sequential photon sources (Schoen et al., PRL 95,
 protocol's own run, so a fidelity is one contraction of two such chains.
 Every PhysicalParams run, noisy or not, is built from one cached phase
 split of a round's superoperator.
-The dense rho is built only when ``HybridState.rho`` is read, one matrix
-product per round on the (i j) x (rest, rest) view of rho.
+The dense rho is built only when ``HybridState.rho`` is read; a round
+writes its output in place, one matrix product per block of rows.
 """
 from __future__ import annotations
 
@@ -46,6 +46,8 @@ from .params import ParamError, PhysicalParams, _real, _real_fields, _whole
 
 # largest photon number for which a dense 2^(N+1) state is built
 PHOTON_CAP = 10
+# input cells (i, rest, j, rest') per row block of a dense round: ~320 kB of temporaries
+_BLOCK_CELLS = 4096
 
 # spin state after initialization: R(pi/2) applied to spin-down
 _PSI0 = rotation_matrix(math.pi / 2.0) @ np.array([1.0, 0.0], dtype=complex)
@@ -129,7 +131,7 @@ class HybridState:
 
     @cached_property
     def rho(self):
-        """Dense density operator, the sample average, summed one sample at a time."""
+        """Dense density operator, the sample average, summed in place into the first sample."""
         if self.photon_count > PHOTON_CAP:
             raise CapacityError(
                 f"{self.photon_count} photons exceeds the cap of {PHOTON_CAP} for a "
@@ -137,12 +139,12 @@ class HybridState:
             )
         total = None
         for sample in self.superoperators:
-            rho = _RHO0
+            rho = _RHO0.copy()  # a fresh array even for a photon-less state
             for sup in sample:
                 rho = _apply_superoperator(rho, sup)
-            total = rho if total is None else total + rho
+            total = rho if total is None else np.add(total, rho, out=total)
         count = len(self.superoperators)
-        return total / count if count > 1 else total
+        return np.divide(total, count, out=total) if count > 1 else total
 
 
 def _spin_superoperator(cycle):
@@ -152,13 +154,16 @@ def _spin_superoperator(cycle):
 
 
 def _apply_superoperator(rho, s):
-    """Apply a 16x4 spin superoperator to rho; appends the new photon last."""
-    d = rho.shape[0]
-    r = d // 2
-    x = rho.reshape(2, r, 2, r).transpose(0, 2, 1, 3).reshape(4, r * r)
-    out = (s @ x).reshape(2, 2, 2, 2, r, r)  # [a, p, b, c, rest, rest]
-    # (spin, photon_new, rest | ...) -> (spin, rest, photon_new | ...)
-    return out.transpose(0, 4, 1, 2, 5, 3).reshape(2 * d, 2 * d)
+    """Apply a 16x4 spin superoperator to rho; appends the new photon last. Only the output is
+    full size: it is written a block of rest rows at a time, of at most _BLOCK_CELLS input cells."""
+    r = rho.shape[0] // 2
+    x = rho.reshape(2, r, 2, r)  # [i, rest, j, rest']
+    out = np.empty((2, r, 2, 2, r, 2), dtype=complex)  # [a, rest, p, b, rest', c]
+    rows = max(1, _BLOCK_CELLS // (4 * r))
+    for lo in range(0, r, rows):
+        blk = s @ x[:, lo:lo + rows].transpose(0, 2, 1, 3).reshape(4, -1)  # [(a p b c), (rows, rest')]
+        out[:, lo:lo + rows] = blk.reshape(2, 2, 2, 2, -1, r).transpose(0, 4, 1, 2, 5, 3)
+    return out.reshape(4 * r, 4 * r)
 
 
 def run_protocol_cycles(cycles):

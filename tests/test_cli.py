@@ -39,6 +39,21 @@ def test_config_validation():
         build_config({"scenario": "echo_demo", "n_photon": 3})
 
 
+@pytest.mark.parametrize(
+    "photons, message",
+    [
+        ((2.7,), "photons must be an integer, got 2.7"),
+        ((True,), "photons must be an integer, got True"),
+        (("a",), "photons must be an integer, got 'a'"),
+        ((3, 0), "photons must be >= 1, got 0"),
+    ],
+    ids=["float", "bool", "text", "zero"],
+)
+def test_photon_numbers_must_be_whole_numbers_of_at_least_one(photons, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ScenarioConfig(scenario="photon_scaling", photons=photons)
+
+
 def test_parse_config_rejects_duplicate_key(tmp_path):
     cfg = tmp_path / "dup.cfg"
     cfg.write_text("scenario = photon_scaling\nphotons = 1,2\nseed = 3\nphotons = 4\n")

@@ -326,6 +326,28 @@ def test_columnar_readout_matches_per_object_reference(monkeypatch):
         assert out == ref
 
 
+MIXED_SETTINGS = [
+    BasisSetting.z(),
+    BasisSetting.x(0.7),
+    BasisSetting(kind="X", phase=1.1, routing="passive"),
+    BasisSetting(kind="Z", routing="passive"),
+    BasisSetting.y(),
+]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("eta", [1.0, 0.84])
+def test_mixed_distribution_matches_the_dense_identity(n, eta):
+    # the orthogonal mass's click patterns: a product over qubits, in the
+    # outcome order of joint_outcome_distribution on the maximally mixed state
+    for settings in ([BasisSetting.z()] * n, [BasisSetting.x(2.5)] * n, MIXED_SETTINGS[:n]):
+        d = 2**n
+        _, want = joint_outcome_distribution(np.eye(d) / d, settings, eta=eta)
+        got = measurement._mixed_distribution(settings, eta)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
+
+
 def test_estimator_names_qubit_count_mismatch():
     st = run_protocol(ideal_cycle_map(), 2)
     recs = {"Z": sample_measurements(st, [BasisSetting.z()] * 3, 200, seed=0)}

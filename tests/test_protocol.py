@@ -1,12 +1,13 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from timebinsim import cyclemap
+from timebinsim import cyclemap, protocol
 from timebinsim.cyclemap import CycleMap, CycleOptions, build_cycle_map, ideal_cycle_map
 from timebinsim.params import BranchingBetas, ParamError, betas_from_branching, preset
 from timebinsim.protocol import (
@@ -422,6 +423,54 @@ def test_superoperator_kernel_matches_reference_on_mixed_sequence():
         _assert_matches_reference(run_protocol_cycles(cycles[:n]), cycles[:n])
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_row_block_kernel_matches_per_kraus_reference(n):
+    # the last round's input, 4^N cells, spans at least two row blocks
+    assert 4**n // protocol._BLOCK_CELLS >= 2
+    betas, opts, n_kraus = ORACLE_MAPS[-1]
+    cm = build_cycle_map(betas, opts)
+    assert len(cm.kraus) == n_kraus == 16
+    _assert_matches_reference(run_protocol_cycles([cm] * n), [cm] * n)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_row_block_kernel_matches_per_kraus_reference_on_a_noisy_state(n):
+    p = preset("reference")
+    noise = NoiseConfig(
+        overhauser_sigma=0.4,
+        drift_diffusion=drift_diffusion_from_t2(150.0, p.t_cycle),
+        sample_count=3,
+        rng_seed=5,
+    )
+    st = run_protocol(p, n, kind=TargetKind.CLUSTER, noise=noise)
+    samples = _per_cycle_noisy_cycles(p, n, TargetKind.CLUSTER, noise, CycleOptions())
+    rho = sum(_reference_protocol(cycles)[0] for cycles in samples) / len(samples)
+    assert np.abs(st.rho - rho).max() <= 1e-12 * np.abs(rho).max()
+
+
+@pytest.mark.parametrize("n, samples, bound", [(10, 1, 1.5), (9, 2, 2.5)])
+def test_dense_rho_peak_memory(n, samples, bound):
+    # the output, the previous round's state and one row block: a single
+    # sample peaks at 1.25 outputs, and a second sample adds one more
+    st = run_protocol(preset("reference"), n, noise=NoiseConfig(0.3, sample_count=samples))
+    tracemalloc.start()
+    try:
+        rho = st.rho
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * rho.nbytes
+
+
+def test_in_place_sample_sum_leaves_the_initial_spin_state_alone():
+    # a photon-less state's samples are the initial spin state itself
+    want = protocol._RHO0.copy()
+    for _ in range(2):
+        st = protocol.HybridState(np.zeros((3, 0, 16, 4), dtype=complex), 1.0, 0.0)
+        assert np.abs(st.rho - want).max() <= 1e-15
+    assert np.array_equal(protocol._RHO0, want)
+
+
 _PAULI = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]), "Z": np.diag([1.0, -1.0])}
 
 
@@ -449,15 +498,16 @@ def test_stabilizer_expectations_match_full_trace():
                     assert val == pytest.approx(full, rel=1e-12, abs=1e-15), label
 
 
-def _per_cycle_noisy_states(params, n, kind, noise, options):
-    """Noise samples drawn as run_protocol does, with a fresh map per cycle.
+def _per_cycle_noisy_cycles(params, n, kind, noise, options):
+    """Noise samples drawn as run_protocol does, as one fresh map per cycle.
 
     Sample i draws from child seed i: the detuning shift first, then one
     scalar drift kick per cycle; both add to the options' static offsets.
+    Returns the cycle sequence of every sample.
     """
     base = replace(options, rotation_angle=kind.rotation_angle)
     drift_std = math.sqrt(noise.drift_diffusion * params.t_cycle**3)
-    states = []
+    samples = []
     for seq in np.random.SeedSequence(noise.rng_seed).spawn(noise.sample_count):
         rng = np.random.default_rng(seq)
         delta = rng.normal(0.0, noise.overhauser_sigma) if noise.overhauser_sigma else 0.0
@@ -470,8 +520,13 @@ def _per_cycle_noisy_states(params, n, kind, noise, options):
                 drift_phase=base.drift_phase + kick,
             )
             cycles.append(build_cycle_map(params, opts))
-        states.append(run_protocol_cycles(cycles))
-    return states
+        samples.append(cycles)
+    return samples
+
+
+def _per_cycle_noisy_states(params, n, kind, noise, options):
+    """One run_protocol_cycles state per noise sample, from per-cycle maps."""
+    return [run_protocol_cycles(c) for c in _per_cycle_noisy_cycles(params, n, kind, noise, options)]
 
 
 def _assert_matches_per_cycle_oracle(params, n, kind, noise, options):
