@@ -247,6 +247,11 @@ def excitation_error_probability(system, pulse, tolerance=1e-10):
     """
     _real(("tolerance", tolerance, "(0, inf)"))
     generators = {j: _generator(system, pulse.carrier_detuning, j) for j in (True, False)}
+    return _excitation_errors(generators, pulse, tolerance)
+
+
+def _excitation_errors(generators, pulse, tolerance):
+    """``excitation_error_probability`` on prebuilt generators, keyed by ``jumps``."""
     if pulse.shape == "square":
         from scipy.linalg import expm
 
@@ -310,11 +315,12 @@ def optimize_pulse_duration(
         raise ParamError(f"invalid duration bounds {bounds}")
     # fewer than 3 points cannot bracket an interior minimum
     n_scan = _whole("n_scan", n_scan, 3)
+    _real(("tolerance", tolerance, "(0, inf)"))
+    # every scanned pulse has the default carrier, so one generator pair serves them all
+    generators = {j: _generator(system, 0.0, j) for j in (True, False)}
 
     def err(duration):
-        return excitation_error_probability(
-            system, Pulse(shape=shape, duration=duration), tolerance=tolerance
-        ).total
+        return _excitation_errors(generators, Pulse(shape, duration), tolerance).total
 
     grid = np.geomspace(lo, hi, n_scan)
     vals = [err(t) for t in grid]

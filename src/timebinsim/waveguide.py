@@ -24,6 +24,8 @@ RATE_SCALE = 0.24
 
 DEFAULT_GAMMA_TABLE = {20.0: 3.2, 56.0: 5.3}
 
+_BLOCK_CELLS = 1000  # grid points per branching_map block: 4 rows, ~0.2 MB, at resolution 201
+
 
 class ModeFieldError(ValueError):
     """Malformed or inconsistent mode-field data."""
@@ -193,7 +195,7 @@ def synthetic_w1_mode(n_g, points=41):
 
 
 def _decay_weights(mode, px, py, gamma_bulk, leak_fraction):
-    """Decay weights (par, perp, leak per dipole) and total rate at x = px, y in py.
+    """Decay weights (par, perp, leak per dipole) and total rate at (px, py), broadcast.
 
     The vertical dipole projects on the dominant transverse component (Ey),
     the diagonal dipole on the orthogonal in-plane component (Ex); each
@@ -208,7 +210,8 @@ def _decay_weights(mode, px, py, gamma_bulk, leak_fraction):
     total = g_par + g_perp + 2.0 * g_leak
     zero = total <= 0
     if np.any(zero):
-        raise ModeFieldError(f"zero total decay rate at ({px}, {np.asarray(py)[zero][0]})")
+        x, y = (np.broadcast_to(c, zero.shape)[zero][0] for c in (px, py))
+        raise ModeFieldError(f"zero total decay rate at ({x}, {y})")
     return g_par / total, g_perp / total, g_leak / total, total
 
 
@@ -221,7 +224,7 @@ def coupling_at(mode, position, gamma_bulk=1.0, leak_fraction=0.1):
 
 
 def branching_map(mode, resolution=21, leak_fraction=0.1):
-    """B and beta_total on a uniform grid over the cell, one row (one x, all y) at a time.
+    """B and beta_total on a uniform grid over the cell, a block of rows (x, all y) at a time.
 
     Both are ratios of rates, so the bulk rate cancels. Returns (x, y, B,
     beta_total) arrays; B is +inf where fully cycling.
@@ -231,11 +234,12 @@ def branching_map(mode, resolution=21, leak_fraction=0.1):
     ys = np.linspace(mode.y[0], mode.y[-1], resolution)
     b = np.empty((resolution, resolution))
     bt = np.empty((resolution, resolution))
-    for i, px in enumerate(xs):
-        par, perp, leak, _ = _decay_weights(mode, px, ys, 1.0, leak_fraction)
+    rows = max(1, _BLOCK_CELLS // resolution)
+    for lo in range(0, resolution, rows):
+        par, perp, leak, _ = _decay_weights(mode, xs[lo:lo + rows, None], ys, 1.0, leak_fraction)
         with np.errstate(divide="ignore"):
-            b[i] = (par + leak) / (perp + leak)
-        bt[i] = par + perp
+            b[lo:lo + rows] = (par + leak) / (perp + leak)
+        bt[lo:lo + rows] = par + perp
     return xs, ys, b, bt
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -228,6 +229,39 @@ def test_photon_scaling_default_rows_are_pinned(tmp_path):
         "3,0.06,0.0649519052838,0.078125,0.203076905284,7.31733333333,0.179787899757,"
         "0.901222229004",
     ]
+
+
+def test_pulse_optimization_default_rows_are_pinned(tmp_path):
+    # rows of the default configuration (square pulse, delta/gamma = 30, 100,
+    # 300), fixed before the optimizer shared one generator pair per run
+    out = tmp_path / "pulse.csv"
+    assert main(["pulse_optimization", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2:] == [
+        "delta_over_gamma,duration_opt,error_min,coefficient",
+        "30,0.180986393532,0.0176958992118,0.530876976354",
+        "100,0.054381477559,0.00538650457896,0.538650457896",
+        "300,0.0181359722994,0.0018029718868,0.540891566041",
+    ]
+
+
+def test_branching_map_default_rows_are_pinned(tmp_path):
+    # rows of the default configuration (fixture at n_g = 20, 21 x 21 grid,
+    # leak fraction 0.1), fixed before the map moved onto blocks of rows:
+    # the diagonal, one row in 110, and a digest of all 442 lines
+    out = tmp_path / "map.csv"
+    assert main(["branching_map", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[2:]
+    assert len(lines) == 442
+    assert lines[0:2] + lines[111::110] == [
+        "x,y,B,beta_total,branching_infidelity",
+        "-0.5,-0.5,1,7.28883254374e-32,0.125",
+        "-0.25,-0.25,1.21268656716,0.91568296796,0.112984822934",
+        "0,0,49,0.96,0.005",
+        "0.25,0.25,1.21268656716,0.91568296796,0.112984822934",
+        "0.5,0.5,1,7.28883254374e-32,0.125",
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0efb7ccbbdfc4915531ff6bab05ab7f1d35d7263ca67ae2a2b3deadd559134dd"
 
 
 def test_branching_map_scenario():

@@ -11,7 +11,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import timebinsim
+from timebinsim import dynamics
 from timebinsim.dynamics import (
+    DURATION_REL_TOL,
     GROUND_DOWN,
     GROUND_UP,
     TRION_DOWN,
@@ -285,6 +287,69 @@ def test_square_propagator_matches_solver(ratio):
         for name, value in want.items():
             assert getattr(errs, name) == pytest.approx(value, rel=0, abs=1e-12), name
         assert errs.total == pytest.approx(sum(want.values()), rel=1e-9)
+
+
+def _reference_optimize(system, shape="square", n_scan=40, tolerance=1e-9):
+    """The coarse scan and golden section over the default bounds, every
+    duration evaluated through the public ``excitation_error_probability``."""
+
+    def err(duration):
+        return excitation_error_probability(system, Pulse(shape, duration), tolerance).total
+
+    grid = np.geomspace(1.5 / system.delta, 30.0 / system.delta, n_scan)
+    k = int(np.argmin([err(t) for t in grid]))
+    a, b = grid[k - 1], grid[k + 1]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = err(c), err(d)
+    while (b - a) > DURATION_REL_TOL * (a + b) / 2.0:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = err(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = err(d)
+    return float(c if fc < fd else d), float(min(fc, fd))
+
+
+@pytest.mark.parametrize("ratio", [30.0, 100.0, 300.0])
+def test_optimizer_matches_per_pulse_public_path(ratio):
+    # the shared generator pair must not move a single bit of the optimum
+    opt = optimize_pulse_duration(make_system(gamma=1.0, delta=ratio))
+    duration, error = _reference_optimize(make_system(gamma=1.0, delta=ratio))
+    assert opt["duration_opt"].hex() == duration.hex()
+    assert opt["error_min"].hex() == error.hex()
+
+
+def _count_generators(monkeypatch):
+    calls = []
+    build = dynamics._generator
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_generator", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "shape, options", [("square", {}), ("gaussian", {"n_scan": 8, "tolerance": 1e-6})]
+)
+def test_optimizer_builds_the_generator_pair_once(monkeypatch, shape, options):
+    calls = _count_generators(monkeypatch)
+    optimize_pulse_duration(make_system(gamma=1.0, delta=30.0), shape=shape, **options)
+    assert len(calls) == 2
+
+
+def test_optimizer_checks_tolerance_before_any_pulse(monkeypatch):
+    # every bad value is in the bounds table of test_params; here, the check's place
+    calls = _count_generators(monkeypatch)
+    with pytest.raises(ParamError, match="^tolerance must be finite"):
+        optimize_pulse_duration(make_system(gamma=1.0, delta=30.0), tolerance=math.nan)
+    assert calls == []
 
 
 def test_jump_generator_preserves_trace():

@@ -240,6 +240,8 @@ REAL_INPUTS = [
     ("excitation_error_probability",
      lambda v: excitation_error_probability(_SYSTEM, Pulse("gaussian", 0.05), tolerance=v),
      "tolerance", ParamError, _bad(-1e-9)),
+    ("optimize_pulse_duration", lambda v: optimize_pulse_duration(_SYSTEM, tolerance=v),
+     "tolerance", ParamError, _bad(0.0, -1e-9)),
     *_frozen_rows(_MODE, ModeFieldError, {"n_g": (0.0,), "a_nm": (0.0,), "norm": (0.0,)}),
     ("coupling_at", lambda v: coupling_at(_MODE, (0.1, 0.2), gamma_bulk=v), "gamma_bulk",
      ParamError, _bad(0.0)),

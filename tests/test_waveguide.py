@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from timebinsim import waveguide
 from timebinsim.params import ParamError
 from timebinsim.waveguide import (
     RATE_SCALE,
@@ -215,16 +216,28 @@ def _random_mode():
     return ModeField(x=x, y=y, field=field, n_g=33.0, a_nm=240.0, norm=1.7)
 
 
+# a resolution whose last block of rows is shorter than the others
+PARTIAL_BLOCK_RESOLUTION = 45
+
+
+def test_partial_block_resolution_ends_in_a_partial_block():
+    rows = waveguide._BLOCK_CELLS // PARTIAL_BLOCK_RESOLUTION
+    assert 1 <= rows < PARTIAL_BLOCK_RESOLUTION and PARTIAL_BLOCK_RESOLUTION % rows
+
+
 @pytest.mark.parametrize(
     "mode, resolution, leak_fraction",
     [
+        (synthetic_w1_mode(20.0), 2, 0.1),
         (synthetic_w1_mode(20.0), 21, 0.1),
         (synthetic_w1_mode(20.0), 201, 0.1),
         (_random_mode(), 31, 0.0),
         (_random_mode(), 31, 0.1),
         (_random_mode(), 31, 0.7),
+        (_random_mode(), PARTIAL_BLOCK_RESOLUTION, 0.0),
     ],
-    ids=["w1-21", "w1-201", "random-leak0", "random-leak0.1", "random-leak0.7"],
+    ids=["w1-2", "w1-21", "w1-201", "random-leak0", "random-leak0.1", "random-leak0.7",
+         "random-partial-block"],
 )
 def test_branching_map_matches_per_point_loop(mode, resolution, leak_fraction):
     xs, ys, b, bt = branching_map(mode, resolution=resolution, leak_fraction=leak_fraction)
@@ -235,6 +248,14 @@ def test_branching_map_matches_per_point_loop(mode, resolution, leak_fraction):
     assert np.array_equal(np.isinf(b), cycling)
     assert np.allclose(b[~cycling], rb[~cycling], rtol=1e-14, atol=0.0)
     assert np.allclose(bt, rbt, rtol=1e-14, atol=0.0)
+
+
+def test_branching_map_names_one_point_of_zero_decay_rate():
+    # a field that vanishes everywhere and no leak channel: no decay at any point
+    mode = ModeField(x=[0.0, 1.0], y=[0.0, 0.5, 1.0], field=np.zeros((2, 3, 3)),
+                     n_g=20.0, a_nm=240.0, norm=1.0)
+    with pytest.raises(ModeFieldError, match=r"^zero total decay rate at \(0\.0, 0\.0\)$"):
+        branching_map(mode, resolution=5, leak_fraction=0.0)
 
 
 def test_branching_map_argmax_on_nodal_line():
