@@ -67,13 +67,12 @@ class SweepAxis:
         _real(("lo", self.lo, "(-inf, inf)"), ("hi", self.hi, "(-inf, inf)"),
               error=ConfigError)
         if self.lo >= self.hi:
-            raise ConfigError(f"sweep bounds must be ordered, got [{self.lo}, {self.hi}]")
-        if self.points < 2:
-            raise ConfigError(f"sweep needs >= 2 points, got {self.points}")
+            raise ConfigError(f"sweep_min must be below sweep_max, got [{self.lo}, {self.hi}]")
+        _count("sweep_points", self.points, 2, error=ConfigError)
         if self.scale not in ("linear", "log"):
-            raise ConfigError(f"sweep scale must be linear or log, got {self.scale!r}")
+            raise ConfigError(f"sweep_scale must be linear or log, got {self.scale!r}")
         if self.scale == "log" and self.lo <= 0:
-            raise ConfigError("log sweep needs positive bounds")
+            raise ConfigError(f"sweep_min must be > 0 for a log sweep_scale, got {self.lo}")
 
     def values(self):
         if self.scale == "log":
@@ -252,7 +251,7 @@ def scenario_detuning_sweep(config):
     base = config.params()
     sweep = config.sweep or SweepAxis(name="delta", lo=4.0, hi=64.0, points=16)
     if sweep.name not in ("delta", "b_field"):
-        raise ConfigError(f"detuning sweep axis must be delta or b_field, got {sweep.name!r}")
+        raise ConfigError(f"sweep_name must be delta or b_field, got {sweep.name!r}")
     ng_list = _option(config.options.get, "n_g_list", _tuple_of(float), (base.n_g,))
     rows = []
     for n_g in ng_list:

@@ -16,8 +16,10 @@ on after emission, so a state is kept as its sequence of superoperators:
 the normalizations come from a forward recursion on the 2x2 spin-reduced
 state, and stabilizer expectations are contracted round by round, as in the
 matrix-product picture of sequential photon sources (Schoen et al., PRL 95,
-110503, 2005). The ideal target is a state of the same kind, the ideal
-protocol's own run, so a fidelity is one contraction of two such chains.
+110503, 2005); the generators are one table of integer Pauli codes, and
+label strings are made only when ``canonical_stabilizers`` is called. The
+ideal target is a state of the same kind, the ideal protocol's own run, so
+a fidelity is one contraction of two such chains.
 Every PhysicalParams run, noisy or not, is built from one cached phase
 split of a round's superoperator.
 The dense rho is built only when ``HybridState.rho`` is read; a round
@@ -69,6 +71,11 @@ class TargetKind(Enum):
     @property
     def rotation_angle(self):
         return math.pi if self is TargetKind.GHZ else math.pi / 2.0
+
+
+def _check_kind(kind):
+    if not isinstance(kind, TargetKind):
+        raise ParamError(f"kind must be a TargetKind, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -229,6 +236,7 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
     unset angle and so is accepted for a cluster too; any other is refused.
     """
     n = _whole("n_photons", n_photons, 1)
+    _check_kind(kind)
     if isinstance(cycle, CycleMap):
         if noise is not None:
             raise ParamError("noise averaging needs PhysicalParams, not a fixed CycleMap")
@@ -293,6 +301,7 @@ def _split_superoperators(params, base):
 def _ideal_chain(n_photons, kind):
     """The ideal run's read-only chain and two scalars, shared by every ``ideal_target``."""
     n = _whole("n_photons", n_photons, 1)
+    _check_kind(kind)
     state = run_protocol_cycles([ideal_cycle_map(kind.rotation_angle)] * n)
     state.superoperators.flags.writeable = False
     return state.superoperators, state.success_probability, state.orthogonal_error_mass
@@ -351,55 +360,48 @@ def _overlaps(state, target):
     return np.trace(env, axis1=1, axis2=2).real
 
 
-def canonical_stabilizers(n_photons, kind):
-    """Unsigned stabilizer generator labels over I, X, Z, in state order
-    (spin, p1..pN).
-
-    The chain underlying both kinds is (p1, ..., pN, spin): photons in
-    emission order with the spin at the end.
-    """
-    n = n_photons
-    chain_to_state = list(range(1, n + 1)) + [0]
-    gens = []
+def _generator_codes(n_photons, kind):
+    """Pauli codes (0 = I, 1 = X, 2 = Z) of the N+1 stabilizer generators, one row
+    each, in state-order columns (spin, p1..pN). On the chain (p1..pN, spin), whose
+    position c is column c + 1 and the spin column 0, GHZ has X on every qubit and
+    Z Z on each neighbouring pair, the cluster X on one qubit and Z on its neighbours."""
+    n = _whole("n_photons", n_photons, 1)
+    _check_kind(kind)
+    chain, codes = np.arange(n + 1), np.zeros((n + 1, n + 1), dtype=np.int8)
+    col = (chain + 1) % (n + 1)
     if kind is TargetKind.GHZ:
-        gens.append("X" * (n + 1))
-        for j in range(n):
-            labels = ["I"] * (n + 1)
-            labels[chain_to_state[j]] = "Z"
-            labels[chain_to_state[j + 1]] = "Z"
-            gens.append("".join(labels))
+        codes[0] = 1
+        codes[chain[1:], col[:-1]] = codes[chain[1:], col[1:]] = 2
     else:
-        for j in range(n + 1):
-            labels = ["I"] * (n + 1)
-            labels[chain_to_state[j]] = "X"
-            if j > 0:
-                labels[chain_to_state[j - 1]] = "Z"
-            if j < n:
-                labels[chain_to_state[j + 1]] = "Z"
-            gens.append("".join(labels))
-    return gens
+        codes[chain, col] = 1
+        codes[chain[:-1], col[1:]] = codes[chain[1:], col[:-1]] = 2
+    return codes
 
 
-# I, X, Z on one qubit, and the label letters that pick them
+def canonical_stabilizers(n_photons, kind):
+    """The rows of ``_generator_codes`` as unsigned labels over I, X, Z, in state order."""
+    letters = np.frombuffer(b"IXZ", dtype=np.uint8)[_generator_codes(n_photons, kind)]
+    return [row.tobytes().decode() for row in letters]
+
+
+# I, X, Z on one qubit, in the order of their codes
 _PAULIS = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], np.diag([1.0, -1.0])], dtype=complex)
-_PAULI_INDEX = {"I": 0, "X": 1, "Z": 2}
 
 
-def _pauli_traces(state, labels):
-    """Tr(P rho_s) per noise sample (rows) and Pauli label (columns).
+def _pauli_traces(state, codes):
+    """Tr(P rho_s) per noise sample (rows) and Pauli string P, a row of ``codes`` (columns).
 
     A forward recursion on the 2x2 spin operator Tr_photons[(P_1..P_t) rho_t]:
-    round t traces its new photon against the label's Pauli on that photon,
-    and the spin's Pauli closes the chain. All labels run at once.
+    round t traces its new photon against the string's Pauli on that photon,
+    and the spin's Pauli closes the chain. All strings run at once.
     """
-    codes = np.array([[_PAULI_INDEX[c] for c in label] for label in labels])
     samples, n = state.superoperators.shape[:2]
     sup = state.superoperators.reshape(samples, n, 2, 2, 2, 2, 4)  # [a, p, b, c, (i j)]
     # sum_{p c} P[c, p] S[(a p), (b c), (i j)] for each round and Pauli
     reduced = np.einsum("stapbcx,kcp->stkabx", sup, _PAULIS).reshape(samples, n, 3, 4, 4)
-    sigma = np.broadcast_to(_RHO0.reshape(4), (samples, len(labels), 4))
+    sigma = np.broadcast_to(_RHO0.reshape(4), (samples, len(codes), 4))
     for t in range(n):
-        # [sample, label, (a b), (i j)] applied to [sample, label, (i j)]
+        # [sample, string, (a b), (i j)] applied to [sample, string, (i j)]
         sigma = np.einsum("sgxy,sgy->sgx", reduced[:, t, codes[:, t + 1]], sigma)
     # Tr(P sigma) = sum_{a b} P[b, a] sigma[a, b]
     close = _PAULIS.transpose(0, 2, 1).reshape(3, 4)[codes[:, 0]]
@@ -409,16 +411,12 @@ def _pauli_traces(state, labels):
 @lru_cache(maxsize=32)
 def _frame_signs(n_photons, kind):
     """Signs fixing the local frame of the ideal protocol output."""
-    labels = canonical_stabilizers(n_photons, kind)
-    signs = []
-    for label, val in zip(labels, _pauli_traces(ideal_target(n_photons, kind), labels)[0]):
-        if abs(abs(val) - 1.0) > 1e-9:
-            raise RuntimeError(
-                f"stabilizer {label} is not +-1 on the ideal state ({val}); "
-                "frame convention broken"
-            )
-        signs.append(1.0 if val > 0 else -1.0)
-    return tuple(signs)
+    vals = _pauli_traces(ideal_target(n_photons, kind), _generator_codes(n_photons, kind))[0]
+    off = np.flatnonzero(abs(abs(vals) - 1.0) > 1e-9)
+    if off.size:
+        raise RuntimeError(f"stabilizer {canonical_stabilizers(n_photons, kind)[off[0]]} is not "
+                           f"+-1 on the ideal state ({vals[off[0]]}); frame convention broken")
+    return tuple(np.sign(vals).tolist())
 
 
 def stabilizer_expectations(state, kind):
@@ -428,7 +426,7 @@ def stabilizer_expectations(state, kind):
     mass a HybridState holds at 1.
     """
     n = state.photon_count
-    vals = _pauli_traces(state, canonical_stabilizers(n, kind)).mean(axis=0)
+    vals = _pauli_traces(state, _generator_codes(n, kind)).mean(axis=0)
     return [sign * float(v) for sign, v in zip(_frame_signs(n, kind), vals)]
 
 

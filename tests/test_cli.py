@@ -25,6 +25,9 @@ def test_sweep_axis_validation():
         SweepAxis(name="delta", lo=1.0, hi=2.0, points=4, scale="cubic")
     with pytest.raises(ConfigError):
         SweepAxis(name="delta", lo=-1.0, hi=2.0, points=4, scale="log")
+    for points in (2.5, "3"):
+        with pytest.raises(ConfigError, match="^sweep_points must be an integer"):
+            SweepAxis(name="delta", lo=1.0, hi=2.0, points=points)
     vals = SweepAxis(name="delta", lo=1.0, hi=8.0, points=4, scale="log").values()
     assert list(vals) == pytest.approx([1.0, 2.0, 4.0, 8.0])
 
@@ -345,6 +348,31 @@ def test_pulse_optimization_scenario():
             "sweep_name = delta\nsweep_min = 1\nsweep_max = 2\nsweep_points = 3.5\n",
             "sweep_points",
         ),
+        (
+            "detuning_sweep",
+            "sweep_name = delta\nsweep_min = 1\nsweep_max = 2\nsweep_points = 1\n",
+            "sweep_points",
+        ),
+        (
+            "detuning_sweep",
+            "sweep_name = delta\nsweep_min = 1\nsweep_max = 2\nsweep_points = 3\nsweep_scale = 7\n",
+            "sweep_scale",
+        ),
+        (
+            "detuning_sweep",
+            "sweep_name = foo\nsweep_min = 1\nsweep_max = 2\nsweep_points = 3\n",
+            "sweep_name",
+        ),
+        (
+            "detuning_sweep",
+            "sweep_name = delta\nsweep_min = 2\nsweep_max = 1\nsweep_points = 3\n",
+            "sweep_min must be below sweep_max",
+        ),
+        (
+            "detuning_sweep",
+            "sweep_name = b_field\nsweep_min = 0\nsweep_max = 1\nsweep_points = 3\nsweep_scale = log\n",
+            "sweep_min must be > 0",
+        ),
     ],
     ids=[
         "missing-sweep_min", "unknown-param", "non-numeric-param", "bad-kind", "bad-n_photons",
@@ -352,6 +380,8 @@ def test_pulse_optimization_scenario():
         "unread-preset", "empty-list", "sweep-without-name", "fractional-photons",
         "fractional-resolution", "bool-resolution", "float-n_photons",
         "fractional-sample_count", "fractional-seed", "fractional-sweep_points",
+        "one-sweep_point", "bad-sweep_scale", "bad-sweep_name", "unordered-sweep-bounds",
+        "log-sweep-from-zero",
     ],
 )
 def test_main_names_the_bad_key(tmp_path, capsys, scenario, text, key):

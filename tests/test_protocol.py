@@ -9,6 +9,7 @@ import pytest
 
 from timebinsim import cyclemap, protocol
 from timebinsim.cyclemap import CycleMap, CycleOptions, build_cycle_map, ideal_cycle_map
+from timebinsim.measurement import sample_stabilizer_expectations
 from timebinsim.params import BranchingBetas, ParamError, betas_from_branching, preset
 from timebinsim.protocol import (
     PHOTON_CAP,
@@ -172,9 +173,27 @@ def test_photon_count_must_be_a_whole_number(n):
         lambda: run_protocol(ideal_cycle_map(), n),
         lambda: ideal_target(n, TargetKind.GHZ),
         lambda: overhauser_average(p, n, TargetKind.GHZ, noise),
+        lambda: canonical_stabilizers(n, TargetKind.GHZ),
     )
     for call in calls:
         with pytest.raises(ParamError, match="n_photons"):
+            call()
+
+
+@pytest.mark.parametrize("kind", ["ghz", None, 1], ids=["text", "none", "int"])
+def test_target_kind_must_be_a_target_kind(kind):
+    p = preset("reference")
+    state = run_protocol(p, 2)
+    calls = (
+        lambda: canonical_stabilizers(2, kind),
+        lambda: run_protocol(p, 2, kind=kind),
+        lambda: ideal_target(2, kind),
+        lambda: stabilizer_expectations(state, kind),
+        lambda: overhauser_average(p, 2, kind, NoiseConfig(overhauser_sigma=0.1, sample_count=2)),
+        lambda: sample_stabilizer_expectations(state, kind, shots=10),
+    )
+    for call in calls:
+        with pytest.raises(ParamError, match=f"^kind must be a TargetKind, got {kind!r}$"):
             call()
 
 
@@ -766,3 +785,70 @@ def test_fidelity_beyond_cap_matches_dephasing_closed_form(kind, n):
     exact = (1.0 + ind**n) / 2.0 if kind is TargetKind.GHZ else ((1.0 + ind) / 2.0) ** n
     assert conditional_fidelity(st, target) == pytest.approx(exact, rel=1e-12)
     assert "rho" not in vars(st) and "rho" not in vars(target)
+
+
+# -- the generator code table against the label strings it replaced
+
+
+def _label_stabilizers(n, kind):
+    """The label builder that ``_generator_codes`` replaced: one string per
+    generator, built letter by letter on the chain (p1..pN, spin)."""
+    chain_to_state = list(range(1, n + 1)) + [0]
+    gens = []
+    if kind is TargetKind.GHZ:
+        gens.append("X" * (n + 1))
+        for j in range(n):
+            labels = ["I"] * (n + 1)
+            labels[chain_to_state[j]] = "Z"
+            labels[chain_to_state[j + 1]] = "Z"
+            gens.append("".join(labels))
+    else:
+        for j in range(n + 1):
+            labels = ["I"] * (n + 1)
+            labels[chain_to_state[j]] = "X"
+            if j > 0:
+                labels[chain_to_state[j - 1]] = "Z"
+            if j < n:
+                labels[chain_to_state[j + 1]] = "Z"
+            gens.append("".join(labels))
+    return gens
+
+
+def _label_pauli_traces(state, labels):
+    """The label-parsing recursion that the code-table one replaced."""
+    codes = np.array([[{"I": 0, "X": 1, "Z": 2}[c] for c in label] for label in labels])
+    samples, n = state.superoperators.shape[:2]
+    sup = state.superoperators.reshape(samples, n, 2, 2, 2, 2, 4)
+    reduced = np.einsum("stapbcx,kcp->stkabx", sup, protocol._PAULIS).reshape(samples, n, 3, 4, 4)
+    sigma = np.broadcast_to(protocol._RHO0.reshape(4), (samples, len(labels), 4))
+    for t in range(n):
+        sigma = np.einsum("sgxy,sgy->sgx", reduced[:, t, codes[:, t + 1]], sigma)
+    close = protocol._PAULIS.transpose(0, 2, 1).reshape(3, 4)[codes[:, 0]]
+    return (sigma * close).sum(axis=-1).real
+
+
+def _label_stabilizer_expectations(state, kind):
+    n = state.photon_count
+    labels = _label_stabilizers(n, kind)
+    signs = []
+    for val in _label_pauli_traces(ideal_target(n, kind), labels)[0]:
+        assert abs(abs(val) - 1.0) <= 1e-9
+        signs.append(1.0 if val > 0 else -1.0)
+    vals = _label_pauli_traces(state, labels).mean(axis=0)
+    return [sign * float(v) for sign, v in zip(signs, vals)]
+
+
+@pytest.mark.parametrize("kind", list(TargetKind))
+def test_canonical_stabilizers_match_the_label_builder(kind):
+    for n in range(1, 13):
+        assert canonical_stabilizers(n, kind) == _label_stabilizers(n, kind)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noise-free", "noisy"])
+@pytest.mark.parametrize("kind", list(TargetKind))
+def test_stabilizer_expectations_match_the_label_recursion(kind, noisy):
+    p = preset("reference")
+    for n in list(range(1, 9)) + [50, 200]:
+        noise = NoiseConfig(0.3, drift_diffusion=1e-5, sample_count=3, rng_seed=n) if noisy else None
+        st = run_protocol(p, n, kind=kind, noise=noise)
+        assert stabilizer_expectations(st, kind) == _label_stabilizer_expectations(st, kind)
