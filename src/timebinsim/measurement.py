@@ -158,7 +158,8 @@ def sample_measurements(state, settings, shots, seed=0, eta=1.0):
     """
     shots = _whole("shots", shots, 1, error=MeasurementError)
     seed = _whole("seed", seed, 0, error=MeasurementError)
-    rho, orth = _as_rho(state)
+    # both unnormalized: the draw below renormalizes, so rho is neither copied nor traced
+    rho, orth = (state.rho, state.orthogonal_error_mass) if hasattr(state, "rho") else (state, 0.0)
     outcomes, probs = joint_outcome_distribution(rho, settings, eta=eta)
     if orth > 0.0:
         probs = probs + orth * _mixed_distribution(settings, eta)
@@ -178,14 +179,6 @@ def _mixed_distribution(settings, eta):
 
 # earlier name of the same sampler, kept for existing callers
 sample_measurements_with_eta = sample_measurements
-
-
-def _as_rho(state):
-    if hasattr(state, "rho"):
-        tr = float(np.trace(state.rho).real)
-        return state.rho / tr, state.orthogonal_error_mass / tr
-    rho = np.asarray(state, dtype=complex)
-    return rho / float(np.trace(rho).real), 0.0
 
 
 def ghz_parity_settings(n_qubits):

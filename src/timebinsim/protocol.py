@@ -22,8 +22,9 @@ ideal target is a state of the same kind, the ideal protocol's own run, so
 a fidelity is one contraction of two such chains.
 Every PhysicalParams run, noisy or not, is built from one cached phase
 split of a round's superoperator.
-The dense rho is built only when ``HybridState.rho`` is read; a round
-writes its output in place, one matrix product per block of rows.
+The dense rho is built only when ``HybridState.rho`` is read, from two
+half-chains: the first N // 2 rounds on the initial spin state and the
+rest on each spin unit |i><j|. Only the output is full size.
 """
 from __future__ import annotations
 
@@ -48,12 +49,13 @@ from .params import ParamError, PhysicalParams, _real, _real_fields, _whole
 
 # largest photon number for which a dense 2^(N+1) state is built
 PHOTON_CAP = 10
-# input cells (i, rest, j, rest') per row block of a dense round: ~320 kB of temporaries
+# cells per row block of a dense rho and per chunk of noise samples' half-chain factors
 _BLOCK_CELLS = 4096
 
 # spin state after initialization: R(pi/2) applied to spin-down
 _PSI0 = rotation_matrix(math.pi / 2.0) @ np.array([1.0, 0.0], dtype=complex)
 _RHO0 = np.outer(_PSI0, _PSI0.conj())
+_SPIN_UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)  # |i><j|, (i j) row-major
 
 # Fourier weights e^{-i k d} / 3 (k = 0, +1, -1) that split superoperators
 # built at the phase differences d of SPLIT_PHASES into S0, S+, S-
@@ -138,20 +140,13 @@ class HybridState:
 
     @cached_property
     def rho(self):
-        """Dense density operator, the sample average, summed in place into the first sample."""
+        """Dense density operator, the sample average, built from two half-chains."""
         if self.photon_count > PHOTON_CAP:
             raise CapacityError(
                 f"{self.photon_count} photons exceeds the cap of {PHOTON_CAP} for a "
                 f"dense density operator ({self.dim}-dimensional)"
             )
-        total = None
-        for sample in self.superoperators:
-            rho = _RHO0.copy()  # a fresh array even for a photon-less state
-            for sup in sample:
-                rho = _apply_superoperator(rho, sup)
-            total = rho if total is None else np.add(total, rho, out=total)
-        count = len(self.superoperators)
-        return np.divide(total, count, out=total) if count > 1 else total
+        return _dense_rho(self.superoperators)
 
 
 def _spin_superoperator(cycle):
@@ -160,17 +155,44 @@ def _spin_superoperator(cycle):
     return np.einsum("kxi,kyj->xyij", k, k.conj())
 
 
-def _apply_superoperator(rho, s):
-    """Apply a 16x4 spin superoperator to rho; appends the new photon last. Only the output is
-    full size: it is written a block of rest rows at a time, of at most _BLOCK_CELLS input cells."""
-    r = rho.shape[0] // 2
-    x = rho.reshape(2, r, 2, r)  # [i, rest, j, rest']
-    out = np.empty((2, r, 2, 2, r, 2), dtype=complex)  # [a, rest, p, b, rest', c]
-    rows = max(1, _BLOCK_CELLS // (4 * r))
-    for lo in range(0, r, rows):
-        blk = s @ x[:, lo:lo + rows].transpose(0, 2, 1, 3).reshape(4, -1)  # [(a p b c), (rows, rest')]
-        out[:, lo:lo + rows] = blk.reshape(2, 2, 2, 2, -1, r).transpose(0, 4, 1, 2, 5, 3)
-    return out.reshape(4 * r, 4 * r)
+def _chain(units, sups):
+    """Rounds sups (samples, T, 16, 4) applied to each sample's units (samples, k, d, d); a round
+    appends its photon last and is one product of inner dimension 4 per sample."""
+    for t in range(sups.shape[1]):
+        samples, k, r = units.shape[0], units.shape[1], units.shape[2] // 2
+        x = units.reshape(samples, k, 2, r, 2, r).transpose(0, 2, 4, 1, 3, 5).reshape(samples, 4, -1)
+        y = (sups[:, t] @ x).reshape(samples, 2, 2, 2, 2, k, r, r)  # [a, p, b, c, unit, rest, rest']
+        units = y.transpose(0, 5, 1, 6, 2, 3, 7, 4).reshape(samples, k, 4 * r, 4 * r)
+    return units
+
+
+def _dense_rho(sups):
+    """The samples' mean rho from its chain cut at m = N // 2: rho_m, the first m rounds on the
+    initial spin, and R_ij, the rest on each spin unit |i><j|, give rho_N[(a rest P), (b rest' C)]
+    = sum_ij R_ij[(a P), (b C)] rho_m[(i rest), (j rest')]. The output is written a block of rest
+    rows at a time from the factors of a chunk of samples; a block or chunk holds at most
+    _BLOCK_CELLS cells, or one row or sample."""
+    samples, n = sups.shape[:2]
+    rl, rr = 2 ** (n // 2), 2 ** (n - n // 2)
+    out = np.empty((2, rl, rr, 2, rl, rr), dtype=complex)  # [a, rest, P, b, rest', C]
+    rows = max(1, _BLOCK_CELLS // (4 * rr * rr * rl))
+    chunk = max(1, _BLOCK_CELLS // (4 * rl * rl + 16 * rr * rr))
+    for first in range(0, samples, chunk):
+        part = sups[first:first + chunk]
+        left = _chain(np.broadcast_to(_RHO0, (len(part), 1, 2, 2)), part[:, :n // 2])
+        left = left.reshape(-1, 2, rl, 2, rl).transpose(0, 1, 3, 2, 4).reshape(-1, 4, rl * rl)
+        right = _chain(np.broadcast_to(_SPIN_UNITS, (len(part), 4, 2, 2)), part[:, n // 2:])
+        right = right.reshape(len(part), 4, -1).transpose(0, 2, 1) / samples  # [(a P b C), (i j)]
+        for lo in range(0, rl, rows):
+            cols = slice(lo * rl, (lo + rows) * rl)
+            blk = right[0] @ left[0, :, cols]
+            for s in range(1, len(part)):
+                blk += right[s] @ left[s, :, cols]
+            blk = blk.reshape(2, rr, 2, rr, -1, rl).transpose(0, 4, 1, 2, 5, 3)
+            if first:
+                blk += out[:, lo:lo + rows]
+            out[:, lo:lo + rows] = blk
+    return out.reshape(2 * rl * rr, 2 * rl * rr)
 
 
 def run_protocol_cycles(cycles):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,20 @@ def test_columnar_readout_matches_per_object_reference(monkeypatch):
             m.setattr(measurement, "_block_statistics", _reference_block_statistics)
             ref = estimate_ghz_fidelity(ref_recs, 4, target_phase=math.pi)
         assert out == ref
+
+
+def test_sampling_reads_rho_without_a_copy():
+    # the draw renormalizes the probabilities, so rho is passed on as it is: one
+    # call peaks at joint_outcome_distribution's 2.06 rho (3.06 with a normalized copy)
+    st = run_protocol(preset("reference"), 9)
+    rho = st.rho
+    tracemalloc.start()
+    try:
+        sample_measurements(st, [BasisSetting.x(0.3)] * 10, 1000, seed=1, eta=0.84)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * rho.nbytes
 
 
 MIXED_SETTINGS = [

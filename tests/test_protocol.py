@@ -293,6 +293,7 @@ def test_noise_calls_share_the_split_superoperators(monkeypatch):
     noise = NoiseConfig(overhauser_sigma=0.3, drift_diffusion=0.01, sample_count=4, rng_seed=5)
     opts = CycleOptions(echo=False)
     first = run_protocol(p, 3, noise=noise, options=opts)
+    ideal_target(3, TargetKind.GHZ)  # cached before counting, whatever ran before this test
     builds = []
 
     def counted(*args, **kwargs):
@@ -442,23 +443,51 @@ def test_superoperator_kernel_matches_reference_on_mixed_sequence():
         _assert_matches_reference(run_protocol_cycles(cycles[:n]), cycles[:n])
 
 
+def _split_sequence():
+    """Every oracle map and the reference preset's, most Kraus terms first, then the two
+    lightest again: each cut at N // 2 falls between different maps, and N = 10 stays cheap."""
+    cycles = [build_cycle_map(b, o) for b, o, _ in ORACLE_MAPS] + [build_cycle_map(preset("reference"))]
+    cycles.sort(key=lambda c: -len(c.kraus))
+    return cycles + cycles[-2:]
+
+
+@pytest.mark.parametrize("n", range(PHOTON_CAP + 1))
+def test_split_builder_matches_per_kraus_reference(n):
+    # odd and even cuts; N = 0 is the initial spin state, which no run can return
+    cycles = _split_sequence()[:n]
+    if n:
+        _assert_matches_reference(run_protocol_cycles(cycles), cycles)
+    else:
+        st = protocol.HybridState(np.zeros((1, 0, 16, 4), dtype=complex), 1.0, 0.0)
+        assert np.abs(st.rho - _reference_protocol(cycles)[0]).max() <= 1e-12 * 0.5
+
+
 @pytest.mark.parametrize("n", [8, 9])
 def test_row_block_kernel_matches_per_kraus_reference(n):
-    # the last round's input, 4^N cells, spans at least two row blocks
-    assert 4**n // protocol._BLOCK_CELLS >= 2
+    # the output, 4^(N+1) cells, spans at least two blocks of rest rows, each
+    # of at most _BLOCK_CELLS cells or one rest row of 4^(N+1) / 2^(N // 2)
+    row = 4 ** (n + 1) // 2 ** (n // 2)
+    assert 4 ** (n + 1) // max(protocol._BLOCK_CELLS, row) >= 2
     betas, opts, n_kraus = ORACLE_MAPS[-1]
     cm = build_cycle_map(betas, opts)
     assert len(cm.kraus) == n_kraus == 16
     _assert_matches_reference(run_protocol_cycles([cm] * n), [cm] * n)
 
 
-@pytest.mark.parametrize("n", [8, 9])
-def test_row_block_kernel_matches_per_kraus_reference_on_a_noisy_state(n):
+def _sample_chunks(n, samples):
+    """Chunks of samples whose half-chain factors, 4^(m+1) + 4 * 4^(N-m+1) cells per sample
+    with m = N // 2, the dense build makes at a time."""
+    per_sample = 4 * 4 ** (n // 2) + 16 * 4 ** (n - n // 2)
+    return -(-samples // max(1, protocol._BLOCK_CELLS // per_sample))
+
+
+def _assert_noisy_rho_matches_reference(n, samples):
+    assert _sample_chunks(n, samples) >= 2
     p = preset("reference")
     noise = NoiseConfig(
         overhauser_sigma=0.4,
         drift_diffusion=drift_diffusion_from_t2(150.0, p.t_cycle),
-        sample_count=3,
+        sample_count=samples,
         rng_seed=5,
     )
     st = run_protocol(p, n, kind=TargetKind.CLUSTER, noise=noise)
@@ -467,18 +496,44 @@ def test_row_block_kernel_matches_per_kraus_reference_on_a_noisy_state(n):
     assert np.abs(st.rho - rho).max() <= 1e-12 * np.abs(rho).max()
 
 
-@pytest.mark.parametrize("n, samples, bound", [(10, 1, 1.5), (9, 2, 2.5)])
-def test_dense_rho_peak_memory(n, samples, bound):
-    # the output, the previous round's state and one row block: a single
-    # sample peaks at 1.25 outputs, and a second sample adds one more
-    st = run_protocol(preset("reference"), n, noise=NoiseConfig(0.3, sample_count=samples))
+@pytest.mark.parametrize("n", [8, 9])
+def test_row_block_kernel_matches_per_kraus_reference_on_a_noisy_state(n):
+    _assert_noisy_rho_matches_reference(n, 3)
+
+
+@pytest.mark.parametrize("n, samples", [(3, 40), (4, 30)])
+def test_split_builder_matches_reference_across_sample_chunks(n, samples):
+    _assert_noisy_rho_matches_reference(n, samples)
+
+
+def _rho_peak(state):
+    """The tracemalloc peak, in bytes, of the state's first dense rho read, and that rho."""
     tracemalloc.start()
     try:
-        rho = st.rho
-        peak = tracemalloc.get_traced_memory()[1]
+        rho = state.rho
+        return tracemalloc.get_traced_memory()[1], rho
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, samples, bound", [(10, 1, 1.15), (9, 2, 1.25)])
+def test_dense_rho_peak_memory(n, samples, bound):
+    # the output, one block of rest rows (2 MB at N = 10, 1 MB at N = 9) and the
+    # half-chain factors; a second sample is a second chunk, added block by block
+    st = run_protocol(preset("reference"), n, noise=NoiseConfig(0.3, sample_count=samples))
+    peak, rho = _rho_peak(st)
     assert peak < bound * rho.nbytes
+
+
+def test_dense_rho_peak_memory_of_many_drift_samples():
+    # the samples' factors are built a bounded chunk at a time, so a 16 kB output
+    # of 100 samples stays within a fixed budget
+    p = preset("reference")
+    noise = NoiseConfig(
+        0.3, drift_diffusion=drift_diffusion_from_t2(150.0, p.t_cycle), sample_count=100
+    )
+    peak, _ = _rho_peak(run_protocol(p, 4, noise=noise))
+    assert peak < 512 * 1024
 
 
 def test_in_place_sample_sum_leaves_the_initial_spin_state_alone():
