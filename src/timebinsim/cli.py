@@ -11,6 +11,7 @@ Usage: ``timebinsim <scenario> [--config <path>] [--seed <u64>] [--out <path>]``
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -480,7 +481,9 @@ def write_result(rows, config, path):
         fh.write("\n")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on the first ``main`` call and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="timebinsim",
         description="Scenario runner for the time-bin entanglement simulator.",
@@ -491,7 +494,11 @@ def main(argv=None):
         sp.add_argument("--config", help="key = value configuration file")
         sp.add_argument("--seed", type=int, help="override the rng seed")
         sp.add_argument("--out", help="output CSV path")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.config:
             config = parse_config(args.config, scenario=args.scenario)

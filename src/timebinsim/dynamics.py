@@ -205,6 +205,31 @@ def _generator(system, carrier_detuning=0.0, jumps=True):
     return g0, g1
 
 
+# Entries of the row-major state that a square pulse started from |0><0| or
+# |1><1| can reach: H couples only 0 <-> 2 and 1 <-> 3, each jump operator is
+# one |g><t| and the dephasing and L^dag L terms are diagonal, so the jump run
+# stays on {00, 02, 20, 22, 11, 13, 31, 33} and the two counters, and the
+# no-jump run from |0><0| on {00, 02, 20, 22}. Keyed by ``jumps``.
+_POPULATION_BLOCK = {
+    True: np.array([0, 2, 5, 7, 8, 10, 13, 15, 16, 17]),
+    False: np.array([0, 2, 8, 10]),
+}
+
+
+def _generators(system, carrier_detuning, shape):
+    """The jump and no-jump generator pairs, keyed by ``jumps``.
+
+    A square pulse reads its propagator on ``_POPULATION_BLOCK`` alone, so its
+    pairs are sliced to that block; a gaussian pulse gets the full pairs.
+    """
+    pairs = {j: _generator(system, carrier_detuning, j) for j in (True, False)}
+    if shape == "square":
+        for jumps, pair in pairs.items():
+            block = np.ix_(_POPULATION_BLOCK[jumps], _POPULATION_BLOCK[jumps])
+            pairs[jumps] = tuple(g[block] for g in pair)
+    return pairs
+
+
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call."""
     from scipy import integrate
@@ -241,17 +266,19 @@ def excitation_error_probability(system, pulse, tolerance=1e-10):
     on the detuned branch (starting from the spectator ground state) give
     the off-resonant weight, and the no-jump survival of the ground manifold
     gives the incomplete-inversion weight. A square pulse has a constant
-    generator, so its exact propagator ``expm(G * duration)`` is used; a
-    gaussian pulse is integrated by ``solve_ivp`` at relative tolerance
-    ``tolerance``, which therefore affects gaussian pulses only.
+    generator, so its exact propagator ``expm(G * duration)`` is used, on the
+    invariant population block the two start states stay in: one 10x10 jump
+    and one 4x4 no-jump ``expm``. A gaussian pulse is integrated by
+    ``solve_ivp`` on the full generators at relative tolerance ``tolerance``,
+    which therefore affects gaussian pulses only.
     """
     _real(("tolerance", tolerance, "(0, inf)"))
-    generators = {j: _generator(system, pulse.carrier_detuning, j) for j in (True, False)}
+    generators = _generators(system, pulse.carrier_detuning, pulse.shape)
     return _excitation_errors(generators, pulse, tolerance)
 
 
 def _excitation_errors(generators, pulse, tolerance):
-    """``excitation_error_probability`` on prebuilt generators, keyed by ``jumps``."""
+    """``excitation_error_probability`` on prebuilt ``_generators``."""
     if pulse.shape == "square":
         from scipy.linalg import expm
 
@@ -263,7 +290,9 @@ def _excitation_errors(generators, pulse, tolerance):
     def final(level, jumps=True):
         # |level><level| is entry level * (N_LEVELS + 1) of the row-major vector
         if pulse.shape == "square":
-            y = propagators[jumps][:, level * (N_LEVELS + 1)]
+            block = _POPULATION_BLOCK[jumps]
+            y = np.zeros(N_LEVELS**2 + 2, dtype=complex)
+            y[block] = propagators[jumps][:, np.searchsorted(block, level * (N_LEVELS + 1))]
         else:
             g0, g1 = generators[jumps]
             y0 = np.zeros(len(g0), dtype=complex)
@@ -304,7 +333,8 @@ def optimize_pulse_duration(
     geometric coarse scan brackets the global minimum before a golden-section
     refinement to relative duration tolerance ``DURATION_REL_TOL``.
     ``tolerance`` is the solver tolerance of ``excitation_error_probability``
-    and affects gaussian pulses only; square pulses are propagated exactly.
+    and affects gaussian pulses only; square pulses are propagated exactly,
+    on the 10x10 and 4x4 population blocks of the generator pair.
     """
     if bounds is None:
         _real(("delta", system.delta, "(0, inf)"))
@@ -317,7 +347,7 @@ def optimize_pulse_duration(
     n_scan = _whole("n_scan", n_scan, 3)
     _real(("tolerance", tolerance, "(0, inf)"))
     # every scanned pulse has the default carrier, so one generator pair serves them all
-    generators = {j: _generator(system, 0.0, j) for j in (True, False)}
+    generators = _generators(system, 0.0, shape)
 
     def err(duration):
         return _excitation_errors(generators, Pulse(shape, duration), tolerance).total

@@ -1,9 +1,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from timebinsim import cli
 from timebinsim.cli import (
     ConfigError,
     ScenarioConfig,
@@ -454,3 +459,32 @@ def test_csv_column_header(tmp_path, scenario, text, header):
     assert out.read_text().splitlines()[2] == header
     manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
     assert manifest["columns"] == header.split(",")
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path):
+    # the parser is built once per process; what one call parses must not reach the next
+    cfg = tmp_path / "map.cfg"
+    cfg.write_text("resolution = 5\n")
+    first, second = tmp_path / "map.csv", tmp_path / "echo.csv"
+    assert main(["branching_map", "--config", str(cfg), "--seed", "7", "--out", str(first)]) == 0
+    assert main(["echo_demo", "--out", str(second)]) == 0
+    assert first.read_text().startswith("# scenario=branching_map seed=7 ")
+    assert second.read_text().startswith("# scenario=echo_demo seed=0 ")
+    manifest = json.loads((tmp_path / "echo.csv.manifest.json").read_text())
+    assert manifest["config"]["overrides"] == {}
+
+
+def test_parser_is_built_on_the_first_main_call_only():
+    # importing the CLI must not build it: a one-shot run's start-up includes the import
+    probe = (
+        "from timebinsim import cli; assert cli._parser.cache_info().currsize == 0; "
+        "cli.main(['echo_demo', '--help'])"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: timebinsim echo_demo")
+    assert cli._parser() is cli._parser()

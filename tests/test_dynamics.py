@@ -358,6 +358,77 @@ def test_jump_generator_preserves_trace():
         assert np.max(np.abs(g[diagonal_rows, :16].sum(axis=0))) < 1e-14
 
 
+def _random_level_system(rng):
+    """Every channel, trion dephasing, a ground splitting; random rates."""
+    rates = rng.uniform(0.05, 1.0, 4)
+    return LevelSystem(
+        ground_splitting=rng.uniform(-2.0, 2.0),
+        delta=rng.uniform(5.0, 300.0),
+        rate_vertical_wg=rates[0],
+        rate_vertical_leak=rates[1],
+        rate_diagonal_wg=rates[2],
+        rate_diagonal_leak=rates[3],
+        dephasing=rng.uniform(0.0, 1.0),
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_population_block_is_invariant(seed):
+    # no generator entry leads out of the block, so its propagator is the
+    # block of the full propagator
+    rng = np.random.default_rng(seed)
+    system = _random_level_system(rng)
+    for jumps, block in dynamics._POPULATION_BLOCK.items():
+        outside = np.setdiff1d(np.arange(18 if jumps else 16), block)
+        for g in _generator(system, rng.uniform(-3.0, 3.0), jumps):
+            assert not np.any(g[np.ix_(outside, block)])
+
+
+@pytest.mark.parametrize("ratio", [30.0, 100.0, 300.0])
+def test_block_propagator_matches_full_expm_columns(ratio):
+    from scipy.linalg import expm
+
+    system = make_system(gamma=1.0, delta=ratio)
+    full = {j: _generator(system, 0.0, j) for j in (True, False)}
+    reduced = dynamics._generators(system, 0.0, "square")
+    for duration in np.geomspace(1.5 / ratio, 30.0 / ratio, 7):
+        rabi = Pulse("square", duration).peak_rabi
+        for jumps, block in dynamics._POPULATION_BLOCK.items():
+            (g0, g1), (b0, b1) = full[jumps], reduced[jumps]
+            want = expm((g0 + rabi * g1) * duration)[:, block]
+            got = np.zeros_like(want)
+            got[block] = expm((b0 + rabi * b1) * duration)
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def _full_expm_total(system, pulse):
+    """The square-pulse error total from full 18x18 and 16x16 propagators."""
+    from scipy.linalg import expm
+
+    def final(level, jumps=True):
+        g0, g1 = _generator(system, pulse.carrier_detuning, jumps)
+        y = expm((g0 + pulse.peak_rabi * g1) * pulse.duration)[:, level * 5]
+        return y[:16].reshape(4, 4).real, y[16:].real
+
+    rho, emitted = final(GROUND_DOWN)
+    mu_down = emitted[0] + rho[TRION_DOWN, TRION_DOWN]
+    rho, _ = final(GROUND_DOWN, jumps=False)
+    p_no = rho[GROUND_DOWN, GROUND_DOWN] + rho[GROUND_UP, GROUND_UP]
+    rho, emitted = final(GROUND_UP)
+    mu_off = emitted[1] + rho[TRION_UP, TRION_UP]
+    return mu_off / 4.0 + max(mu_down - (1.0 - p_no), 0.0) / 2.0 + p_no / 2.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_square_error_total_matches_full_expm(seed):
+    rng = np.random.default_rng(seed)
+    system = _random_level_system(rng)
+    for duration in np.geomspace(1.5 / system.delta, 30.0 / system.delta, 5):
+        pulse = Pulse("square", duration, carrier_detuning=rng.uniform(-3.0, 3.0))
+        total = excitation_error_probability(system, pulse).total
+        assert total == pytest.approx(_full_expm_total(system, pulse), rel=1e-13, abs=0.0)
+
+
 # Run in a fresh interpreter: this test process has imported scipy already.
 IMPORT_PROBE = textwrap.dedent(
     """

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -216,8 +217,11 @@ def _random_mode():
     return ModeField(x=x, y=y, field=field, n_g=33.0, a_nm=240.0, norm=1.7)
 
 
-# a resolution whose last block of rows is shorter than the others
-PARTIAL_BLOCK_RESOLUTION = 45
+# the least resolution whose last block of rows is shorter than the others
+PARTIAL_BLOCK_RESOLUTION = next(
+    r for r in itertools.count(2)
+    if 1 <= waveguide._BLOCK_CELLS // r < r and r % (waveguide._BLOCK_CELLS // r)
+)
 
 
 def test_partial_block_resolution_ends_in_a_partial_block():
@@ -250,12 +254,39 @@ def test_branching_map_matches_per_point_loop(mode, resolution, leak_fraction):
     assert np.allclose(bt, rbt, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "mode, resolution",
+    [
+        (synthetic_w1_mode(20.0), 21),
+        (synthetic_w1_mode(20.0), 201),
+        (_random_mode(), PARTIAL_BLOCK_RESOLUTION),
+    ],
+    ids=["w1-21", "w1-201", "random-partial-block"],
+)
+def test_branching_map_equals_the_point_kernel_to_the_bit(mode, resolution):
+    # the x-row interpolation keeps the products and the order of summation
+    # of ModeField.interpolate, which the point kernel reads
+    xs, ys, b, bt = branching_map(mode, resolution=resolution)
+    par, perp, leak, _ = waveguide._decay_weights(mode, xs[:, None], ys, 1.0, 0.1)
+    assert np.array_equal(b, (par + leak) / (perp + leak))
+    assert np.array_equal(bt, par + perp)
+
+
 def test_branching_map_names_one_point_of_zero_decay_rate():
     # a field that vanishes everywhere and no leak channel: no decay at any point
     mode = ModeField(x=[0.0, 1.0], y=[0.0, 0.5, 1.0], field=np.zeros((2, 3, 3)),
                      n_g=20.0, a_nm=240.0, norm=1.0)
     with pytest.raises(ModeFieldError, match=r"^zero total decay rate at \(0\.0, 0\.0\)$"):
         branching_map(mode, resolution=5, leak_fraction=0.0)
+
+
+def test_branching_map_names_the_first_point_of_zero_decay_rate_in_a_later_block():
+    # the field vanishes on the x = 1 edge only, which lies in the last block of rows
+    field = np.zeros((2, 2, 3))
+    field[0] = 1.0
+    mode = ModeField(x=[0.0, 1.0], y=[0.0, 1.0], field=field, n_g=20.0, a_nm=240.0, norm=1.0)
+    with pytest.raises(ModeFieldError, match=r"^zero total decay rate at \(1\.0, 0\.0\)$"):
+        branching_map(mode, resolution=PARTIAL_BLOCK_RESOLUTION, leak_fraction=0.0)
 
 
 def test_branching_map_argmax_on_nodal_line():
