@@ -27,7 +27,6 @@ from .budget import (
 )
 from .dynamics import (
     ExcitationErrors,
-    IntegrationError,
     LevelSystem,
     Pulse,
     excitation_error_probability,

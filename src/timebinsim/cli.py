@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .budget import generation_rate, infidelity_first_order
 from .cyclemap import CycleOptions
-from .dynamics import IntegrationError, LevelSystem, optimize_pulse_duration
+from .dynamics import LevelSystem, optimize_pulse_duration
 from .params import (
     BranchingBetas,
     ParamError,
@@ -512,7 +512,7 @@ def main(argv=None):
             config.out = f"{config.scenario}.csv"
         rows = run_scenario(config)
         write_result(rows, config, config.out)
-    except (ConfigError, ParamError, ModeFieldError, IntegrationError, OSError) as exc:
+    except (ConfigError, ParamError, ModeFieldError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(f"{config.scenario}: {len(rows)} rows -> {config.out}")

@@ -8,13 +8,13 @@ excluded: they are suppressed by laser polarisation in the side-excitation
 geometry. Each trion decays through four channels (vertical / diagonal,
 into / out of the waveguide); pure dephasing acts on the trion levels.
 
-scipy is imported by the propagators that use it, not with this module:
-``scipy.linalg`` on the first square pulse, ``scipy.integrate`` on the
-first ``solve_ivp`` call (the first gaussian pulse). Importing the package
-then loads numpy alone, which keeps the start of a one-shot CLI run short.
+Every pulse is propagated by ``scipy.linalg.expm``, imported on the first
+pulse and not with this module: importing the package loads numpy alone,
+which keeps the start of a one-shot CLI run short.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,10 +27,6 @@ GROUND_DOWN, GROUND_UP, TRION_DOWN, TRION_UP = range(N_LEVELS)
 
 # Golden-section refinement of the pulse duration stops at this relative width.
 DURATION_REL_TOL = 1e-3
-
-
-class IntegrationError(RuntimeError):
-    """Master-equation integration failed; message carries solver diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -205,33 +201,57 @@ def _generator(system, carrier_detuning=0.0, jumps=True):
     return g0, g1
 
 
-# Entries of the row-major state that a square pulse started from |0><0| or
-# |1><1| can reach: H couples only 0 <-> 2 and 1 <-> 3, each jump operator is
-# one |g><t| and the dephasing and L^dag L terms are diagonal, so the jump run
-# stays on {00, 02, 20, 22, 11, 13, 31, 33} and the two counters, and the
-# no-jump run from |0><0| on {00, 02, 20, 22}. Keyed by ``jumps``.
-_POPULATION_BLOCK = {
-    True: np.array([0, 2, 5, 7, 8, 10, 13, 15, 16, 17]),
-    False: np.array([0, 2, 8, 10]),
-}
+# Entries of the row-major state that any pulse started from |0><0| or |1><1|
+# can reach: H couples only 0 <-> 2 and 1 <-> 3, each jump operator is one
+# |g><t| and the dephasing and L^dag L terms are diagonal, so the jump run stays
+# on {00, 02, 20, 22, 11, 13, 31, 33} and the two counters, and the no-jump run
+# from |0><0| on {00, 02, 20, 22}. Keyed by ``jumps``.
+_POPULATION_BLOCK = {True: np.array([0, 2, 5, 7, 8, 10, 13, 15, 16, 17]),
+                     False: np.array([0, 2, 8, 10])}
+
+_GAUSSIAN_SLICES = 200  # sixth-order Magnus steps per gaussian pulse
+_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0  # Gauss-Legendre, per step
 
 
-def _generators(system, carrier_detuning, shape):
-    """The jump and no-jump generator pairs, keyed by ``jumps``.
+def _generators(system, carrier_detuning):
+    """The jump and no-jump generator pairs, keyed by ``jumps``, sliced to
+    ``_POPULATION_BLOCK``: the excitation-error budget reads nothing else."""
+    return {
+        jumps: tuple(g[np.ix_(block, block)] for g in _generator(system, carrier_detuning, jumps))
+        for jumps, block in _POPULATION_BLOCK.items()
+    }
 
-    A square pulse reads its propagator on ``_POPULATION_BLOCK`` alone, so its
-    pairs are sliced to that block; a gaussian pulse gets the full pairs.
-    """
-    pairs = {j: _generator(system, carrier_detuning, j) for j in (True, False)}
-    if shape == "square":
-        for jumps, pair in pairs.items():
-            block = np.ix_(_POPULATION_BLOCK[jumps], _POPULATION_BLOCK[jumps])
-            pairs[jumps] = tuple(g[block] for g in pair)
-    return pairs
+
+def _propagator(g0, g1, pulse):
+    """Propagator of dy/dt = (g0 + envelope(t) * g1) @ y over the pulse: one
+    exact ``expm`` for a square pulse, whose constant generator is its whole
+    Magnus series, and a product of ``_GAUSSIAN_SLICES`` sixth-order Magnus
+    steps for a gaussian one (Blanes et al., Phys. Rep. 470, 151 (2009))."""
+    from scipy.linalg import expm
+
+    if pulse.shape == "square":
+        return expm((g0 + pulse.peak_rabi * g1) * pulse.duration)
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    t0, t1 = pulse.span
+    h = (t1 - t0) / _GAUSSIAN_SLICES
+    times = t0 + h * (np.arange(_GAUSSIAN_SLICES)[:, None] + _NODES)
+    f1, f2, f3 = np.vectorize(pulse.envelope, otypes=[float])(times).T[:, :, None, None]
+    # the generator is affine in the envelope, so the node differences are multiples of g1
+    a1 = h * (g0 + f2 * g1)
+    a2 = (math.sqrt(15.0) * h / 3.0) * (f3 - f1) * g1
+    a3 = (10.0 * h / 3.0) * (f3 - 2.0 * f2 + f1) * g1
+    c1 = comm(a1, a2)
+    c2 = comm(a1, 2.0 * a3 + c1) / -60.0
+    steps = expm(a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
+    return functools.reduce(np.matmul, steps[::-1])
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call."""
+    """``scipy.integrate.solve_ivp``, imported on the first call. No caller in
+    the package: kept because ``perfbench/tracing.py`` patches it (ROADMAP item 1)."""
     from scipy import integrate
 
     return integrate.solve_ivp(*args, **kwargs)
@@ -258,52 +278,28 @@ class ExcitationErrors:
         return self.off_resonant + self.re_excitation + self.incomplete_inversion
 
 
-def excitation_error_probability(system, pulse, tolerance=1e-10):
+def excitation_error_probability(system, pulse):
     """Driving-error budget of one excitation pulse.
 
     Computed from the dynamics over the pulse: expected emissions beyond
     the first on the driven branch give the re-excitation weight, emissions
     on the detuned branch (starting from the spectator ground state) give
     the off-resonant weight, and the no-jump survival of the ground manifold
-    gives the incomplete-inversion weight. A square pulse has a constant
-    generator, so its exact propagator ``expm(G * duration)`` is used, on the
-    invariant population block the two start states stay in: one 10x10 jump
-    and one 4x4 no-jump ``expm``. A gaussian pulse is integrated by
-    ``solve_ivp`` on the full generators at relative tolerance ``tolerance``,
-    which therefore affects gaussian pulses only.
+    gives the incomplete-inversion weight. Both runs are propagated by
+    ``_propagator`` on the population block their start states never leave.
     """
-    _real(("tolerance", tolerance, "(0, inf)"))
-    generators = _generators(system, pulse.carrier_detuning, pulse.shape)
-    return _excitation_errors(generators, pulse, tolerance)
+    return _excitation_errors(_generators(system, pulse.carrier_detuning), pulse)
 
 
-def _excitation_errors(generators, pulse, tolerance):
+def _excitation_errors(generators, pulse):
     """``excitation_error_probability`` on prebuilt ``_generators``."""
-    if pulse.shape == "square":
-        from scipy.linalg import expm
-
-        propagators = {
-            jumps: expm((g0 + pulse.peak_rabi * g1) * pulse.duration)
-            for jumps, (g0, g1) in generators.items()
-        }
+    propagators = {jumps: _propagator(g0, g1, pulse) for jumps, (g0, g1) in generators.items()}
 
     def final(level, jumps=True):
         # |level><level| is entry level * (N_LEVELS + 1) of the row-major vector
-        if pulse.shape == "square":
-            block = _POPULATION_BLOCK[jumps]
-            y = np.zeros(N_LEVELS**2 + 2, dtype=complex)
-            y[block] = propagators[jumps][:, np.searchsorted(block, level * (N_LEVELS + 1))]
-        else:
-            g0, g1 = generators[jumps]
-            y0 = np.zeros(len(g0), dtype=complex)
-            y0[level * (N_LEVELS + 1)] = 1.0
-            sol = solve_ivp(
-                lambda t, y: g0 @ y + pulse.envelope(t) * (g1 @ y),
-                pulse.span, y0, rtol=tolerance, atol=1e-14,
-            )
-            if not sol.success:
-                raise IntegrationError(f"master-equation integration failed: {sol.message}")
-            y = sol.y[:, -1]
+        block = _POPULATION_BLOCK[jumps]
+        y = np.zeros(N_LEVELS**2 + 2, dtype=complex)
+        y[block] = propagators[jumps][:, np.searchsorted(block, level * (N_LEVELS + 1))]
         return y[: N_LEVELS**2].reshape(N_LEVELS, N_LEVELS).real, y[N_LEVELS**2 :].real
 
     # The free decay after the pulse needs no integration: every remaining
@@ -324,17 +320,14 @@ def _excitation_errors(generators, pulse, tolerance):
     )
 
 
-def optimize_pulse_duration(
-    system, shape="square", bounds=None, n_scan=40, tolerance=1e-9
-):
+def optimize_pulse_duration(system, shape="square", bounds=None, n_scan=40):
     """Minimize the total per-pulse excitation error over the duration.
 
     The error landscape carries an oscillatory off-resonant component, so a
     geometric coarse scan brackets the global minimum before a golden-section
-    refinement to relative duration tolerance ``DURATION_REL_TOL``.
-    ``tolerance`` is the solver tolerance of ``excitation_error_probability``
-    and affects gaussian pulses only; square pulses are propagated exactly,
-    on the 10x10 and 4x4 population blocks of the generator pair.
+    refinement to relative duration tolerance ``DURATION_REL_TOL``. Every
+    pulse is propagated as in ``excitation_error_probability``, from one
+    generator pair built for the whole optimization.
     """
     if bounds is None:
         _real(("delta", system.delta, "(0, inf)"))
@@ -345,12 +338,11 @@ def optimize_pulse_duration(
         raise ParamError(f"invalid duration bounds {bounds}")
     # fewer than 3 points cannot bracket an interior minimum
     n_scan = _whole("n_scan", n_scan, 3)
-    _real(("tolerance", tolerance, "(0, inf)"))
     # every scanned pulse has the default carrier, so one generator pair serves them all
-    generators = _generators(system, 0.0, shape)
+    generators = _generators(system, 0.0)
 
     def err(duration):
-        return _excitation_errors(generators, Pulse(shape, duration), tolerance).total
+        return _excitation_errors(generators, Pulse(shape, duration)).total
 
     grid = np.geomspace(lo, hi, n_scan)
     vals = [err(t) for t in grid]

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .params import _real, _whole
-from .protocol import _frame_signs, canonical_stabilizers
+from .protocol import _frame_signs, _generator_codes, canonical_stabilizers
 
 NO_CLICK = "no_click"
 
@@ -193,13 +193,14 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
     """Population-plus-parity GHZ fidelity with jackknife error bars.
 
     ``records_by_setting`` maps a setting signature to a ShotRecords table: key
-    "Z" for the all-Z run and keys equal to the parity phases phi_k (k pi /
-    n, k = 0..2n-1) for the all-X(phi_k) runs. Shots without a click on
-    every qubit are discarded (post-selection). ``target_phase`` is the
-    phase of the GHZ coherence of the target state (0 or pi for the
-    protocol's frame); any other phase raises MeasurementError. The
-    jackknife needs ``n_blocks`` >= 2, and at least ``n_blocks`` all-click
-    shots per setting, so that no block is empty.
+    "Z" for the all-Z run and keys equal (mod 2 pi) to the parity phases
+    phi_k = k pi / n, k = 0..2n-1, for the all-X(phi_k) runs. Shots without
+    a click on every qubit are discarded (post-selection). ``target_phase``
+    is the phase of the GHZ coherence of the target state (0 or pi for the
+    protocol's frame); any other phase raises MeasurementError, as does a
+    table not measured in its key's setting on every qubit. The jackknife
+    needs ``n_blocks`` >= 2, and at least ``n_blocks`` all-click shots per
+    setting, so that no block is empty.
     """
     n = _whole("n_qubits", n_qubits, 1, error=MeasurementError)
     n_blocks = _whole("n_blocks", n_blocks, 2, error=MeasurementError)
@@ -216,6 +217,8 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
     missing += [f"X({p:.6g})" for p, key in zip(phases, keys) if key is None]
     if missing:
         raise MeasurementError(f"estimator is missing settings: {missing}")
+    for key, want in [("Z", BasisSetting.z()), *zip(keys, ghz_parity_settings(n))]:
+        _check_setting(records_by_setting[key], key, want)
 
     z_blocks = _block_statistics(records_by_setting["Z"], n, _population_indicator, n_blocks)
     parity_blocks = [
@@ -226,12 +229,8 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
     sign = -1.0 if abs(phase - math.pi) <= 1e-9 else 1.0
 
     def estimator(drop=None):
-        pop = _block_mean(z_blocks, drop)
-        amp = 0.0
-        for s, blocks in parity_blocks:
-            amp += s * _block_mean(blocks, drop)
-        amp = sign * amp / (2.0 * n)
-        return (pop + amp) / 2.0
+        amp = sum(s * _block_mean(blocks, drop) for s, blocks in parity_blocks)
+        return (_block_mean(z_blocks, drop) + sign * amp / (2.0 * n)) / 2.0
 
     full = estimator()
     jk = np.asarray([estimator(drop=j) for j in range(n_blocks)])
@@ -240,10 +239,20 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
 
 
 def _phase_match(key, phase, tol=1e-9):
+    """Whether ``key`` is a number within ``tol`` of ``phase`` mod 2 pi."""
     try:
-        return abs(float(key) - phase) < tol
+        return abs((float(key) - phase + math.pi) % (2.0 * math.pi) - math.pi) < tol
     except (TypeError, ValueError):
         return False
+
+
+def _check_setting(records, key, want):
+    """Every qubit of ``records`` measured in ``want``; X phases are compared mod 2 pi."""
+    for s in records.settings:
+        same = (s.kind, s.routing) == (want.kind, want.routing)
+        if not same or (s.kind == "X" and not _phase_match(s.phase, want.phase)):
+            label = "Z" if want.kind == "Z" else f"X({want.phase:.6g})"
+            raise MeasurementError(f"records under key {key!r} are not all active {label}")
 
 
 def _population_indicator(outcomes):
@@ -292,15 +301,15 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
     n = state.photon_count
     signs = _frame_signs(n, kind)
     estimates = []
-    for g, (sign, label) in enumerate(zip(signs, canonical_stabilizers(n, kind))):
-        settings = [
-            BasisSetting.x(0.0) if c == "X" else BasisSetting.z() for c in label
-        ]
+    for g, (sign, codes) in enumerate(zip(signs, _generator_codes(n, kind))):
+        # codes: 0 = I, 1 = X, 2 = Z (see protocol._generator_codes)
+        settings = [BasisSetting.x(0.0) if c == 1 else BasisSetting.z() for c in codes]
         records = sample_measurements(state, settings, shots, seed=seed + g, eta=eta)
         values = _all_click_values(records, lambda outs: math.prod(
-            1.0 if o in ("early", "plus") else -1.0 for c, o in zip(label, outs) if c != "I"
+            1.0 if o in ("early", "plus") else -1.0 for o, c in zip(outs, codes) if c
         ))
         if values.size == 0:
+            label = canonical_stabilizers(n, kind)[g]
             raise MeasurementError(f"no all-click shots for stabilizer {label}")
         estimates.append(sign * float(values.sum()) / values.size)
     return estimates

@@ -95,6 +95,12 @@ def _reference_block_statistics(records, n_qubits, func, n_blocks):
     return sums, counts
 
 
+def _reference_check_setting(records, key, want):
+    # the per-object rows carry their own settings
+    if any(r.setting != want for r in records):
+        raise MeasurementError(f"records under key {key!r} are not {want}")
+
+
 def _reference_stabilizer_estimates(state, kind, shots, seed, eta):
     n = state.photon_count
     estimates = []
@@ -285,6 +291,51 @@ def test_estimator_missing_settings():
     assert "X(" in str(err.value)
 
 
+def _mismeasured(nq, z_setting, x_setting, shots=200):
+    """The estimator's keys over records measured in the given settings."""
+    st = run_protocol(ideal_cycle_map(), nq - 1)
+    recs = {"Z": sample_measurements(st, [z_setting] * nq, shots, seed=0)}
+    for k, s in enumerate(ghz_parity_settings(nq)):
+        recs[s.phase] = sample_measurements(st, [x_setting(s.phase)] * nq, shots, seed=1 + k)
+    return recs
+
+
+def test_estimator_rejects_records_measured_in_another_setting():
+    def passive(phase):
+        return BasisSetting(kind="X", phase=phase, routing="passive")
+
+    cases = [
+        # X-basis records under "Z": no shot is an early or late population
+        (BasisSetting.x(0.0), BasisSetting.x, "key 'Z' are not all active Z$"),
+        # passive routing sends half the shots to Z, so the parities are diluted
+        (BasisSetting.z(), passive, r"key 0\.0 are not all active X\(0\)$"),
+        # every parity table one step off its key
+        (BasisSetting.z(), lambda p: BasisSetting.x(p + math.pi / 3.0),
+         r"key 0\.0 are not all active X\(0\)$"),
+    ]
+    for z_setting, x_setting, message in cases:
+        with pytest.raises(MeasurementError, match=message):
+            estimate_ghz_fidelity(_mismeasured(3, z_setting, x_setting), 3)
+    # phases are compared mod 2 pi: a phase just below 2 pi measures X(0)
+    wrapped = _mismeasured(
+        3, BasisSetting.z(), lambda p: BasisSetting.x(p if p else 2.0 * math.pi - 1e-12)
+    )
+    assert estimate_ghz_fidelity(wrapped, 3)["fidelity"] > 0.9
+
+
+@pytest.mark.parametrize(
+    "rekey",
+    [lambda p: p + 2.0 * math.pi, lambda p: p - 2.0 * math.pi,
+     lambda p: p if p else 2.0 * math.pi - 1e-12],
+    ids=["plus-2pi", "minus-2pi", "zero-below-2pi"],
+)
+def test_estimator_finds_parity_keys_mod_2pi(rekey):
+    # a key names its phase on the circle, as the setting check compares it
+    recs = _collect(run_protocol(ideal_cycle_map(), 2), 3, 200, 5)
+    rekeyed = {k if k == "Z" else rekey(k): v for k, v in recs.items()}
+    assert estimate_ghz_fidelity(rekeyed, 3) == estimate_ghz_fidelity(recs, 3)
+
+
 def test_estimator_rejects_target_phase_other_than_0_or_pi():
     st = run_protocol(ideal_cycle_map(), 2)
     recs = _collect(st, 3, 200, 5)
@@ -323,6 +374,7 @@ def test_columnar_readout_matches_per_object_reference(monkeypatch):
         ref_recs = _collect(ghz, 4, 2000, 40, eta, sample=_reference_sample)
         with monkeypatch.context() as m:
             m.setattr(measurement, "_block_statistics", _reference_block_statistics)
+            m.setattr(measurement, "_check_setting", _reference_check_setting)
             ref = estimate_ghz_fidelity(ref_recs, 4, target_phase=math.pi)
         assert out == ref
 

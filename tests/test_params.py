@@ -7,12 +7,7 @@ import pytest
 from timebinsim.budget import generation_rate, t2_drift_error
 from timebinsim.cli import ConfigError, SweepAxis, build_config
 from timebinsim.cyclemap import CycleOptions
-from timebinsim.dynamics import (
-    LevelSystem,
-    Pulse,
-    excitation_error_probability,
-    optimize_pulse_duration,
-)
+from timebinsim.dynamics import LevelSystem, Pulse, optimize_pulse_duration
 from timebinsim.measurement import (
     BasisSetting,
     MeasurementError,
@@ -237,11 +232,6 @@ REAL_INPUTS = [
     ("optimize_pulse_duration",
      lambda v: optimize_pulse_duration(LevelSystem.from_rates(1.0, _VERTICAL, v)),
      "delta", ParamError, _bad(0.0)),
-    ("excitation_error_probability",
-     lambda v: excitation_error_probability(_SYSTEM, Pulse("gaussian", 0.05), tolerance=v),
-     "tolerance", ParamError, _bad(-1e-9)),
-    ("optimize_pulse_duration", lambda v: optimize_pulse_duration(_SYSTEM, tolerance=v),
-     "tolerance", ParamError, _bad(0.0, -1e-9)),
     *_frozen_rows(_MODE, ModeFieldError, {"n_g": (0.0,), "a_nm": (0.0,), "norm": (0.0,)}),
     ("coupling_at", lambda v: coupling_at(_MODE, (0.1, 0.2), gamma_bulk=v), "gamma_bulk",
      ParamError, _bad(0.0)),
