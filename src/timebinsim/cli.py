@@ -340,7 +340,7 @@ def scenario_echo_demo(config):
     sigmas = _option(
         config.options.get, "sigma_list", _tuple_of(float), (0.0, 0.25, 0.5, 0.7071067811865476)
     )
-    n = _option(config.options.get, "n_photons", _whole, config.photons[0])
+    n = _option(config.options.get, "n_photons", _whole, 1)
     samples = _option(config.options.get, "sample_count", _whole, 40)
     kind = _option(config.options.get, "kind", TargetKind, "ghz")
     target = ideal_target(n, kind)
@@ -402,7 +402,7 @@ SCENARIOS = {
     "pulse_optimization": (scenario_pulse_optimization, {"delta_over_gamma", "shape"}),
     "echo_demo": (
         scenario_echo_demo,
-        _PARAMS | {"photons", "sigma_list", "n_photons", "sample_count", "kind"},
+        _PARAMS | {"sigma_list", "n_photons", "sample_count", "kind"},
     ),
     "branching_map": (
         scenario_branching_map, {"mode_source", "n_g", "resolution", "leak_fraction"}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import BranchingBetas, ParamError, _real, _real_fields, _whole, betas_from_branching
+from .params import ParamError, _real, _real_fields, _whole
 
 N_LEVELS = 4
 GROUND_DOWN, GROUND_UP, TRION_DOWN, TRION_UP = range(N_LEVELS)
@@ -64,16 +64,6 @@ class LevelSystem:
             + self.rate_diagonal_leak
         )
 
-    @property
-    def betas(self):
-        g = self.gamma
-        return BranchingBetas(
-            beta_par=self.rate_vertical_wg / g,
-            beta_perp=self.rate_diagonal_wg / g,
-            beta_par_leak=self.rate_vertical_leak / g,
-            beta_perp_leak=self.rate_diagonal_leak / g,
-        )
-
     @classmethod
     def from_rates(cls, gamma, betas, delta, dephasing=0.0, ground_splitting=0.0):
         """Split a total decay rate over the four channels of ``betas``."""
@@ -86,11 +76,6 @@ class LevelSystem:
             rate_diagonal_leak=gamma * betas.beta_perp_leak,
             dephasing=dephasing,
         )
-
-    @classmethod
-    def from_params(cls, params, beta_total=1.0):
-        betas = betas_from_branching(params.branching, beta_total=beta_total)
-        return cls.from_rates(params.gamma, betas, params.delta, params.gamma_d)
 
 
 @dataclass(frozen=True)

@@ -192,15 +192,16 @@ def ghz_parity_settings(n_qubits):
 def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_blocks=20):
     """Population-plus-parity GHZ fidelity with jackknife error bars.
 
-    ``records_by_setting`` maps a setting signature to a ShotRecords table: key
-    "Z" for the all-Z run and keys equal (mod 2 pi) to the parity phases
-    phi_k = k pi / n, k = 0..2n-1, for the all-X(phi_k) runs. Shots without
-    a click on every qubit are discarded (post-selection). ``target_phase``
-    is the phase of the GHZ coherence of the target state (0 or pi for the
-    protocol's frame); any other phase raises MeasurementError, as does a
-    table not measured in its key's setting on every qubit. The jackknife
-    needs ``n_blocks`` >= 2, and at least ``n_blocks`` all-click shots per
-    setting, so that no block is empty.
+    ``records_by_setting`` holds ShotRecords tables under any keys; the keys
+    are labels only. Each required setting, all-Z and all-X(phi_k) with
+    phi_k = k pi / n, k = 0..2n-1, is read from the first table whose every
+    qubit was measured in it (same kind and routing; X phases within 1e-9
+    mod 2 pi); a setting no table matches raises MeasurementError. Shots
+    without a click on every qubit are discarded (post-selection).
+    ``target_phase`` is the phase of the GHZ coherence of the target state
+    (0 or pi for the protocol's frame); any other phase raises
+    MeasurementError. The jackknife needs ``n_blocks`` >= 2, and at least
+    ``n_blocks`` all-click shots per setting, so that no block is empty.
     """
     n = _whole("n_qubits", n_qubits, 1, error=MeasurementError)
     n_blocks = _whole("n_blocks", n_blocks, 2, error=MeasurementError)
@@ -208,51 +209,40 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
     phase = target_phase % (2.0 * math.pi)
     if min(phase, abs(phase - math.pi), 2.0 * math.pi - phase) > 1e-9:
         raise MeasurementError(f"target_phase must be 0 or pi (mod 2pi), got {target_phase}")
-    phases = [(k * math.pi / n) % (2.0 * math.pi) for k in range(2 * n)]
-    keys = [
-        next((key for key in records_by_setting if key != "Z" and _phase_match(key, p)), None)
-        for p in phases
+    wanted = [BasisSetting.z(), *ghz_parity_settings(n)]
+    tables = [
+        next((r for r in records_by_setting.values() if _measured_in(r, want)), None)
+        for want in wanted
     ]
-    missing = ["Z"] if "Z" not in records_by_setting else []
-    missing += [f"X({p:.6g})" for p, key in zip(phases, keys) if key is None]
+    missing = [_label(want) for want, r in zip(wanted, tables) if r is None]
     if missing:
         raise MeasurementError(f"estimator is missing settings: {missing}")
-    for key, want in [("Z", BasisSetting.z()), *zip(keys, ghz_parity_settings(n))]:
-        _check_setting(records_by_setting[key], key, want)
 
-    z_blocks = _block_statistics(records_by_setting["Z"], n, _population_indicator, n_blocks)
-    parity_blocks = [
-        ((-1) ** k, _block_statistics(records_by_setting[key], n, _parity_value, n_blocks))
-        for k, key in enumerate(keys)
-    ]
-
+    funcs = [_population_indicator] + [_parity_value] * (2 * n)
+    # axes: table, (sums, counts), block
+    stats = np.array([_block_statistics(r, n, f, n_blocks) for r, f in zip(tables, funcs)])
+    total = stats.sum(axis=2, keepdims=True)
+    loo = np.concatenate([total, total - stats], axis=2)
+    # column 0: each table's mean over all blocks; column j + 1: its mean without block j
+    means = loo[:, 0] / loo[:, 1]
     sign = -1.0 if abs(phase - math.pi) <= 1e-9 else 1.0
-
-    def estimator(drop=None):
-        amp = sum(s * _block_mean(blocks, drop) for s, blocks in parity_blocks)
-        return (_block_mean(z_blocks, drop) + sign * amp / (2.0 * n)) / 2.0
-
-    full = estimator()
-    jk = np.asarray([estimator(drop=j) for j in range(n_blocks)])
-    var = (n_blocks - 1) / n_blocks * np.sum((jk - jk.mean()) ** 2)
-    return {"fidelity": float(full), "std_error": float(math.sqrt(var))}
+    amp = sum((-1) ** k * row for k, row in enumerate(means[1:]))  # in k order
+    est = (means[0] + sign * amp / (2.0 * n)) / 2.0
+    var = (n_blocks - 1) / n_blocks * np.sum((est[1:] - est[1:].mean()) ** 2)
+    return {"fidelity": float(est[0]), "std_error": float(math.sqrt(var))}
 
 
-def _phase_match(key, phase, tol=1e-9):
-    """Whether ``key`` is a number within ``tol`` of ``phase`` mod 2 pi."""
-    try:
-        return abs((float(key) - phase + math.pi) % (2.0 * math.pi) - math.pi) < tol
-    except (TypeError, ValueError):
-        return False
+def _measured_in(records, want):
+    """Every qubit of ``records`` measured in ``want``, X phases within 1e-9 mod 2 pi."""
+    return all(
+        (s.kind, s.routing) == (want.kind, want.routing)
+        and (s.kind == "Z" or abs((s.phase - want.phase + math.pi) % math.tau - math.pi) < 1e-9)
+        for s in records.settings
+    )
 
 
-def _check_setting(records, key, want):
-    """Every qubit of ``records`` measured in ``want``; X phases are compared mod 2 pi."""
-    for s in records.settings:
-        same = (s.kind, s.routing) == (want.kind, want.routing)
-        if not same or (s.kind == "X" and not _phase_match(s.phase, want.phase)):
-            label = "Z" if want.kind == "Z" else f"X({want.phase:.6g})"
-            raise MeasurementError(f"records under key {key!r} are not all active {label}")
+def _label(setting):
+    return "Z" if setting.kind == "Z" else f"X({setting.phase:.6g})"
 
 
 def _population_indicator(outcomes):
@@ -279,10 +269,9 @@ def _block_statistics(records, n_qubits, func, n_blocks):
         )
     values = _all_click_values(records, func)
     if values.size < n_blocks:
-        s = records.settings[0]
-        label = "Z" if s.kind == "Z" else f"X({s.phase:.6g})"
         raise MeasurementError(
-            f"setting {label} has {values.size} all-click shots, fewer than n_blocks = {n_blocks}"
+            f"setting {_label(records.settings[0])} has {values.size} all-click shots, "
+            f"fewer than n_blocks = {n_blocks}"
         )
     block = np.arange(values.size) % n_blocks
     sums = np.bincount(block, weights=values, minlength=n_blocks)
@@ -314,9 +303,3 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
         estimates.append(sign * float(values.sum()) / values.size)
     return estimates
 
-
-def _block_mean(blocks, drop=None):
-    sums, counts = blocks
-    if drop is None:
-        return sums.sum() / counts.sum()
-    return (sums.sum() - sums[drop]) / (counts.sum() - counts[drop])

@@ -2,7 +2,7 @@
 
 Unit conventions used throughout the package:
 
-* rates (gamma, gamma_d, gamma_bulk) in 1/ns,
+* rates (gamma, gamma_d) in 1/ns,
 * detunings and splittings as angular frequencies in rad/ns, so a quoted
   detuning of "2*pi x 16 GHz" is stored as ``2*pi*16`` rad/ns,
 * times in ns, magnetic field in Tesla,
@@ -82,7 +82,6 @@ class PhysicalParams:
     g_factor     |g| = |g_e| + |g_h|, dimensionless
     b_field      magnetic field, Tesla
     n_g          group index of the waveguide mode, dimensionless
-    gamma_bulk   bulk decay rate, 1/ns
     """
 
     gamma: float
@@ -96,12 +95,11 @@ class PhysicalParams:
     g_factor: float
     b_field: float
     n_g: float
-    gamma_bulk: float = 1.0
 
     _BOUNDS = {"gamma": "(0, inf)", "gamma_d": "[0, inf)", "delta": "(0, inf)",
                "branching": "[0, inf)", "eta": "[0, 1]", "t_cycle": "(0, inf)",
                "t2_star": "(0, inf)", "t2": "(0, inf)", "g_factor": "(0, inf)",
-               "b_field": "[0, inf)", "n_g": "(0, inf)", "gamma_bulk": "(0, inf)"}
+               "b_field": "[0, inf)", "n_g": "(0, inf)"}
 
     def __post_init__(self):
         _real_fields(self)

@@ -208,7 +208,7 @@ def test_echo_demo_columns():
 
 
 def test_echo_demo_default_rows_are_pinned(tmp_path):
-    # rows of the default configuration (reference preset, 3 photons, 40
+    # rows of the default configuration (reference preset, 1 photon, 40
     # samples, seed 0), fixed before the batched noise path replaced the
     # per-sample runs
     out = tmp_path / "echo.csv"
@@ -378,6 +378,8 @@ def test_pulse_optimization_scenario():
             "sweep_name = b_field\nsweep_min = 0\nsweep_max = 1\nsweep_points = 3\nsweep_scale = log\n",
             "sweep_min must be > 0",
         ),
+        # echo_demo runs one photon number, read from n_photons only
+        ("echo_demo", "photons = 2\n", "photons"),
     ],
     ids=[
         "missing-sweep_min", "unknown-param", "non-numeric-param", "bad-kind", "bad-n_photons",
@@ -386,7 +388,7 @@ def test_pulse_optimization_scenario():
         "fractional-resolution", "bool-resolution", "float-n_photons",
         "fractional-sample_count", "fractional-seed", "fractional-sweep_points",
         "one-sweep_point", "bad-sweep_scale", "bad-sweep_name", "unordered-sweep-bounds",
-        "log-sweep-from-zero",
+        "log-sweep-from-zero", "unread-echo-photons",
     ],
 )
 def test_main_names_the_bad_key(tmp_path, capsys, scenario, text, key):

@@ -24,23 +24,13 @@ from timebinsim.dynamics import (
     excitation_error_probability,
     optimize_pulse_duration,
 )
-from timebinsim.params import BranchingBetas, ParamError, preset
+from timebinsim.params import BranchingBetas, ParamError
 
 VERTICAL_ONLY = BranchingBetas(1.0, 0.0, 0.0, 0.0)
 
 
 def make_system(gamma=1.0, delta=100.0, dephasing=0.0, betas=VERTICAL_ONLY):
     return LevelSystem.from_rates(gamma=gamma, betas=betas, delta=delta, dephasing=dephasing)
-
-
-def test_level_system_from_params():
-    p = preset("reference")
-    sys_ = LevelSystem.from_params(p)
-    assert sys_.gamma == pytest.approx(p.gamma)
-    assert sys_.delta == p.delta
-    assert sys_.dephasing == p.gamma_d
-    b = sys_.betas
-    assert (b.beta_par + b.beta_par_leak) / (b.beta_perp + b.beta_perp_leak) == pytest.approx(15.0)
 
 
 def test_pulse_envelope_area():

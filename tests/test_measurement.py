@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from timebinsim.measurement import (
     BasisSetting,
     DetectionRecord,
     MeasurementError,
+    ShotRecords,
     estimate_ghz_fidelity,
     ghz_parity_settings,
     joint_outcome_distribution,
@@ -95,10 +97,34 @@ def _reference_block_statistics(records, n_qubits, func, n_blocks):
     return sums, counts
 
 
-def _reference_check_setting(records, key, want):
-    # the per-object rows carry their own settings
-    if any(r.setting != want for r in records):
-        raise MeasurementError(f"records under key {key!r} are not {want}")
+def _reference_ghz_estimate(records_by_key, n, target_phase, n_blocks=20):
+    # the scalar leave-one-out form that the array jackknife replaced, on
+    # tables keyed as _collect keys them
+    z = _reference_block_statistics(
+        records_by_key["Z"], n, lambda outs: float(set(outs) in ({"early"}, {"late"})), n_blocks
+    )
+    parity = [
+        ((-1) ** k, _reference_block_statistics(
+            records_by_key[(k * math.pi / n) % (2.0 * math.pi)], n,
+            lambda outs: math.prod(1.0 if o == "plus" else -1.0 for o in outs), n_blocks,
+        ))
+        for k in range(2 * n)
+    ]
+    sign = -1.0 if abs(target_phase % (2.0 * math.pi) - math.pi) <= 1e-9 else 1.0
+
+    def block_mean(blocks, drop=None):
+        sums, counts = blocks
+        if drop is None:
+            return sums.sum() / counts.sum()
+        return (sums.sum() - sums[drop]) / (counts.sum() - counts[drop])
+
+    def estimator(drop=None):
+        amp = sum(s * block_mean(blocks, drop) for s, blocks in parity)
+        return (block_mean(z, drop) + sign * amp / (2.0 * n)) / 2.0
+
+    jk = np.asarray([estimator(drop=j) for j in range(n_blocks)])
+    var = (n_blocks - 1) / n_blocks * np.sum((jk - jk.mean()) ** 2)
+    return {"fidelity": float(estimator()), "std_error": float(math.sqrt(var))}
 
 
 def _reference_stabilizer_estimates(state, kind, shots, seed, eta):
@@ -238,6 +264,41 @@ def test_estimator_efficiency_cancels_under_postselection():
     assert lossy["std_error"] > full["std_error"]
 
 
+# float.hex of fidelity and std_error, recorded before the jackknife became one
+# array expression: photons, eta, n_blocks, target phase, shots per setting, state
+ESTIMATOR_PINS = {
+    "n1-ideal-eta": (1, 1.0, 2, math.pi, 600, "dephased",
+                     "0x1.e666666666666p-1", "0x1.b4e81b4e81c00p-10"),
+    "n1-reference": (1, 0.84, 20, math.pi, 2000, "reference",
+                     "0x1.e3afa32f7c480p-1", "0x1.d60a09efa8b7ap-9"),
+    "n2-dephased": (2, 0.84, 7, 0.0, 2000, "dephased",
+                    "0x1.d1ffa78ac6270p-1", "0x1.07dbb03e72ed0p-8"),
+    "n2-reference": (2, 1.0, 20, 0.0, 2000, "reference",
+                     "0x1.c6ff513cc1e0ap-1", "0x1.13d2db2db4944p-8"),
+    # the readout benchmark's input: 9 settings of 20 000 shots at eta = 0.84
+    "n3-readout": (3, 0.84, 20, math.pi, 20000, "dephased",
+                   "0x1.bb6b1bda531a4p-1", "0x1.0a1976071a1acp-10"),
+    "n3-reference": (3, 1.0, 7, math.pi, 2000, "reference",
+                     "0x1.a204189374bc6p-1", "0x1.a96c9f0c12967p-9"),
+    "n5-dephased": (5, 0.84, 7, math.pi, 3000, "dephased",
+                    "0x1.956d8876b0d7cp-1", "0x1.743b1e9a9c58fp-9"),
+    "n5-reference": (5, 1.0, 2, math.pi, 1000, "reference",
+                     "0x1.6b17e4b17e4b1p-1", "0x1.b4e81b4e81b40p-8"),
+}
+
+
+@pytest.mark.parametrize("case", ESTIMATOR_PINS.values(), ids=ESTIMATOR_PINS.keys())
+def test_estimator_results_are_pinned(case):
+    photons, eta, n_blocks, target_phase, shots, state, fidelity, std_error = case
+    if state == "dephased":
+        cycle = build_cycle_map(VERTICAL_ONLY, CycleOptions(indistinguishability=0.9))
+    else:
+        cycle = preset("reference")
+    recs = _collect(run_protocol(cycle, photons), photons + 1, shots, 11 * photons, eta)
+    out = estimate_ghz_fidelity(recs, photons + 1, target_phase=target_phase, n_blocks=n_blocks)
+    assert (out["fidelity"].hex(), out["std_error"].hex()) == (fidelity, std_error)
+
+
 @pytest.mark.parametrize("shots", [2.5, 3.0, True, "3", None, 0, -1])
 def test_shot_count_must_be_a_whole_number(shots):
     st = run_protocol(ideal_cycle_map(), 1)
@@ -304,18 +365,18 @@ def test_estimator_rejects_records_measured_in_another_setting():
     def passive(phase):
         return BasisSetting(kind="X", phase=phase, routing="passive")
 
-    cases = [
-        # X-basis records under "Z": no shot is an early or late population
-        (BasisSetting.x(0.0), BasisSetting.x, "key 'Z' are not all active Z$"),
-        # passive routing sends half the shots to Z, so the parities are diluted
-        (BasisSetting.z(), passive, r"key 0\.0 are not all active X\(0\)$"),
-        # every parity table one step off its key
-        (BasisSetting.z(), lambda p: BasisSetting.x(p + math.pi / 3.0),
-         r"key 0\.0 are not all active X\(0\)$"),
-    ]
-    for z_setting, x_setting, message in cases:
-        with pytest.raises(MeasurementError, match=message):
-            estimate_ghz_fidelity(_mismeasured(3, z_setting, x_setting), 3)
+    # X-basis records under "Z": no table holds the all-Z run
+    with pytest.raises(MeasurementError, match=r"missing settings: \['Z'\]$"):
+        estimate_ghz_fidelity(_mismeasured(3, BasisSetting.x(0.0), BasisSetting.x), 3)
+    # passive routing sends half the shots to Z, so no table holds an active parity run
+    labels = [f"X({s.phase:.6g})" for s in ghz_parity_settings(3)]
+    with pytest.raises(MeasurementError, match=re.escape(f"missing settings: {labels}") + "$"):
+        estimate_ghz_fidelity(_mismeasured(3, BasisSetting.z(), passive), 3)
+    # every parity table one step off its key: together they still hold every setting
+    shifted = _mismeasured(3, BasisSetting.z(), lambda p: BasisSetting.x(p + math.pi / 3.0))
+    phases = [s.phase for s in ghz_parity_settings(3)]
+    keyed = {"Z": shifted["Z"], **{p: shifted[phases[k - 1]] for k, p in enumerate(phases)}}
+    assert estimate_ghz_fidelity(shifted, 3) == _reference_ghz_estimate(keyed, 3, 0.0)
     # phases are compared mod 2 pi: a phase just below 2 pi measures X(0)
     wrapped = _mismeasured(
         3, BasisSetting.z(), lambda p: BasisSetting.x(p if p else 2.0 * math.pi - 1e-12)
@@ -330,10 +391,33 @@ def test_estimator_rejects_records_measured_in_another_setting():
     ids=["plus-2pi", "minus-2pi", "zero-below-2pi"],
 )
 def test_estimator_finds_parity_keys_mod_2pi(rekey):
-    # a key names its phase on the circle, as the setting check compares it
+    # the keys are labels only, so rekeying a phase by 2 pi changes nothing
     recs = _collect(run_protocol(ideal_cycle_map(), 2), 3, 200, 5)
     rekeyed = {k if k == "Z" else rekey(k): v for k, v in recs.items()}
     assert estimate_ghz_fidelity(rekeyed, 3) == estimate_ghz_fidelity(recs, 3)
+
+
+def _reversed_shots(records):
+    return ShotRecords(records.settings, records.outcomes, records.combo[::-1])
+
+
+@pytest.mark.parametrize(
+    "relabel",
+    [
+        lambda recs: {f"table {i}": r for i, r in enumerate(recs.values())},
+        lambda recs: dict(reversed(recs.items())),
+        lambda recs: {str(i): r for i, r in enumerate(reversed(recs.values()))},
+        # a later table of a setting already found is not read: here the same
+        # shots in reverse order, which fill the jackknife blocks differently
+        lambda recs: {**recs, "spare": _reversed_shots(recs[math.pi / 4.0])},
+    ],
+    ids=["strings", "reversed", "strings-reversed", "spare-table"],
+)
+def test_estimator_reads_settings_not_keys(relabel):
+    cm = build_cycle_map(VERTICAL_ONLY, CycleOptions(indistinguishability=0.9))
+    recs = _collect(run_protocol(cm, 3), 4, 2000, 7, eta=0.84)
+    want = estimate_ghz_fidelity(recs, 4, target_phase=math.pi)
+    assert estimate_ghz_fidelity(relabel(recs), 4, target_phase=math.pi) == want
 
 
 def test_estimator_rejects_target_phase_other_than_0_or_pi():
@@ -350,7 +434,7 @@ def test_estimator_rejects_target_phase_other_than_0_or_pi():
         )
 
 
-def test_columnar_readout_matches_per_object_reference(monkeypatch):
+def test_columnar_readout_matches_per_object_reference():
     # a reference-preset cluster state carries orthogonal-error mass
     st = run_protocol(preset("reference"), 2, kind=TargetKind.CLUSTER)
     assert st.orthogonal_error_mass > 0.0
@@ -372,11 +456,7 @@ def test_columnar_readout_matches_per_object_reference(monkeypatch):
     for eta in (1.0, 0.84):
         out = estimate_ghz_fidelity(_collect(ghz, 4, 2000, 40, eta), 4, target_phase=math.pi)
         ref_recs = _collect(ghz, 4, 2000, 40, eta, sample=_reference_sample)
-        with monkeypatch.context() as m:
-            m.setattr(measurement, "_block_statistics", _reference_block_statistics)
-            m.setattr(measurement, "_check_setting", _reference_check_setting)
-            ref = estimate_ghz_fidelity(ref_recs, 4, target_phase=math.pi)
-        assert out == ref
+        assert out == _reference_ghz_estimate(ref_recs, 4, math.pi)
 
 
 def test_sampling_reads_rho_without_a_copy():

@@ -176,7 +176,7 @@ REAL_INPUTS = [
     *_frozen_rows(preset("reference"), ParamError, {
         "gamma": (0.0,), "gamma_d": (-0.1,), "delta": (0.0,), "branching": (-1.0,),
         "eta": (1.5,), "t_cycle": (0.0,), "t2_star": (0.0,), "t2": (-1.0,),
-        "g_factor": (0.0,), "b_field": (-1.0,), "n_g": (0.0,), "gamma_bulk": (0.0,),
+        "g_factor": (0.0,), "b_field": (-1.0,), "n_g": (0.0,),
     }),
     *_frozen_rows(BranchingBetas(0.9, 0.06, 0.03, 0.01), ParamError, {
         "beta_par": (1.5,), "beta_perp": (-0.1,), "beta_par_leak": (1.5,),
