@@ -75,6 +75,9 @@ class CycleOptions:
 
     def __post_init__(self):
         _real_fields(self)
+        for name in ("echo", "filter_on"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ParamError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 def rotation_matrix(angle):

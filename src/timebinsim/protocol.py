@@ -90,7 +90,9 @@ class NoiseConfig:
     per-cycle Wiener phase imbalance of variance drift_diffusion *
     t_cycle^3 that the echo does not cancel. Both add to the static
     ``quasistatic_detuning`` and ``drift_phase`` of the caller's
-    CycleOptions.
+    CycleOptions. ``rng_seed`` spawns two streams: the first draws the
+    ``sample_count`` shifts, the second the kicks, one row of N per
+    sample. A smaller ``sample_count`` keeps the leading samples.
     """
 
     overhauser_sigma: float
@@ -250,7 +252,9 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
     with the kind's rotation angle is built. With a NoiseConfig, samples of
     the quasi-static detuning (and drift) are averaged at the density-
     operator level (one state with a sample axis); reproducible for a
-    fixed rng_seed. The options' ``quasistatic_detuning`` and
+    fixed rng_seed, whose two spawned streams give the shifts and the
+    drift kicks as one array each, so the first k samples are the k-sample
+    run (see ``_noise_state``). The options' ``quasistatic_detuning`` and
     ``drift_phase`` are static offsets that the sampled shifts add to.
     Without noise, a PhysicalParams run is the one-sample, zero-shift case
     of the same path. The kind sets the rotation angle: ``options`` may give
@@ -259,6 +263,10 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
     """
     n = _whole("n_photons", n_photons, 1)
     _check_kind(kind)
+    if not isinstance(noise, (NoiseConfig, type(None))):
+        raise ParamError(f"noise must be a NoiseConfig or None, got {noise!r}")
+    if not isinstance(options, (CycleOptions, type(None))):
+        raise ParamError(f"options must be a CycleOptions or None, got {options!r}")
     if isinstance(cycle, CycleMap):
         if noise is not None:
             raise ParamError("noise averaging needs PhysicalParams, not a fixed CycleMap")
@@ -277,11 +285,15 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
 
 
 def _noise_state(params, n, base, noise):
-    """All noise samples as one state; sample i draws from child seed i.
+    """All noise samples as one state, each noise source drawn as one array.
 
-    Child seeds are spawned from ``noise.rng_seed``, so results do not
-    depend on evaluation order. A sample draws its detuning shift, then one
-    drift kick per round; both add to the static offsets in ``base``.
+    Two streams are spawned from ``noise.rng_seed``: stream 0 draws every
+    sample's detuning shift, a (samples, 1) array, and stream 1 every
+    sample's drift kicks, a (samples, N) array in row order. Sample i takes
+    draw i and row i, so results do not depend on evaluation order, the
+    first k samples of a run are the k-sample run, and turning drift on
+    leaves the shifts alone. A source of width 0 draws nothing; with both
+    at 0 no generator is made. Both add to the static offsets in ``base``.
     They enter a round only through the early-late phase difference D of
     the main Kraus block, so its superoperator is S0 + e^{iD} S+ +
     e^{-iD} S-, split from three cycle maps once per (params, options).
@@ -290,19 +302,17 @@ def _noise_state(params, n, base, noise):
     success-weighted one.
     """
     parts, options, orth_prob = _split_superoperators(params, base)
-    drift_std = math.sqrt(noise.drift_diffusion * params.t_cycle**3)
-    shifts = np.zeros((noise.sample_count, 1))
-    kicks = np.zeros((noise.sample_count, n))
-    for i, seq in enumerate(np.random.SeedSequence(noise.rng_seed).spawn(noise.sample_count)):
-        rng = np.random.default_rng(seq)
-        if noise.overhauser_sigma:
-            shifts[i] = rng.normal(0.0, noise.overhauser_sigma)
-        if drift_std:
-            kicks[i] = rng.normal(0.0, drift_std, size=n)
+    samples = noise.sample_count
+    widths = (noise.overhauser_sigma, math.sqrt(noise.drift_diffusion * params.t_cycle**3))
+    streams = np.random.SeedSequence(noise.rng_seed).spawn(2) if any(widths) else (None, None)
+    shifts, kicks = (
+        np.random.default_rng(seq).normal(0.0, width, size=shape) if width else np.zeros(shape)
+        for seq, width, shape in zip(streams, widths, ((samples, 1), (samples, n)))
+    )
     early, late = arm_phases(options, shifts, kicks)
     phase = np.exp(1j * (early - late))[..., None]
     sups = parts[0] + phase * parts[1] + phase.conj() * parts[2]
-    return _normalized_state(sups.reshape(noise.sample_count, n, 16, 4), np.full(n, orth_prob))
+    return _normalized_state(sups.reshape(samples, n, 16, 4), np.full(n, orth_prob))
 
 
 @lru_cache(maxsize=32)

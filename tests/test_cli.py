@@ -209,16 +209,16 @@ def test_echo_demo_columns():
 
 def test_echo_demo_default_rows_are_pinned(tmp_path):
     # rows of the default configuration (reference preset, 1 photon, 40
-    # samples, seed 0), fixed before the batched noise path replaced the
-    # per-sample runs
+    # samples, seed 0); the no-echo column follows the shift stream, drawn
+    # as one array, and the echo column is the noise-free value
     out = tmp_path / "echo.csv"
     assert main(["echo_demo", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[2:] == [
         "sigma_overhauser,fidelity_echo,fidelity_no_echo",
         "0,0.94455184139,0.94455184139",
-        "0.25,0.94455184139,0.42665644041",
-        "0.5,0.94455184139,0.545274358179",
-        "0.707106781187,0.94455184139,0.457494141031",
+        "0.25,0.94455184139,0.497717751339",
+        "0.5,0.94455184139,0.386345179063",
+        "0.707106781187,0.94455184139,0.412704252493",
     ]
 
 

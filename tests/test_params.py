@@ -145,6 +145,22 @@ def test_physical_params_rejects_nan(name):
         replace(preset("reference"), **{name: math.nan})
 
 
+@pytest.mark.parametrize("name", ["echo", "filter_on"])
+@pytest.mark.parametrize("value", ["no", 0, 1.0, None])
+def test_cycle_options_reject_a_switch_that_is_not_a_bool(name, value):
+    # a truthy string once ran with the echo on
+    for call in (lambda: CycleOptions(**{name: value}),
+                 lambda: replace(CycleOptions(), **{name: value})):
+        with pytest.raises(ParamError, match=rf"^{name} must be a bool"):
+            call()
+
+
+@pytest.mark.parametrize("name", ["echo", "filter_on"])
+def test_cycle_options_accept_numpy_bools(name):
+    for value in (np.bool_(False), np.bool_(True), False):
+        assert getattr(CycleOptions(**{name: value}), name) == value
+
+
 def _bad(*out_of_interval):
     return (math.nan, math.inf, -math.inf, *out_of_interval)
 

@@ -288,6 +288,94 @@ def test_noise_averaging_is_seed_deterministic():
     assert np.array_equal(st1.rho, st2.rho)
 
 
+@pytest.mark.parametrize("drift", [0.0, 0.01], ids=["driftless", "drift"])
+def test_fewer_samples_are_a_prefix_of_more(drift):
+    # sample i takes draw i of the shift stream and row i of the kick stream
+    p = preset("reference")
+    opts = CycleOptions(echo=False)
+    runs = {
+        k: run_protocol(p, 3, noise=NoiseConfig(0.3, drift, sample_count=k, rng_seed=4),
+                        options=opts)
+        for k in (1, 5, 12)
+    }
+    for k in (1, 5):
+        assert np.array_equal(runs[k].superoperators, runs[12].superoperators[:k])
+
+
+def test_drift_leaves_the_shifts_alone(monkeypatch):
+    seen = []
+
+    def recorded(options, shifts, kicks):
+        seen.append((shifts, kicks))
+        return cyclemap.arm_phases(options, shifts, kicks)
+
+    monkeypatch.setattr(protocol, "arm_phases", recorded)
+    p = preset("reference")
+    for drift in (0.0, 0.01):
+        run_protocol(p, 3, noise=NoiseConfig(0.3, drift, sample_count=5, rng_seed=6))
+    (shifts, no_kicks), (drifting_shifts, kicks) = seen
+    assert shifts.shape == (5, 1) and kicks.shape == (5, 3)
+    assert np.array_equal(shifts, drifting_shifts)
+    assert not no_kicks.any() and kicks.all()
+
+
+@pytest.mark.parametrize("samples", [4, 400])
+def test_noise_draws_from_at_most_two_generators(monkeypatch, samples):
+    p = preset("reference")
+    run_protocol(p, 3)  # the split superoperators cached before counting
+    made = []
+
+    def counted(name):
+        real = getattr(np.random, name)
+
+        def make(*args, **kwargs):
+            made.append(name)
+            return real(*args, **kwargs)
+
+        return make
+
+    for name in ("SeedSequence", "default_rng"):
+        monkeypatch.setattr(np.random, name, counted(name))
+    for noise, generators in (
+        (NoiseConfig(0.3, 0.01, sample_count=samples, rng_seed=2), 2),
+        (NoiseConfig(0.3, sample_count=samples, rng_seed=2), 1),
+        (NoiseConfig(0.0, 0.01, sample_count=samples, rng_seed=2), 1),
+    ):
+        made.clear()
+        run_protocol(p, 3, noise=noise)
+        assert made == ["SeedSequence"] + ["default_rng"] * generators, noise
+    # a source of width 0 draws nothing, and a noise-free run makes no stream at all
+    made.clear()
+    run_protocol(p, 3, noise=NoiseConfig(0.0, sample_count=samples, rng_seed=2))
+    run_protocol(p, 3)
+    assert made == []
+
+
+@pytest.mark.parametrize("noise", [{"overhauser_sigma": 0.3}, 0.3, CycleOptions()])
+def test_run_protocol_rejects_a_noise_that_is_not_a_noise_config(noise):
+    p = preset("reference")
+    for call in (
+        lambda: run_protocol(p, 2, noise=noise),
+        lambda: run_protocol(ideal_cycle_map(), 2, noise=noise),
+        lambda: overhauser_average(p, 2, TargetKind.GHZ, noise),
+    ):
+        with pytest.raises(ParamError, match="^noise must be a NoiseConfig"):
+            call()
+
+
+@pytest.mark.parametrize("options", [{"echo": False}, False, NoiseConfig(0.3)])
+def test_run_protocol_rejects_options_that_are_not_cycle_options(options):
+    p = preset("reference")
+    noise = NoiseConfig(0.3, sample_count=2)
+    for call in (
+        lambda: run_protocol(p, 2, options=options),
+        lambda: run_protocol(ideal_cycle_map(), 2, options=options),
+        lambda: overhauser_average(p, 2, TargetKind.GHZ, noise, options=options),
+    ):
+        with pytest.raises(ParamError, match="^options must be a CycleOptions"):
+            call()
+
+
 def test_noise_calls_share_the_split_superoperators(monkeypatch):
     p = preset("reference")
     noise = NoiseConfig(overhauser_sigma=0.3, drift_diffusion=0.01, sample_count=4, rng_seed=5)
@@ -575,19 +663,20 @@ def test_stabilizer_expectations_match_full_trace():
 def _per_cycle_noisy_cycles(params, n, kind, noise, options):
     """Noise samples drawn as run_protocol does, as one fresh map per cycle.
 
-    Sample i draws from child seed i: the detuning shift first, then one
-    scalar drift kick per cycle; both add to the options' static offsets.
-    Returns the cycle sequence of every sample.
+    Two streams are spawned from the seed, and each draws one scalar at a
+    time: stream 0 one detuning shift per sample, stream 1 one drift kick
+    per cycle of each sample in turn; both add to the options' static
+    offsets. Returns the cycle sequence of every sample.
     """
     base = replace(options, rotation_angle=kind.rotation_angle)
     drift_std = math.sqrt(noise.drift_diffusion * params.t_cycle**3)
+    shift_rng, kick_rng = map(np.random.default_rng, np.random.SeedSequence(noise.rng_seed).spawn(2))
     samples = []
-    for seq in np.random.SeedSequence(noise.rng_seed).spawn(noise.sample_count):
-        rng = np.random.default_rng(seq)
-        delta = rng.normal(0.0, noise.overhauser_sigma) if noise.overhauser_sigma else 0.0
+    for _ in range(noise.sample_count):
+        delta = shift_rng.normal(0.0, noise.overhauser_sigma) if noise.overhauser_sigma else 0.0
         cycles = []
         for _ in range(n):
-            kick = rng.normal(0.0, drift_std) if drift_std else 0.0
+            kick = kick_rng.normal(0.0, drift_std) if drift_std else 0.0
             opts = replace(
                 base,
                 quasistatic_detuning=base.quasistatic_detuning + delta,
