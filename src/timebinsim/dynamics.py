@@ -8,9 +8,10 @@ excluded: they are suppressed by laser polarisation in the side-excitation
 geometry. Each trion decays through four channels (vertical / diagonal,
 into / out of the waveguide); pure dephasing acts on the trion levels.
 
-Every pulse is propagated by ``scipy.linalg.expm``, imported on the first
-pulse and not with this module: importing the package loads numpy alone,
-which keeps the start of a one-shot CLI run short.
+Every pulse is propagated by ``_expm``, a matrix exponential written in
+numpy, so the package needs numpy alone: neither its import nor any pulse
+loads a second numerical library, which keeps the start and the memory of a
+one-shot CLI run small.
 """
 from __future__ import annotations
 
@@ -207,15 +208,74 @@ def _generators(system, carrier_detuning):
     }
 
 
-def _propagator(g0, g1, pulse):
-    """Propagator of dy/dt = (g0 + envelope(t) * g1) @ y over the pulse: one
-    exact ``expm`` for a square pulse, whose constant generator is its whole
-    Magnus series, and a product of ``_GAUSSIAN_SLICES`` sixth-order Magnus
-    steps for a gaussian one (Blanes et al., Phys. Rep. 470, 151 (2009))."""
-    from scipy.linalg import expm
+# The degree-13 Pade approximant of e^a is (v - u)^-1 (v + u), with
+# u = a (a^6 p_0 + p_2) and v = a^6 p_1 + p_3, each p_i a polynomial in a^2:
+# row i holds its coefficients of a^6, a^4, a^2 and 1, divided by b_0 so that
+# the zero matrix gives the identity exactly. _THETA13 is the largest 1-norm
+# at which the approximant is exact to double precision without scaling
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), eq. 2.6 and table 2.3).
+_PADE13 = np.array([
+    [1.0, 16380.0, 40840800.0, 0.0],
+    [182.0, 960960.0, 1323241920.0, 0.0],
+    [33522128640.0, 10559470521600.0, 1187353796428800.0, 32382376266240000.0],
+    [670442572800.0, 129060195264000.0, 7771770303897600.0, 64764752532480000.0],
+]) / 64764752532480000.0
+_THETA13 = 5.371920351148152
 
-    if pulse.shape == "square":
-        return expm((g0 + pulse.peak_rabi * g1) * pulse.duration)
+
+# Matrices per _expm_chunk call: bounds the memory of a long stack. Larger
+# chunks of the 10x10 block were slower, not faster: their temporaries pass
+# 128 KiB, past which each one is mapped afresh.
+_CHUNK = 16
+
+
+def _expm(a):
+    """Exponential of each matrix of a float or complex ``(..., n, n)`` stack,
+    ``_CHUNK`` matrices per ``_expm_chunk`` call."""
+    shape = a.shape
+    a = a.reshape(-1, shape[-1], shape[-1])
+    r = np.empty_like(a)
+    for k in range(0, len(a), _CHUNK):
+        r[k : k + _CHUNK] = _expm_chunk(a[k : k + _CHUNK])
+    return r.reshape(shape)
+
+
+def _expm_chunk(a):
+    """Exponential of each matrix of an ``(m, n, n)`` stack: the degree-13
+    Pade approximant of the matrix scaled by 2^-s, squared s times, where s
+    is the smallest power that brings that matrix's 1-norm to ``_THETA13``.
+    Every step treats the matrices one by one, so a matrix gets the same bits
+    in any stack."""
+    n = a.shape[-1]
+    norm = np.maximum.reduce(np.add.reduce(np.abs(a), axis=1), axis=1)
+    # norm / theta = mantissa * 2^exponent with mantissa in [0.5, 1), and frexp(0) = (0, 0)
+    mantissa, exponent = np.frexp(norm / _THETA13)
+    s = np.maximum(exponent - (mantissa == 0.5), 0)
+    # the factors in the dtype of a: a broadcast product of real and complex arrays is slow
+    a = a * np.ldexp(1.0, -s).astype(a.dtype)[:, None, None]
+    powers = np.empty((len(a), 4, n, n), a.dtype)
+    a2 = np.matmul(a, a, out=powers[:, 2])
+    a4 = np.matmul(a2, a2, out=powers[:, 1])
+    a6 = np.matmul(a4, a2, out=powers[:, 0])
+    powers[:, 3] = np.eye(n)
+    p = (_PADE13.astype(a.dtype) @ powers.reshape(-1, 4, n * n)).reshape(-1, 4, n, n)
+    w = a6[:, None] @ p[:, :2] + p[:, 2:]
+    u = a @ w[:, 0]
+    r = np.linalg.solve(w[:, 1] - u, w[:, 1] + u)
+    for k in range(int(s.max(initial=0))):
+        squared = s > k
+        if squared.all():
+            r = r @ r
+        else:
+            r[squared] = r[squared] @ r[squared]
+    return r
+
+
+def _propagator(g0, g1, pulse):
+    """Propagator of dy/dt = (g0 + envelope(t) * g1) @ y over a gaussian
+    pulse: a product of ``_GAUSSIAN_SLICES`` sixth-order Magnus steps,
+    exponentiated in one stacked ``_expm`` (Blanes et al., Phys. Rep. 470,
+    151 (2009))."""
 
     def comm(a, b):
         return a @ b - b @ a
@@ -230,13 +290,26 @@ def _propagator(g0, g1, pulse):
     a3 = (10.0 * h / 3.0) * (f3 - 2.0 * f2 + f1) * g1
     c1 = comm(a1, a2)
     c2 = comm(a1, 2.0 * a3 + c1) / -60.0
-    steps = expm(a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
+    steps = _expm(a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
     return functools.reduce(np.matmul, steps[::-1])
 
 
+def _propagators(g0, g1, pulses):
+    """Propagators of ``pulses``, which share one shape, stacked. A square
+    pulse's constant generator is its whole Magnus series, so all square
+    pulses are one stacked ``_expm``; gaussian pulses are ``_propagator``
+    each."""
+    if pulses[0].shape == "square":
+        rabi = np.array([pulse.peak_rabi for pulse in pulses], dtype=g1.dtype)[:, None, None]
+        duration = np.array([pulse.duration for pulse in pulses], dtype=g1.dtype)[:, None, None]
+        return _expm((g0 + rabi * g1) * duration)
+    return np.stack([_propagator(g0, g1, pulse) for pulse in pulses])
+
+
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call. No caller in
-    the package: kept because ``perfbench/tracing.py`` patches it (ROADMAP item 1)."""
+    """``scipy.integrate.solve_ivp``, imported on the first call; scipy comes
+    with the ``test`` extra, not with the package. No caller in the package:
+    kept because ``perfbench/tracing.py`` patches it (ROADMAP item 1)."""
     from scipy import integrate
 
     return integrate.solve_ivp(*args, **kwargs)
@@ -271,38 +344,40 @@ def excitation_error_probability(system, pulse):
     on the detuned branch (starting from the spectator ground state) give
     the off-resonant weight, and the no-jump survival of the ground manifold
     gives the incomplete-inversion weight. Both runs are propagated by
-    ``_propagator`` on the population block their start states never leave.
+    ``_propagators`` on the population block their start states never leave.
     """
-    return _excitation_errors(_generators(system, pulse.carrier_detuning), pulse)
+    return _excitation_errors(_generators(system, pulse.carrier_detuning), [pulse])[0]
 
 
-def _excitation_errors(generators, pulse):
-    """``excitation_error_probability`` on prebuilt ``_generators``."""
-    propagators = {jumps: _propagator(g0, g1, pulse) for jumps, (g0, g1) in generators.items()}
+def _excitation_errors(generators, pulses):
+    """``excitation_error_probability`` of each of ``pulses``, which share one
+    shape, on prebuilt ``_generators``."""
+    propagators = {jumps: _propagators(g0, g1, pulses) for jumps, (g0, g1) in generators.items()}
 
     def final(level, jumps=True):
         # |level><level| is entry level * (N_LEVELS + 1) of the row-major vector
         block = _POPULATION_BLOCK[jumps]
-        y = np.zeros(N_LEVELS**2 + 2, dtype=complex)
-        y[block] = propagators[jumps][:, np.searchsorted(block, level * (N_LEVELS + 1))]
-        return y[: N_LEVELS**2].reshape(N_LEVELS, N_LEVELS).real, y[N_LEVELS**2 :].real
+        y = np.zeros((len(pulses), N_LEVELS**2 + 2), dtype=complex)
+        y[:, block] = propagators[jumps][:, :, np.searchsorted(block, level * (N_LEVELS + 1))]
+        rho = y[:, : N_LEVELS**2].reshape(-1, N_LEVELS, N_LEVELS).real
+        return rho, y[:, N_LEVELS**2 :].real
 
     # The free decay after the pulse needs no integration: every remaining
     # trion population decays exactly once, so the post-pulse emission tail
     # equals the final trion populations.
     rho, emitted = final(GROUND_DOWN)
-    mu_down = emitted[0] + rho[TRION_DOWN, TRION_DOWN]
+    mu_down = emitted[:, 0] + rho[:, TRION_DOWN, TRION_DOWN]
     rho, _ = final(GROUND_DOWN, jumps=False)
     # after the pulse the remaining trion amplitude decays away (emits)
-    p_no = float(rho[GROUND_DOWN, GROUND_DOWN] + rho[GROUND_UP, GROUND_UP])
-    mu_re = max(mu_down - (1.0 - p_no), 0.0)
+    p_no = rho[:, GROUND_DOWN, GROUND_DOWN] + rho[:, GROUND_UP, GROUND_UP]
+    mu_re = np.maximum(mu_down - (1.0 - p_no), 0.0)
     rho, emitted = final(GROUND_UP)
-    mu_off = emitted[1] + rho[TRION_UP, TRION_UP]
-    return ExcitationErrors(
-        off_resonant=mu_off / 4.0,
-        re_excitation=mu_re / 2.0,
-        incomplete_inversion=p_no / 2.0,
-    )
+    mu_off = emitted[:, 1] + rho[:, TRION_UP, TRION_UP]
+    return [
+        ExcitationErrors(off_resonant=float(off), re_excitation=float(re),
+                         incomplete_inversion=float(no))
+        for off, re, no in zip(mu_off / 4.0, mu_re / 2.0, p_no / 2.0)
+    ]
 
 
 def optimize_pulse_duration(system, shape="square", bounds=None, n_scan=40):
@@ -312,7 +387,9 @@ def optimize_pulse_duration(system, shape="square", bounds=None, n_scan=40):
     geometric coarse scan brackets the global minimum before a golden-section
     refinement to relative duration tolerance ``DURATION_REL_TOL``. Every
     pulse is propagated as in ``excitation_error_probability``, from one
-    generator pair built for the whole optimization.
+    generator pair built for the whole optimization. The coarse scan is one
+    ``_excitation_errors`` call, so its square pulses share stacked
+    exponentials.
     """
     if bounds is None:
         _real(("delta", system.delta, "(0, inf)"))
@@ -326,11 +403,12 @@ def optimize_pulse_duration(system, shape="square", bounds=None, n_scan=40):
     # every scanned pulse has the default carrier, so one generator pair serves them all
     generators = _generators(system, 0.0)
 
-    def err(duration):
-        return _excitation_errors(generators, Pulse(shape, duration)).total
+    def totals(durations):
+        pulses = [Pulse(shape, duration) for duration in durations]
+        return [errors.total for errors in _excitation_errors(generators, pulses)]
 
     grid = np.geomspace(lo, hi, n_scan)
-    vals = [err(t) for t in grid]
+    vals = totals(grid)
     k = int(np.argmin(vals))
     if k == 0 or k == n_scan - 1:
         raise ParamError(
@@ -342,15 +420,15 @@ def optimize_pulse_duration(system, shape="square", bounds=None, n_scan=40):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = err(c), err(d)
+    fc, fd = totals([c, d])
     while (b - a) > DURATION_REL_TOL * (a + b) / 2.0:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = err(c)
+            (fc,) = totals([c])
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = err(d)
+            (fd,) = totals([d])
     t_opt = c if fc < fd else d
     return {"duration_opt": float(t_opt), "error_min": float(min(fc, fd))}

@@ -286,14 +286,70 @@ def test_gaussian_error_totals_are_pinned(width, total):
     assert errs.total == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
+def _rel_one_norm(got, want):
+    """1-norm of the difference of each matrix pair over the 1-norm of ``want``."""
+    return np.abs(got - want).sum(axis=-2).max(axis=-1) / np.abs(want).sum(axis=-2).max(axis=-1)
+
+
 def test_square_propagator_is_one_expm():
     # a constant generator is its whole Magnus series: no steps, no commutators
     from scipy.linalg import expm
 
     pulse = Pulse("square", 3.0 / ALL_CHANNELS.delta, carrier_detuning=1.3)
     for g0, g1 in dynamics._generators(ALL_CHANNELS, 1.3).values():
-        want = expm((g0 + pulse.peak_rabi * g1) * pulse.duration)
-        assert np.array_equal(dynamics._propagator(g0, g1, pulse), want)
+        a = (g0 + pulse.peak_rabi * g1) * pulse.duration
+        got = dynamics._propagators(g0, g1, [pulse])[0]
+        assert np.array_equal(got, dynamics._expm(a))
+        assert _rel_one_norm(got, expm(a)) <= 1e-14
+
+
+# -- the Pade exponential against scipy.linalg.expm, which src/ does not import
+
+@pytest.mark.parametrize("ratio", [30.0, 100.0, 300.0])
+@pytest.mark.parametrize("carrier, dephasing", [(0.0, 0.0), (1.3, 0.0), (0.0, 0.3), (1.3, 0.3)])
+def test_expm_matches_scipy_on_the_generators(ratio, carrier, dephasing):
+    # both population blocks over the optimizer's default duration bounds
+    from scipy.linalg import expm
+
+    system = make_system(gamma=1.0, delta=ratio, dephasing=dephasing)
+    for g0, g1 in dynamics._generators(system, carrier).values():
+        for duration in np.geomspace(1.5 / ratio, 30.0 / ratio, 9):
+            a = (g0 + Pulse("square", duration).peak_rabi * g1) * duration
+            assert _rel_one_norm(dynamics._expm(a), expm(a)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 4, 10, 18])
+def test_expm_matches_scipy_on_random_matrices(n):
+    # 1-norms from 2^-20, where no squaring is needed, to 8, past theta_13
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(n)
+    for norm in 2.0 ** np.arange(-20, 4):
+        for _ in range(4):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            a *= norm / np.abs(a).sum(axis=0).max()
+            assert _rel_one_norm(dynamics._expm(a), expm(a)) <= 1e-14
+
+
+def test_stacked_expm_equals_per_matrix_calls():
+    # each matrix gets its own power of two, so a stack of mixed norms takes
+    # masked squarings; the result must not depend on the company
+    rng = np.random.default_rng(7)
+    for n in (4, 10):
+        a = rng.normal(size=(3, 10, n, n)) + 1j * rng.normal(size=(3, 10, n, n))
+        norms = np.geomspace(1e-6, 60.0, 30).reshape(3, 10)
+        a *= (norms / np.abs(a).sum(axis=-2).max(axis=-1))[..., None, None]
+        got = dynamics._expm(a)
+        assert got.shape == a.shape
+        for index in np.ndindex(3, 10):
+            assert np.array_equal(got[index], dynamics._expm(a[index]))
+
+
+def test_expm_of_zero_is_the_identity(recwarn):
+    # the scaling power comes from frexp, so a zero norm takes no log of zero
+    for n in (1, 4, 10):
+        assert np.array_equal(dynamics._expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+    assert not recwarn.list
 
 
 def test_gaussian_steps_cover_the_pulse_span():
@@ -372,6 +428,40 @@ def test_optimizer_matches_per_pulse_public_path(ratio):
     duration, error = _reference_optimize(make_system(gamma=1.0, delta=ratio))
     assert opt["duration_opt"].hex() == duration.hex()
     assert opt["error_min"].hex() == error.hex()
+
+
+@pytest.mark.parametrize("ratio", [30.0, 100.0, 300.0])
+def test_stacked_scan_equals_one_pulse_totals(ratio):
+    # the optimizer's coarse scan, in stacked chunks, against one public call per pulse
+    system = make_system(gamma=1.0, delta=ratio)
+    grid = np.geomspace(1.5 / ratio, 30.0 / ratio, 40)
+    pulses = [Pulse("square", duration) for duration in grid]
+    stacked = dynamics._excitation_errors(dynamics._generators(system, 0.0), pulses)
+    for errs, pulse in zip(stacked, pulses, strict=True):
+        assert errs == excitation_error_probability(system, pulse)
+
+
+def test_scan_is_stacked_in_bounded_chunks(monkeypatch):
+    sizes = []
+    chunk = dynamics._expm_chunk
+
+    def counted(a):
+        sizes.append(len(a))
+        return chunk(a)
+
+    monkeypatch.setattr(dynamics, "_expm_chunk", counted)
+    optimize_pulse_duration(make_system(gamma=1.0, delta=30.0), n_scan=100)
+    # the 100-pulse scan is one stack per generator pair: six full chunks and
+    # a last one of four; the golden section then takes two pulses, then one
+    scan = [dynamics._CHUNK] * 6 + [4]
+    assert sizes[: 2 * len(scan)] == scan * 2
+    assert sizes[2 * len(scan) : 2 * len(scan) + 2] == [2, 2]
+    assert set(sizes[2 * len(scan) + 2 :]) == {1}
+
+
+def test_optimizer_names_an_unknown_shape():
+    with pytest.raises(ParamError, match="'triangle'"):
+        optimize_pulse_duration(make_system(gamma=1.0, delta=30.0), shape="triangle")
 
 
 def _count_generators(monkeypatch):
@@ -491,12 +581,14 @@ IMPORT_PROBE = textwrap.dedent(
     for shape in ("square", "gaussian"):
         dynamics.excitation_error_probability(system, dynamics.Pulse(shape, 0.05))
         seen[shape] = scipy_modules()
+    dynamics.optimize_pulse_duration(system, shape="square")
+    seen["optimize"] = scipy_modules()
     print(json.dumps(seen))
     """
 )
 
 
-def test_scipy_loads_at_the_first_propagator_that_needs_it():
+def test_no_pulse_or_optimization_loads_scipy():
     src = str(Path(timebinsim.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
@@ -505,8 +597,4 @@ def test_scipy_loads_at_the_first_propagator_that_needs_it():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     seen = json.loads(run.stdout)
-    assert seen["import"] == []
-    assert seen["shim"]
-    assert "scipy.linalg" in seen["square"]
-    # no pulse shape needs an ODE solver
-    assert "scipy.integrate" not in seen["square"] + seen["gaussian"]
+    assert seen == {"import": [], "shim": True, "square": [], "gaussian": [], "optimize": []}
