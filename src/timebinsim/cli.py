@@ -56,59 +56,143 @@ class ConfigError(ValueError):
     """Malformed scenario configuration."""
 
 
+# A cast takes (key, value) and returns the value the runners read, or raises a
+# ConfigError that names the key.
+
+
+def _instance(kind, what):
+    """Cast for a value of type ``kind``, described as ``what``."""
+
+    def cast(key, value):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        return value
+
+    return cast
+
+
+_text, _flag = _instance(str, "text"), _instance(bool, "true or false")
+
+
+def _real_in(interval=None):
+    """Cast for a number, as a float; finite and in ``interval`` if one is given."""
+
+    def cast(key, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        if interval:
+            _real((key, value, interval), error=ConfigError)
+        return float(value)
+
+    return cast
+
+
+def _whole_from(least):
+    """Cast for a whole number (not a bool) of at least ``least``."""
+    return lambda key, value: _count(key, value, least, error=ConfigError)
+
+
+def _one_of(*choices):
+    """Cast for text naming one of ``choices``; an Enum member is named by its value."""
+    names = [getattr(c, "value", c) for c in choices]
+
+    def cast(key, value):
+        if _text(key, value) not in names:
+            raise ConfigError(f"{key} must be one of {', '.join(names)}, got {value!r}")
+        return choices[names.index(value)]
+
+    return cast
+
+
+def _list_of(cast):
+    """Cast for a scalar or a non-empty comma list: a tuple of ``cast`` items."""
+
+    def to_tuple(key, value):
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        if not items:
+            raise ConfigError(f"{key} must list at least one value")
+        return tuple(cast(key, v) for v in items)
+
+    return to_tuple
+
+
+def _overrides(key, value):
+    """Cast for the ``param.<field>`` overrides as one dict; PhysicalParams bounds them."""
+    unknown = sorted(set(value) - {f.name for f in fields(PhysicalParams)})
+    if unknown:
+        raise ConfigError(f"unknown parameter override(s): param.{', param.'.join(unknown)}")
+    return {name: _real_in()(f"param.{name}", v) for name, v in value.items()}
+
+
+# Table fragments, key -> (cast, default), shared by the SCENARIOS tables. A
+# default is written as the runners read it and is not cast; a callable default
+# is computed from the keys before it.
+_PHYSICS = {"preset": (_text, "reference"), "param.*": (_overrides, {})}
+_PHOTONS = {"photons": (_list_of(_whole_from(1)), (1, 2, 3))}
+_KIND = {"kind": (_one_of(*TargetKind), TargetKind.GHZ)}
+# in SweepAxis field order; the detuning runner checks which axis it is
+_SWEEP = {
+    "sweep_name": (_text, "delta"),
+    "sweep_min": (_real_in("(-inf, inf)"), 4.0),
+    "sweep_max": (_real_in("(-inf, inf)"), 64.0),
+    "sweep_points": (_whole_from(2), 16),
+    "sweep_scale": (_one_of("linear", "log"), "linear"),
+}
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     name: str
     lo: float
     hi: float
     points: int
-    scale: str = "linear"
+    scale: str = _SWEEP["sweep_scale"][1]
 
     def __post_init__(self):
-        _real(("lo", self.lo, "(-inf, inf)"), ("hi", self.hi, "(-inf, inf)"),
-              error=ConfigError)
+        # each field through its key's cast, under the name SweepAxis gives it
+        names = ("sweep_name", "lo", "hi", "sweep_points", "sweep_scale")
+        for name, (cast, _), value in zip(names, _SWEEP.values(), vars(self).values()):
+            cast(name, value)
         if self.lo >= self.hi:
             raise ConfigError(f"sweep_min must be below sweep_max, got [{self.lo}, {self.hi}]")
-        _count("sweep_points", self.points, 2, error=ConfigError)
-        if self.scale not in ("linear", "log"):
-            raise ConfigError(f"sweep_scale must be linear or log, got {self.scale!r}")
         if self.scale == "log" and self.lo <= 0:
             raise ConfigError(f"sweep_min must be > 0 for a log sweep_scale, got {self.lo}")
 
     def values(self):
-        if self.scale == "log":
-            return np.geomspace(self.lo, self.hi, self.points)
-        return np.linspace(self.lo, self.hi, self.points)
+        return (np.geomspace if self.scale == "log" else np.linspace)(self.lo, self.hi, self.points)
 
 
 @dataclass
 class ScenarioConfig:
+    """A scenario's configuration as given, checked on construction by ``_resolve``;
+    ``photons`` and ``overrides`` keep their cast values. ``options`` holds the
+    scenario's own keys. Change a config with ``dataclasses.replace``."""
+
     scenario: str
-    preset_name: str = "reference"
+    preset_name: str = _PHYSICS["preset"][1]
     overrides: dict = field(default_factory=dict)
     sweep: SweepAxis | None = None
-    photons: tuple = (1, 2, 3)
+    photons: tuple = _PHOTONS["photons"][1]
     rng_seed: int = 0
     out: str | None = None
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _registered(self.scenario)
-        for n in self.photons:
-            _count("photons", n, 1, error=ConfigError)
-        unknown = sorted(set(self.overrides) - {f.name for f in fields(PhysicalParams)})
-        if unknown:
-            raise ConfigError(f"unknown parameter override(s): param.{', param.'.join(unknown)}")
+        opts = _resolve(self)
+        self.photons = opts.get("photons", self.photons)
+        self.overrides = opts.get("param.*", self.overrides)
 
     def params(self):
-        return replace(preset(self.preset_name), **self.overrides)
+        return _physics({"preset": self.preset_name, "param.*": self.overrides})
 
 
-def _parse_scalar(text):
+def _parse_value(text):
+    """A comma list as a tuple; true or false as a bool; else an int, a float or the text."""
+    if "," in text:
+        return tuple(_parse_value(p) for p in text.split(",") if p.strip())
     text = text.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
     for cast in (int, float):
         try:
             return cast(text)
@@ -117,58 +201,13 @@ def _parse_scalar(text):
     return text
 
 
-def _parse_value(text):
-    if "," in text:
-        return tuple(_parse_scalar(p) for p in text.split(",") if p.strip())
-    return _parse_scalar(text)
-
-
-def _option(lookup, key, cast, *default):
-    """``cast(lookup(key, *default))``, with ``lookup`` a mapping's ``get`` or
-    ``pop``; a missing or malformed value raises a ConfigError naming the key."""
-    try:
-        return cast(lookup(key, *default))
-    except KeyError:
-        raise ConfigError(f"missing key {key}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
-def _flag(value):
-    """Cast for a true/false value: only a parsed bool passes."""
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _whole(value):
-    """Cast for a whole-number value: only a parsed int (not a bool) passes."""
-    if type(value) is not int:
-        raise ValueError(f"expected a whole number, got {value!r}")
-    return value
-
-
-def _tuple_of(cast):
-    """Cast for a scalar or non-empty comma-list value: a tuple of ``cast`` items."""
-
-    def to_tuple(value):
-        if value == ():
-            raise ValueError("empty list")
-        return tuple(cast(v) for v in (value if isinstance(value, tuple) else (value,)))
-
-    return to_tuple
-
-
 def parse_config(path, scenario=None):
     """Read a scenario configuration from ``key = value`` lines.
 
     Text after ``#`` and blank lines are ignored; a line without ``=`` or a
     repeated key raises ConfigError prefixed with ``path:lineno``. Besides
-    ``scenario``, ``seed`` and ``out``, only the keys the scenario reads are
-    accepted (its ``SCENARIOS`` entry): from ``preset``, ``param.<field>``
-    overrides, ``photons`` (comma list), ``sweep_name``/``sweep_min``/
-    ``sweep_max``/``sweep_points``/``sweep_scale``, and the scenario's own
-    options.
+    ``scenario``, ``seed`` and ``out``, only the keys of the scenario's
+    ``SCENARIOS`` table are accepted.
     """
     raw, first_line = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -194,54 +233,36 @@ def build_config(raw, scenario=None):
     raw = dict(raw)
     name = raw.pop("scenario", scenario)
     if scenario is not None and name != scenario:
-        raise ConfigError(
-            f"config names scenario {name!r} but {scenario!r} was requested"
-        )
+        raise ConfigError(f"config names scenario {name!r} but {scenario!r} was requested")
     if name is None:
         raise ConfigError("no scenario given")
-    reads = _registered(name)[1] | {"seed", "out"}
-    unknown = sorted(k for k in raw if ("param.*" if k.startswith("param.") else k) not in reads)
-    if unknown:
-        raise ConfigError(f"unknown key(s) for scenario {name}: {', '.join(unknown)}")
+    _refuse_unknown(name, raw)
     sweep = None
-    if _SWEEP & raw.keys():
-        axis = _option(raw.pop, "sweep_name", str)
-        lo, hi = (_option(raw.pop, key, float) for key in ("sweep_min", "sweep_max"))
-        # checked before SweepAxis checks lo and hi, so the error names the config's keys
-        _real(("sweep_min", lo, "(-inf, inf)"), ("sweep_max", hi, "(-inf, inf)"),
-              error=ConfigError)
-        sweep = SweepAxis(
-            name=axis,
-            lo=lo,
-            hi=hi,
-            points=_option(raw.pop, "sweep_points", _whole),
-            scale=_option(raw.pop, "sweep_scale", str, "linear"),
-        )
-    photons = _option(raw.pop, "photons", _tuple_of(_whole), (1, 2, 3))
-    overrides = {}
-    for key in [k for k in raw if k.startswith("param.")]:
-        overrides[key[len("param."):]] = _option(raw.pop, key, float)
-    return ScenarioConfig(
-        scenario=str(name),
-        preset_name=str(raw.pop("preset", "reference")),
-        overrides=overrides,
-        sweep=sweep,
-        photons=photons,
-        rng_seed=_option(raw.pop, "seed", _whole, 0),
-        out=raw.pop("out", None),
-        options=raw,
-    )
+    if _SWEEP.keys() & raw.keys():
+        # a given sweep names its axis, bounds and points; only its scale has a default
+        missing = [key for key in list(_SWEEP)[:-1] if key not in raw]
+        if missing:
+            raise ConfigError(f"missing key(s) {', '.join(missing)}")
+        sweep = SweepAxis(*(cast(key, raw.pop(key)) for key, (cast, _) in _SWEEP.items()
+                            if key in raw))
+    overrides = {key[len("param."):]: raw.pop(key) for key in list(raw) if key.startswith("param.")}
+    held = {"preset": "preset_name", "photons": "photons", "seed": "rng_seed", "out": "out"}
+    held = {attr: raw.pop(key) for key, attr in held.items() if key in raw}
+    return ScenarioConfig(str(name), overrides=overrides, sweep=sweep, options=raw, **held)
+
+
+def _physics(opts):
+    """The preset's PhysicalParams with the overrides; PhysicalParams checks their bounds."""
+    return replace(preset(opts["preset"]), **opts["param.*"])
 
 
 def _with_indistinguishability(params, gamma):
     """Change gamma while keeping the preset's photon indistinguishability."""
     ind = indistinguishability(params.gamma, params.gamma_d)
-    return replace(
-        params, gamma=gamma, gamma_d=gamma_d_for_indistinguishability(gamma, ind)
-    )
+    return replace(params, gamma=gamma, gamma_d=gamma_d_for_indistinguishability(gamma, ind))
 
 
-def scenario_detuning_sweep(config):
+def scenario_detuning_sweep(opts):
     """First-order budget versus detuning or magnetic field, per group index.
 
     The sweep axis is ``delta`` (GHz, converted to rad/ns) or ``b_field``
@@ -249,13 +270,12 @@ def scenario_detuning_sweep(config):
     (n_g, sweep point, photon number); the asymptote column is the
     infinite-detuning limit e_ph + e_br.
     """
-    base = config.params()
-    sweep = config.sweep or SweepAxis(name="delta", lo=4.0, hi=64.0, points=16)
+    base = _physics(opts)
+    sweep = SweepAxis(*(opts[key] for key in _SWEEP))
     if sweep.name not in ("delta", "b_field"):
         raise ConfigError(f"sweep_name must be delta or b_field, got {sweep.name!r}")
-    ng_list = _option(config.options.get, "n_g_list", _tuple_of(float), (base.n_g,))
     rows = []
-    for n_g in ng_list:
+    for n_g in opts["n_g_list"]:
         gamma = gamma_of_group_index(n_g)
         if gamma.extrapolated:
             raise ConfigError(
@@ -264,173 +284,158 @@ def scenario_detuning_sweep(config):
             )
         p_ng = _with_indistinguishability(replace(base, n_g=n_g), gamma.value)
         for value in sweep.values():
-            if sweep.name == "delta":
-                delta = 2.0 * math.pi * float(value)
-            else:
-                delta = zeeman_detuning(base.g_factor, float(value))
+            delta = (2.0 * math.pi * float(value) if sweep.name == "delta"
+                     else zeeman_detuning(base.g_factor, float(value)))
             p = replace(p_ng, delta=delta, b_field=float(value) if sweep.name == "b_field" else base.b_field)
-            for n in config.photons:
+            for n in opts["photons"]:
                 b = infidelity_first_order(p, n)
                 rows.append({
-                    "n_g": n_g,
-                    sweep.name: float(value),
-                    "delta_rad_ns": delta,
-                    "n_photons": n,
-                    "e_ph": b.e_ph,
-                    "e_exc": b.e_exc,
-                    "e_br": b.e_br,
-                    "total_first_order": b.total,
-                    "asymptote": b.e_ph + b.e_br,
+                    "n_g": n_g, sweep.name: float(value), "delta_rad_ns": delta, "n_photons": n,
+                    "e_ph": b.e_ph, "e_exc": b.e_exc, "e_br": b.e_br,
+                    "total_first_order": b.total, "asymptote": b.e_ph + b.e_br,
                 })
     return rows
 
 
-def scenario_photon_scaling(config):
+def scenario_photon_scaling(opts):
     """First-order budget, numeric conditional infidelity and rate versus N."""
-    p = config.params()
-    kind = _option(config.options.get, "kind", TargetKind, "ghz")
-    numeric = _option(config.options.get, "numeric", _flag, True)
+    p = _physics(opts)
+    kind, numeric = opts["kind"], opts["numeric"]
     rows = []
-    for n in config.photons:
+    for n in opts["photons"]:
         b = infidelity_first_order(p, n)
         row = {
-            "n_photons": n,
-            "e_ph": b.e_ph,
-            "e_exc": b.e_exc,
-            "e_br": b.e_br,
-            "total_first_order": b.total,
-            "rate_mhz": generation_rate(p.eta, p.t_cycle, n) * 1e3,
+            "n_photons": n, "e_ph": b.e_ph, "e_exc": b.e_exc, "e_br": b.e_br,
+            "total_first_order": b.total, "rate_mhz": generation_rate(p.eta, p.t_cycle, n) * 1e3,
         }
         if numeric:
             state = run_protocol(p, n, kind=kind)
-            fid = conditional_fidelity(state, ideal_target(n, kind))
-            row["numeric_infidelity"] = 1.0 - fid
+            row["numeric_infidelity"] = 1.0 - conditional_fidelity(state, ideal_target(n, kind))
             row["success_probability"] = state.success_probability
         rows.append(row)
     return rows
 
 
-def scenario_pulse_optimization(config):
+def scenario_pulse_optimization(opts):
     """Optimized per-pulse excitation error across detuning-to-rate ratios."""
-    ratios = _option(
-        config.options.get, "delta_over_gamma", _tuple_of(float), (30.0, 100.0, 300.0)
-    )
-    shape = _option(config.options.get, "shape", str, "square")
     betas = BranchingBetas(beta_par=1.0, beta_perp=0.0, beta_par_leak=0.0, beta_perp_leak=0.0)
     rows = []
-    for r in ratios:
+    for r in opts["delta_over_gamma"]:
         system = LevelSystem.from_rates(gamma=1.0, betas=betas, delta=r)
-        opt = optimize_pulse_duration(system, shape=shape)
+        opt = optimize_pulse_duration(system, shape=opts["shape"])
         rows.append({
-            "delta_over_gamma": r,
-            "duration_opt": opt["duration_opt"],
-            "error_min": opt["error_min"],
-            "coefficient": opt["error_min"] * r,
+            "delta_over_gamma": r, "duration_opt": opt["duration_opt"],
+            "error_min": opt["error_min"], "coefficient": opt["error_min"] * r,
         })
     return rows
 
 
-def scenario_echo_demo(config):
+def scenario_echo_demo(opts):
     """Conditional fidelity with and without the built-in spin echo.
 
     Sweeps the quasi-static Overhauser broadening; the echo column stays at
     the noise-free value while the no-echo column decays.
     """
-    p = config.params()
-    sigmas = _option(
-        config.options.get, "sigma_list", _tuple_of(float), (0.0, 0.25, 0.5, 0.7071067811865476)
-    )
-    n = _option(config.options.get, "n_photons", _whole, 1)
-    samples = _option(config.options.get, "sample_count", _whole, 40)
-    kind = _option(config.options.get, "kind", TargetKind, "ghz")
+    p = _physics(opts)
+    n, samples, kind, seed = (opts[key] for key in ("n_photons", "sample_count", "kind", "seed"))
     target = ideal_target(n, kind)
-    rows = []
-    for i, s in enumerate(sigmas):
-        fids = {}
-        for echo in (True, False):
-            opts = CycleOptions(echo=echo)
-            if s == 0.0:
-                state = run_protocol(p, n, kind=kind, options=opts)
-                fids[echo] = conditional_fidelity(state, target)
-            else:
-                noise = NoiseConfig(
-                    overhauser_sigma=s,
-                    sample_count=samples,
-                    rng_seed=config.rng_seed + i,
-                )
-                fids[echo] = overhauser_average(p, n, kind, noise, options=opts)[
-                    "mean_fidelity"
-                ]
-        rows.append({
-            "sigma_overhauser": s,
-            "fidelity_echo": fids[True],
-            "fidelity_no_echo": fids[False],
-        })
-    return rows
+
+    def fidelity(i, s, echo):
+        cycle = CycleOptions(echo=echo)
+        if s == 0.0:
+            return conditional_fidelity(run_protocol(p, n, kind=kind, options=cycle), target)
+        noise = NoiseConfig(overhauser_sigma=s, sample_count=samples, rng_seed=seed + i)
+        return overhauser_average(p, n, kind, noise, options=cycle)["mean_fidelity"]
+
+    return [
+        {"sigma_overhauser": s, "fidelity_echo": fidelity(i, s, True),
+         "fidelity_no_echo": fidelity(i, s, False)}
+        for i, s in enumerate(opts["sigma_list"])
+    ]
 
 
-def scenario_branching_map(config):
+def scenario_branching_map(opts):
     """Spatial branching-ratio map with per-point single-photon infidelity."""
-    source = config.options.get("mode_source", "fixture")
-    if source == "fixture":
-        mode = synthetic_w1_mode(_option(config.options.get, "n_g", float, 20.0))
-    else:
-        mode = load_mode_field(source)
-    resolution = _option(config.options.get, "resolution", _whole, 21)
-    leak = _option(config.options.get, "leak_fraction", float, 0.1)
-    xs, ys, b, bt = branching_map(mode, resolution=resolution, leak_fraction=leak)
-    rows = []
-    for i, px in enumerate(xs):
-        for j, py in enumerate(ys):
-            rows.append({
-                "x": float(px),
-                "y": float(py),
-                "B": float(b[i, j]),
-                "beta_total": float(bt[i, j]),
-                "branching_infidelity": 1.0 / (4.0 * (b[i, j] + 1.0)),
-            })
-    return rows
+    source, n_g = opts["mode_source"], opts["n_g"]
+    mode = synthetic_w1_mode(n_g) if source == "fixture" else load_mode_field(source)
+    xs, ys, b, bt = branching_map(mode, opts["resolution"], opts["leak_fraction"])
+    return [
+        {"x": float(px), "y": float(py), "B": float(b[i, j]), "beta_total": float(bt[i, j]),
+         "branching_infidelity": 1.0 / (4.0 * (b[i, j] + 1.0))}
+        for i, px in enumerate(xs) for j, py in enumerate(ys)
+    ]
 
 
-_PARAMS = {"preset", "param.*"}
-_SWEEP = {"sweep_name", "sweep_min", "sweep_max", "sweep_points", "sweep_scale"}
-
-# name -> (runner, every config key it reads; "param.*" stands for all overrides)
+# name -> (runner, key -> (cast, default) for each key it reads besides seed;
+# "param.*" stands for every param.<field> override)
 SCENARIOS = {
-    "detuning_sweep": (scenario_detuning_sweep, _PARAMS | _SWEEP | {"photons", "n_g_list"}),
-    "photon_scaling": (scenario_photon_scaling, _PARAMS | {"photons", "kind", "numeric"}),
-    "pulse_optimization": (scenario_pulse_optimization, {"delta_over_gamma", "shape"}),
-    "echo_demo": (
-        scenario_echo_demo,
-        _PARAMS | {"sigma_list", "n_photons", "sample_count", "kind"},
-    ),
-    "branching_map": (
-        scenario_branching_map, {"mode_source", "n_g", "resolution", "leak_fraction"}
-    ),
+    "detuning_sweep": (scenario_detuning_sweep, _PHYSICS | _SWEEP | _PHOTONS | {
+        "n_g_list": (_list_of(_real_in("(0, inf)")), lambda opts: (_physics(opts).n_g,)),
+    }),
+    "photon_scaling": (scenario_photon_scaling, _PHYSICS | _PHOTONS | _KIND | {
+        "numeric": (_flag, True),
+    }),
+    "pulse_optimization": (scenario_pulse_optimization, {
+        "delta_over_gamma": (_list_of(_real_in("(0, inf)")), (30.0, 100.0, 300.0)),
+        "shape": (_one_of("square", "gaussian"), "square"),
+    }),
+    "echo_demo": (scenario_echo_demo, _PHYSICS | _KIND | {
+        "sigma_list": (_list_of(_real_in("[0, inf)")), (0.0, 0.25, 0.5, 0.7071067811865476)),
+        "n_photons": (_whole_from(1), 1),
+        "sample_count": (_whole_from(1), 40),
+    }),
+    "branching_map": (scenario_branching_map, {
+        "mode_source": (_text, "fixture"),  # or the path of a mode file
+        "n_g": (_real_in("(0, inf)"), 20.0),  # the fixture's; a mode file carries its own
+        "resolution": (_whole_from(2), 21),
+        "leak_fraction": (_real_in("[0, inf)"), 0.1),
+    }),
 }
 
 
-def _registered(name):
-    """The SCENARIOS entry of ``name``; an unregistered name raises a ConfigError."""
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise ConfigError(f"unknown scenario {name!r}; registered: {sorted(SCENARIOS)}") from None
+def _refuse_unknown(name, keys):
+    """Refuse an unregistered scenario ``name``, and any key outside its table, seed and out."""
+    if name not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r}; registered: {sorted(SCENARIOS)}")
+    accepted = SCENARIOS[name][1].keys() | {"seed", "out"}
+    unknown = [k for k in keys if ("param.*" if k.startswith("param.") else k) not in accepted]
+    if unknown:
+        raise ConfigError(f"unknown key(s) for scenario {name}: {', '.join(sorted(unknown))}")
+
+
+def _resolve(config):
+    """What the runner reads: each key of the scenario's table, cast and checked,
+    or its default if not given; and ``seed``. ``out`` must be text, the overrides
+    fit PhysicalParams, and ``n_g`` is refused with a mode file."""
+    given = dict(config.options, **{f"param.{k}": v for k, v in config.overrides.items()})
+    if config.sweep is not None:
+        given.update(zip(_SWEEP, vars(config.sweep).values()))
+    _refuse_unknown(config.scenario, given)
+    given.update({"preset": config.preset_name, "photons": config.photons,
+                  "param.*": config.overrides})
+    opts = {}
+    for key, (cast, default) in SCENARIOS[config.scenario][1].items():
+        opts[key] = cast(key, given[key]) if key in given else (
+            default(opts) if callable(default) else default)
+    opts["seed"] = _whole_from(0)("seed", config.rng_seed)
+    if config.out is not None:
+        _text("out", config.out)
+    if "preset" in opts:
+        _physics(opts)
+    if "n_g" in given and opts["mode_source"] != "fixture":
+        raise ConfigError("n_g sets the fixture's group index; a mode file carries its own")
+    return opts
 
 
 def run_scenario(config):
     """Run a scenario; returns its rows, dicts keyed by column in column order."""
-    return SCENARIOS[config.scenario][0](config)
+    return SCENARIOS[config.scenario][0](_resolve(config))
 
 
 def _fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _config_echo(config):
@@ -438,15 +443,8 @@ def _config_echo(config):
         "scenario": config.scenario,
         "preset": config.preset_name,
         "overrides": dict(config.overrides),
-        "sweep": None
-        if config.sweep is None
-        else {
-            "name": config.sweep.name,
-            "min": config.sweep.lo,
-            "max": config.sweep.hi,
-            "points": config.sweep.points,
-            "scale": config.sweep.scale,
-        },
+        "sweep": None if config.sweep is None else dict(
+            zip(("name", "min", "max", "points", "scale"), vars(config.sweep).values())),
         "photons": list(config.photons),
         "seed": config.rng_seed,
         "options": {k: list(v) if isinstance(v, tuple) else v for k, v in config.options.items()},
@@ -457,7 +455,8 @@ def write_result(rows, config, path):
     """Write a scenario's rows as CSV with a self-describing metadata header.
 
     The columns are the first row's keys, in order. A JSON manifest with
-    the same content is written alongside at ``<path>.manifest.json``.
+    the same content is written alongside at ``<path>.manifest.json``; its
+    ``resolved`` entry adds the options the run read, defaults included.
     Output carries no timestamps so reruns are byte-identical.
     """
     columns = list(rows[0])
@@ -475,9 +474,11 @@ def write_result(rows, config, path):
         "columns": columns,
         "n_rows": len(rows),
         "csv": str(path),
+        "resolved": _resolve(config),
     }
     with open(f"{path}.manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+        # an Enum option (kind) is written as its value
+        json.dump(manifest, fh, sort_keys=True, indent=2, default=lambda v: v.value)
         fh.write("\n")
 
 
@@ -485,8 +486,7 @@ def write_result(rows, config, path):
 def _parser():
     """The argument parser, built on the first ``main`` call and kept for the process."""
     parser = argparse.ArgumentParser(
-        prog="timebinsim",
-        description="Scenario runner for the time-bin entanglement simulator.",
+        prog="timebinsim", description="Scenario runner for the time-bin entanglement simulator."
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
     for name, (func, _) in sorted(SCENARIOS.items()):
@@ -500,22 +500,17 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        if args.config:
-            config = parse_config(args.config, scenario=args.scenario)
-        else:
-            config = build_config({}, scenario=args.scenario)
+        config = (parse_config(args.config, scenario=args.scenario) if args.config
+                  else build_config({}, scenario=args.scenario))
         if args.seed is not None:
-            config.rng_seed = args.seed
-        if args.out is not None:
-            config.out = args.out
-        if config.out is None:
-            config.out = f"{config.scenario}.csv"
+            config = replace(config, rng_seed=args.seed)  # checked as a config's seed is
+        out = next(v for v in (args.out, config.out, f"{config.scenario}.csv") if v is not None)
         rows = run_scenario(config)
-        write_result(rows, config, config.out)
+        write_result(rows, config, out)
     except (ConfigError, ParamError, ModeFieldError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(f"{config.scenario}: {len(rows)} rows -> {config.out}")
+    print(f"{config.scenario}: {len(rows)} rows -> {out}")
     return 0
 
 

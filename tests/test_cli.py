@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from timebinsim import cli
@@ -19,6 +21,7 @@ from timebinsim.cli import (
     run_scenario,
     write_result,
 )
+from timebinsim.waveguide import synthetic_w1_mode
 
 
 def test_sweep_axis_validation():
@@ -380,6 +383,25 @@ def test_pulse_optimization_scenario():
         ),
         # echo_demo runs one photon number, read from n_photons only
         ("echo_demo", "photons = 2\n", "photons"),
+        # text keys take text only: out = 1 would name file descriptor 1 (stdout),
+        # mode_source = 0 stdin
+        ("photon_scaling", "out = 1\n", "out"),
+        ("branching_map", "mode_source = 0\n", "mode_source"),
+        ("photon_scaling", "preset = 3\n", "preset"),
+        ("pulse_optimization", "shape = 2\n", "shape"),
+        (
+            "detuning_sweep",
+            "sweep_name = 5\nsweep_min = 1\nsweep_max = 2\nsweep_points = 3\n",
+            "sweep_name",
+        ),
+        ("photon_scaling", "seed = -3\n", "seed"),
+        # every option is checked before any work: a count no sigma reaches,
+        # a bad value before the mode file is opened, n_g beside a mode file
+        ("echo_demo", "sigma_list = 0.0\nsample_count = 0\n", "sample_count"),
+        ("branching_map", "mode_source = missing.txt\nleak_fraction = abc\n", "leak_fraction"),
+        ("branching_map", "mode_source = missing.txt\nn_g = 30\n", "n_g"),
+        ("pulse_optimization", "delta_over_gamma = 30,-1\n", "delta_over_gamma"),
+        ("echo_demo", "sigma_list = 0.1,nan\n", "sigma_list"),
     ],
     ids=[
         "missing-sweep_min", "unknown-param", "non-numeric-param", "bad-kind", "bad-n_photons",
@@ -388,7 +410,10 @@ def test_pulse_optimization_scenario():
         "fractional-resolution", "bool-resolution", "float-n_photons",
         "fractional-sample_count", "fractional-seed", "fractional-sweep_points",
         "one-sweep_point", "bad-sweep_scale", "bad-sweep_name", "unordered-sweep-bounds",
-        "log-sweep-from-zero", "unread-echo-photons",
+        "log-sweep-from-zero", "unread-echo-photons", "non-text-out", "non-text-mode_source",
+        "non-text-preset", "non-text-shape", "non-text-sweep_name", "negative-seed",
+        "zero-sample_count", "bad-leak-before-mode-file", "n_g-with-mode-file",
+        "negative-delta_over_gamma", "nan-sigma",
     ],
 )
 def test_main_names_the_bad_key(tmp_path, capsys, scenario, text, key):
@@ -490,3 +515,108 @@ def test_parser_is_built_on_the_first_main_call_only():
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("usage: timebinsim echo_demo")
     assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("scenario", ["echo_demo", "photon_scaling"])
+def test_main_refuses_a_negative_seed_option(tmp_path, capsys, scenario):
+    # the README documents --seed <u64>; the override is checked as a config's seed is
+    out = tmp_path / "out.csv"
+    assert main([scenario, "--seed", "-3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: ConfigError: seed must be >= 0, got -3\n"
+    assert not out.exists()
+
+
+def test_a_config_built_directly_is_checked_on_construction():
+    with pytest.raises(ConfigError, match="^sample_count must be >= 1, got 0$"):
+        ScenarioConfig(scenario="echo_demo", options={"sample_count": 0})
+    with pytest.raises(ConfigError, match="^unknown key\\(s\\) for scenario echo_demo: photon$"):
+        ScenarioConfig(scenario="echo_demo", options={"photon": 2})
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        replace(build_config({"scenario": "photon_scaling"}), rng_seed=-1)
+    with pytest.raises(ConfigError, match="^out must be text, got 1$"):
+        ScenarioConfig(scenario="branching_map", out=1)
+    with pytest.raises(ConfigError, match="param.gamma must be a number"):
+        ScenarioConfig(scenario="photon_scaling", overrides={"gamma": "fast"})
+    with pytest.raises(ConfigError, match="param.foo"):
+        ScenarioConfig(scenario="branching_map", overrides={"foo": 1.0})
+    config = ScenarioConfig(scenario="photon_scaling", photons=2, overrides={"gamma": 4})
+    assert config.photons == (2,) and config.overrides == {"gamma": 4.0}
+
+
+class _Recording(dict):
+    """A resolved-options mapping that records every key a runner reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _mode_file(path, n_g):
+    """The fixture mode at ``n_g`` in the mode-file text format."""
+    mode = synthetic_w1_mode(n_g, points=5)
+    lines = [f"# n_g={n_g} a_nm={mode.a_nm} norm={mode.norm}"]
+    for i, x in enumerate(mode.x):
+        for j, y in enumerate(mode.y):
+            e = mode.field[i, j]
+            lines.append(" ".join(str(v) for v in (x, y, *np.column_stack([e.real, e.imag]).ravel())))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+# a config of each scenario that sets every key of its table to a value other than the default
+NON_DEFAULT = {
+    "detuning_sweep": {
+        "preset": "improved", "param.gamma": 4.5, "photons": (1, 3), "n_g_list": (20, 56),
+        "sweep_name": "b_field", "sweep_min": 0.5, "sweep_max": 1.0, "sweep_points": 3,
+        "sweep_scale": "log",
+    },
+    "photon_scaling": {
+        "preset": "ideal", "param.eta": 0.9, "photons": 2, "kind": "cluster", "numeric": False,
+    },
+    "pulse_optimization": {"delta_over_gamma": 50, "shape": "gaussian"},
+    "echo_demo": {
+        "preset": "improved", "param.eta": 0.9, "sigma_list": (0.0, 0.1), "n_photons": 2,
+        "sample_count": 3, "kind": "cluster", "seed": 4,
+    },
+    "branching_map": {"mode_source": "MODE", "resolution": 3, "leak_fraction": 0.2},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
+def test_each_runner_reads_exactly_its_declared_keys(tmp_path, scenario):
+    runner, table = cli.SCENARIOS[scenario]
+    raw = {k: _mode_file(tmp_path / "mode.txt", 30.0) if v == "MODE" else v
+           for k, v in NON_DEFAULT[scenario].items()}
+    default = cli._resolve(build_config({}, scenario=scenario))
+    changed = cli._resolve(build_config(raw, scenario=scenario))
+    # the non-default config does change every key it is meant to change
+    assert all(changed[k] != default[k] for k in table if k != "n_g"), scenario
+    for opts in (default, changed):
+        record = _Recording(opts)
+        rows = runner(record)
+        assert rows
+        # every key of the table is read, seed only by the scenario that draws noise
+        assert record.read - {"seed"} == set(table)
+        assert ("seed" in record.read) == (scenario == "echo_demo")
+
+
+def test_manifest_adds_the_resolved_options(tmp_path):
+    out = tmp_path / "map.csv"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("resolution = 5\n")
+    assert main(["branching_map", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "map.csv.manifest.json").read_text())
+    # defaults included; the echo of the config as given is unchanged
+    assert manifest["resolved"] == {
+        "mode_source": "fixture", "n_g": 20.0, "resolution": 5, "leak_fraction": 0.1, "seed": 0,
+    }
+    assert manifest["config"]["options"] == {"resolution": 5}
+    assert set(manifest) == {"version", "config", "columns", "n_rows", "csv", "resolved"}
+    out = tmp_path / "scaling.csv"
+    assert main(["photon_scaling", "--out", str(out)]) == 0
+    resolved = json.loads((tmp_path / "scaling.csv.manifest.json").read_text())["resolved"]
+    assert resolved["kind"] == "ghz" and resolved["photons"] == [1, 2, 3]
