@@ -116,6 +116,17 @@ def _list_of(cast):
     return to_tuple
 
 
+def _group_index(key, value):
+    """Cast for a group index inside the gamma(n_g) table, as a float."""
+    n_g = _real_in("(0, inf)")(key, value)
+    if gamma_of_group_index(n_g).extrapolated:
+        raise ConfigError(
+            f"{key} entry {n_g} is outside the gamma(n_g) table range "
+            f"[{min(DEFAULT_GAMMA_TABLE)}, {max(DEFAULT_GAMMA_TABLE)}]"
+        )
+    return n_g
+
+
 def _overrides(key, value):
     """Cast for the ``param.<field>`` overrides as one dict; PhysicalParams bounds them."""
     unknown = sorted(set(value) - {f.name for f in fields(PhysicalParams)})
@@ -126,13 +137,13 @@ def _overrides(key, value):
 
 # Table fragments, key -> (cast, default), shared by the SCENARIOS tables. A
 # default is written as the runners read it and is not cast; a callable default
-# is computed from the keys before it.
+# is computed from the keys before it and cast like a given value.
 _PHYSICS = {"preset": (_text, "reference"), "param.*": (_overrides, {})}
 _PHOTONS = {"photons": (_list_of(_whole_from(1)), (1, 2, 3))}
 _KIND = {"kind": (_one_of(*TargetKind), TargetKind.GHZ)}
-# in SweepAxis field order; the detuning runner checks which axis it is
+# in SweepAxis field order
 _SWEEP = {
-    "sweep_name": (_text, "delta"),
+    "sweep_name": (_one_of("delta", "b_field"), "delta"),
     "sweep_min": (_real_in("(-inf, inf)"), 4.0),
     "sweep_max": (_real_in("(-inf, inf)"), 64.0),
     "sweep_points": (_whole_from(2), 16),
@@ -272,17 +283,9 @@ def scenario_detuning_sweep(opts):
     """
     base = _physics(opts)
     sweep = SweepAxis(*(opts[key] for key in _SWEEP))
-    if sweep.name not in ("delta", "b_field"):
-        raise ConfigError(f"sweep_name must be delta or b_field, got {sweep.name!r}")
     rows = []
     for n_g in opts["n_g_list"]:
-        gamma = gamma_of_group_index(n_g)
-        if gamma.extrapolated:
-            raise ConfigError(
-                f"n_g_list entry {n_g} is outside the gamma(n_g) table range "
-                f"[{min(DEFAULT_GAMMA_TABLE)}, {max(DEFAULT_GAMMA_TABLE)}]"
-            )
-        p_ng = _with_indistinguishability(replace(base, n_g=n_g), gamma.value)
+        p_ng = _with_indistinguishability(replace(base, n_g=n_g), gamma_of_group_index(n_g).value)
         for value in sweep.values():
             delta = (2.0 * math.pi * float(value) if sweep.name == "delta"
                      else zeeman_detuning(base.g_factor, float(value)))
@@ -370,7 +373,7 @@ def scenario_branching_map(opts):
 # "param.*" stands for every param.<field> override)
 SCENARIOS = {
     "detuning_sweep": (scenario_detuning_sweep, _PHYSICS | _SWEEP | _PHOTONS | {
-        "n_g_list": (_list_of(_real_in("(0, inf)")), lambda opts: (_physics(opts).n_g,)),
+        "n_g_list": (_list_of(_group_index), lambda opts: (_physics(opts).n_g,)),
     }),
     "photon_scaling": (scenario_photon_scaling, _PHYSICS | _PHOTONS | _KIND | {
         "numeric": (_flag, True),
@@ -415,8 +418,10 @@ def _resolve(config):
                   "param.*": config.overrides})
     opts = {}
     for key, (cast, default) in SCENARIOS[config.scenario][1].items():
-        opts[key] = cast(key, given[key]) if key in given else (
-            default(opts) if callable(default) else default)
+        if key in given:
+            opts[key] = cast(key, given[key])
+        else:
+            opts[key] = cast(key, default(opts)) if callable(default) else default
     opts["seed"] = _whole_from(0)("seed", config.rng_seed)
     if config.out is not None:
         _text("out", config.out)

@@ -21,7 +21,8 @@ label strings are made only when ``canonical_stabilizers`` is called. The
 ideal target is a state of the same kind, the ideal protocol's own run, so
 a fidelity is one contraction of two such chains.
 Every PhysicalParams run, noisy or not, is built from one cached phase
-split of a round's superoperator.
+split of a round's superoperator, and ``overhauser_average`` contracts that
+split with the ideal chain once, so its samples need no state at all.
 The dense rho is built only when ``HybridState.rho`` is read, from two
 half-chains: the first N // 2 rounds on the initial spin state and the
 rest on each spin unit |i><j|. Only the output is full size.
@@ -172,7 +173,8 @@ def _dense_rho(sups):
     """The samples' mean rho from its chain cut at m = N // 2: rho_m, the first m rounds on the
     initial spin, and R_ij, the rest on each spin unit |i><j|, give rho_N[(a rest P), (b rest' C)]
     = sum_ij R_ij[(a P), (b C)] rho_m[(i rest), (j rest')]. The output is written a block of rest
-    rows at a time from the factors of a chunk of samples; a block or chunk holds at most
+    rows at a time from the factors of a chunk of samples, whose samples are folded into the
+    inner dimension (s i j) of one product per block; a block or chunk holds at most
     _BLOCK_CELLS cells, or one row or sample."""
     samples, n = sups.shape[:2]
     rl, rr = 2 ** (n // 2), 2 ** (n - n // 2)
@@ -182,14 +184,12 @@ def _dense_rho(sups):
     for first in range(0, samples, chunk):
         part = sups[first:first + chunk]
         left = _chain(np.broadcast_to(_RHO0, (len(part), 1, 2, 2)), part[:, :n // 2])
-        left = left.reshape(-1, 2, rl, 2, rl).transpose(0, 1, 3, 2, 4).reshape(-1, 4, rl * rl)
+        # [(s i j), cols] and [(a P b C), (s i j)]
+        left = left.reshape(-1, 2, rl, 2, rl).transpose(0, 1, 3, 2, 4).reshape(-1, rl * rl)
         right = _chain(np.broadcast_to(_SPIN_UNITS, (len(part), 4, 2, 2)), part[:, n // 2:])
-        right = right.reshape(len(part), 4, -1).transpose(0, 2, 1) / samples  # [(a P b C), (i j)]
+        right = right.reshape(len(part) * 4, -1).T / samples
         for lo in range(0, rl, rows):
-            cols = slice(lo * rl, (lo + rows) * rl)
-            blk = right[0] @ left[0, :, cols]
-            for s in range(1, len(part)):
-                blk += right[s] @ left[s, :, cols]
+            blk = right @ left[:, lo * rl:(lo + rows) * rl]
             blk = blk.reshape(2, rr, 2, rr, -1, rl).transpose(0, 4, 1, 2, 5, 3)
             if first:
                 blk += out[:, lo:lo + rows]
@@ -221,9 +221,20 @@ def _normalized_state(sups, orth_probs):
     its detection probability det for a unit-trace spin input (the success
     probability is their product), the round's superoperator is scaled by
     (1 - orth_probs[t]) / det, and the final trace is the product of the
-    (1 - orth_probs). Only det depends on the state: one forward recursion
-    on the 2x2 spin-reduced state, batched over samples.
+    (1 - orth_probs).
     """
+    det = _detections(sups)
+    return HybridState(
+        superoperators=sups * ((1.0 - orth_probs) / det)[..., None, None],
+        success_probability=sum(det.prod(axis=1).tolist()) / len(sups),
+        orthogonal_error_mass=-math.expm1(np.log1p(-orth_probs).sum()),
+    )
+
+
+def _detections(sups):
+    """Detection probability det (samples, N) of every round of raw superoperators
+    (samples, N, 16, 4): one forward recursion on the 2x2 spin-reduced state, batched
+    over samples, renormalized every round."""
     samples, n = sups.shape[:2]
     # the new photon traced out: spin transfer [(a b), (i j)] of each round
     reduced = np.einsum("stapbpx->stabx", sups.reshape(samples, n, 2, 2, 2, 2, 4))
@@ -238,29 +249,12 @@ def _normalized_state(sups, orth_probs):
     det = np.concatenate(dets, axis=1).real.reshape(samples, n)
     if not (det > 0.0).all():
         raise ParamError("protocol lost all probability; check the cycle map")
-    return HybridState(
-        superoperators=sups * ((1.0 - orth_probs) / det)[..., None, None],
-        success_probability=sum(det.prod(axis=1).tolist()) / samples,
-        orthogonal_error_mass=-math.expm1(np.log1p(-orth_probs).sum()),
-    )
+    return det
 
 
-def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None):
-    """Apply initialization and N identical cycles.
-
-    ``cycle`` may be a ready CycleMap or a PhysicalParams from which a map
-    with the kind's rotation angle is built. With a NoiseConfig, samples of
-    the quasi-static detuning (and drift) are averaged at the density-
-    operator level (one state with a sample axis); reproducible for a
-    fixed rng_seed, whose two spawned streams give the shifts and the
-    drift kicks as one array each, so the first k samples are the k-sample
-    run (see ``_noise_state``). The options' ``quasistatic_detuning`` and
-    ``drift_phase`` are static offsets that the sampled shifts add to.
-    Without noise, a PhysicalParams run is the one-sample, zero-shift case
-    of the same path. The kind sets the rotation angle: ``options`` may give
-    the kind's own or the default, pi, which cannot be told apart from an
-    unset angle and so is accepted for a cluster too; any other is refused.
-    """
+def _check_run(cycle, n_photons, kind, noise, options):
+    """``run_protocol``'s checks: N as an int and, for a PhysicalParams, the options with
+    the kind's rotation angle (None for a CycleMap)."""
     n = _whole("n_photons", n_photons, 1)
     _check_kind(kind)
     if not isinstance(noise, (NoiseConfig, type(None))):
@@ -272,20 +266,40 @@ def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None
             raise ParamError("noise averaging needs PhysicalParams, not a fixed CycleMap")
         if options is not None:
             raise ParamError("options need PhysicalParams; a fixed CycleMap is already built")
-        return run_protocol_cycles([cycle] * n)
-
+        return n, None
     if not isinstance(cycle, PhysicalParams):
         raise ParamError(f"expected CycleMap or PhysicalParams, got {type(cycle)}")
     if options is not None and options.rotation_angle not in (
             CycleOptions.rotation_angle, kind.rotation_angle):
         raise ParamError(f"rotation_angle is set by the target kind; leave it at its "
                          f"default or give the kind's {kind.rotation_angle}")
-    base = replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
+    return n, replace(options or CycleOptions(), rotation_angle=kind.rotation_angle)
+
+
+def run_protocol(cycle, n_photons, kind=TargetKind.GHZ, noise=None, options=None):
+    """Apply initialization and N identical cycles.
+
+    ``cycle`` may be a ready CycleMap or a PhysicalParams from which a map
+    with the kind's rotation angle is built. With a NoiseConfig, samples of
+    the quasi-static detuning (and drift) are averaged at the density-
+    operator level (one state with a sample axis); reproducible for a
+    fixed rng_seed, whose two spawned streams give the shifts and the
+    drift kicks as one array each, so the first k samples are the k-sample
+    run (see ``_noise_phases``). The options' ``quasistatic_detuning`` and
+    ``drift_phase`` are static offsets that the sampled shifts add to.
+    Without noise, a PhysicalParams run is the one-sample, zero-shift case
+    of the same path. The kind sets the rotation angle: ``options`` may give
+    the kind's own or the default, pi, which cannot be told apart from an
+    unset angle and so is accepted for a cluster too; any other is refused.
+    """
+    n, base = _check_run(cycle, n_photons, kind, noise, options)
+    if base is None:
+        return run_protocol_cycles([cycle] * n)
     return _noise_state(cycle, n, base, noise or NoiseConfig(0.0))
 
 
-def _noise_state(params, n, base, noise):
-    """All noise samples as one state, each noise source drawn as one array.
+def _noise_phases(params, n, options, noise):
+    """e^{iD} (samples, N) of every noise sample and round, each noise source drawn as one array.
 
     Two streams are spawned from ``noise.rng_seed``: stream 0 draws every
     sample's detuning shift, a (samples, 1) array, and stream 1 every
@@ -293,15 +307,10 @@ def _noise_state(params, n, base, noise):
     draw i and row i, so results do not depend on evaluation order, the
     first k samples of a run are the k-sample run, and turning drift on
     leaves the shifts alone. A source of width 0 draws nothing; with both
-    at 0 no generator is made. Both add to the static offsets in ``base``.
-    They enter a round only through the early-late phase difference D of
-    the main Kraus block, so its superoperator is S0 + e^{iD} S+ +
-    e^{-iD} S-, split from three cycle maps once per (params, options).
-    D leaves the spin-reduced map unchanged, so every sample has the same
-    success probability and the equal-weight average is the
-    success-weighted one.
+    at 0 no generator is made. Both add to the static offsets in the
+    resolved ``options``, and ``arm_phases`` turns them into the early-late
+    phase difference D of the main Kraus block.
     """
-    parts, options, orth_prob = _split_superoperators(params, base)
     samples = noise.sample_count
     widths = (noise.overhauser_sigma, math.sqrt(noise.drift_diffusion * params.t_cycle**3))
     streams = np.random.SeedSequence(noise.rng_seed).spawn(2) if any(widths) else (None, None)
@@ -310,9 +319,22 @@ def _noise_state(params, n, base, noise):
         for seq, width, shape in zip(streams, widths, ((samples, 1), (samples, n)))
     )
     early, late = arm_phases(options, shifts, kicks)
-    phase = np.exp(1j * (early - late))[..., None]
+    return np.exp(1j * (early - late))
+
+
+def _noise_state(params, n, base, noise):
+    """All noise samples as one state.
+
+    The phase D of ``_noise_phases`` enters a round only through the main
+    Kraus block, so its superoperator is S0 + e^{iD} S+ + e^{-iD} S-, split
+    from three cycle maps once per (params, options). D leaves the
+    spin-reduced map unchanged, so every sample has the same success
+    probability and the equal-weight average is the success-weighted one.
+    """
+    parts, options, orth_prob = _split_superoperators(params, base)
+    phase = _noise_phases(params, n, options, noise)[..., None]
     sups = parts[0] + phase * parts[1] + phase.conj() * parts[2]
-    return _normalized_state(sups.reshape(samples, n, 16, 4), np.full(n, orth_prob))
+    return _normalized_state(sups.reshape(noise.sample_count, n, 16, 4), np.full(n, orth_prob))
 
 
 @lru_cache(maxsize=32)
@@ -462,13 +484,49 @@ def stabilizer_expectations(state, kind):
     return [sign * float(v) for sign, v in zip(_frame_signs(n, kind), vals)]
 
 
+@lru_cache(maxsize=16)
+def _split_transfer(params, base, n, kind):
+    """The split of every round on ``_overlaps``' environment, read-only (N, 16, 48), and the
+    resolved options, per (params, options, N, kind).
+
+    On the environment E[(i j), (k l)] as a row, round t of a noise sample is E @ (A0_t +
+    e^{iD} A+_t + e^{-iD} A-_t), the three blocks side by side: S0, S+ and S- of
+    ``_split_superoperators`` contracted with the ideal chain's round t, with the round's
+    normalization, which does not depend on D, folded in.
+    """
+    parts, options, orth_prob = _split_superoperators(params, base)
+    det = _detections(np.broadcast_to(parts[0].reshape(16, 4), (1, n, 16, 4)))[0]
+    # sum_{p c} S_x[a, p, b, c, (i j)] conj(T_t)[k', p, l', c, (k l)] is one product of
+    # [(i j) x a b, (p c)] and [(p c), t (k l) k' l'], reordered to [t, (i j k l), (x a b k' l')]
+    sx = parts.reshape(3, 2, 2, 2, 2, 4).transpose(5, 0, 1, 3, 2, 4).reshape(48, 4)
+    tt = _ideal_chain(n, kind)[0][0].conj().reshape(n, 2, 2, 2, 2, 4).transpose(2, 4, 0, 5, 1, 3)
+    transfer = (sx @ tt.reshape(4, -1)).reshape(4, 3, 2, 2, n, 4, 2, 2)
+    transfer = transfer.transpose(4, 0, 5, 1, 2, 3, 6, 7).reshape(n, 16, 48)
+    transfer *= ((1.0 - orth_prob) / det)[:, None, None]
+    transfer.flags.writeable = False
+    return transfer, options
+
+
 def overhauser_average(params, n_photons, kind, noise, options=None):
     """Monte Carlo average of the conditional fidelity over Overhauser noise.
 
-    The options' ``quasistatic_detuning`` and ``drift_phase`` are static
-    offsets that the sampled shifts add to.
+    ``params`` must be PhysicalParams, even without noise; ``noise`` None
+    is the one-sample, zero-shift case. The options' ``quasistatic_detuning`` and
+    ``drift_phase`` are static offsets that the sampled shifts add to. The
+    samples are those of ``run_protocol(params, ..., noise=noise)``, and each
+    fidelity is the overlap ``_overlaps`` takes of that state with
+    ``ideal_target``, but no state is built: every sample's environment is a
+    row of one (samples, 16) array, and a round is one product with the
+    cached ``_split_transfer`` and two phase-weighted adds.
     """
-    state = run_protocol(params, n_photons, kind=kind, noise=noise, options=options)
-    fids = _overlaps(state, ideal_target(n_photons, kind))
+    noise = NoiseConfig(0.0) if noise is None else noise  # so a fixed CycleMap is refused
+    n, base = _check_run(params, n_photons, kind, noise, options)
+    transfer, options = _split_transfer(params, base, n, kind)
+    phase = _noise_phases(params, n, options, noise).T[..., None]
+    env = np.outer(_RHO0, _RHO0.conj()).reshape(1, 16)
+    for t in range(n):
+        y = env @ transfer[t]
+        env = y[:, :16] + phase[t] * y[:, 16:32] + phase[t].conj() * y[:, 32:]
+    fids = env[:, ::5].sum(axis=1).real  # the trace of E
     std_err = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
     return {"mean_fidelity": float(fids.mean()), "std_error": std_err}

@@ -151,23 +151,25 @@ def test_detuning_sweep_rows():
 
 
 def test_detuning_sweep_rejects_group_index_outside_gamma_table():
-    config = build_config({"scenario": "detuning_sweep", "n_g_list": (10, 80)})
+    # refused when the config is built, before any budget is computed
     with pytest.raises(ConfigError, match="n_g_list entry 10.0"):
-        run_scenario(config)
+        build_config({"scenario": "detuning_sweep", "n_g_list": (10, 80)})
+    # the computed default, the params' n_g, is cast like a given list
+    with pytest.raises(ConfigError, match="n_g_list entry 80.0"):
+        build_config({"scenario": "detuning_sweep", "param.n_g": 80})
 
 
 def test_detuning_sweep_rejects_bad_axis():
-    config = build_config(
-        {
-            "scenario": "detuning_sweep",
-            "sweep_name": "eta",
-            "sweep_min": 0.1,
-            "sweep_max": 0.9,
-            "sweep_points": 3,
-        }
-    )
-    with pytest.raises(ConfigError):
-        run_scenario(config)
+    with pytest.raises(ConfigError, match="^sweep_name must be one of delta, b_field, got 'eta'$"):
+        build_config(
+            {
+                "scenario": "detuning_sweep",
+                "sweep_name": "eta",
+                "sweep_min": 0.1,
+                "sweep_max": 0.9,
+                "sweep_points": 3,
+            }
+        )
 
 
 def test_photon_scaling_ideal_numeric():

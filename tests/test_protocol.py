@@ -336,19 +336,25 @@ def test_noise_draws_from_at_most_two_generators(monkeypatch, samples):
 
     for name in ("SeedSequence", "default_rng"):
         monkeypatch.setattr(np.random, name, counted(name))
-    for noise, generators in (
-        (NoiseConfig(0.3, 0.01, sample_count=samples, rng_seed=2), 2),
-        (NoiseConfig(0.3, sample_count=samples, rng_seed=2), 1),
-        (NoiseConfig(0.0, 0.01, sample_count=samples, rng_seed=2), 1),
-    ):
+    overhauser_average(p, 3, TargetKind.GHZ, None)  # and its split transfer
+    runs = (
+        lambda noise: run_protocol(p, 3, noise=noise),
+        lambda noise: overhauser_average(p, 3, TargetKind.GHZ, noise),
+    )
+    for run in runs:
+        for noise, generators in (
+            (NoiseConfig(0.3, 0.01, sample_count=samples, rng_seed=2), 2),
+            (NoiseConfig(0.3, sample_count=samples, rng_seed=2), 1),
+            (NoiseConfig(0.0, 0.01, sample_count=samples, rng_seed=2), 1),
+        ):
+            made.clear()
+            run(noise)
+            assert made == ["SeedSequence"] + ["default_rng"] * generators, noise
+        # a source of width 0 draws nothing, and a noise-free run makes no stream at all
         made.clear()
-        run_protocol(p, 3, noise=noise)
-        assert made == ["SeedSequence"] + ["default_rng"] * generators, noise
-    # a source of width 0 draws nothing, and a noise-free run makes no stream at all
-    made.clear()
-    run_protocol(p, 3, noise=NoiseConfig(0.0, sample_count=samples, rng_seed=2))
-    run_protocol(p, 3)
-    assert made == []
+        run(NoiseConfig(0.0, sample_count=samples, rng_seed=2))
+        run(None)
+        assert made == []
 
 
 @pytest.mark.parametrize("noise", [{"overhauser_sigma": 0.3}, 0.3, CycleOptions()])
@@ -381,7 +387,8 @@ def test_noise_calls_share_the_split_superoperators(monkeypatch):
     noise = NoiseConfig(overhauser_sigma=0.3, drift_diffusion=0.01, sample_count=4, rng_seed=5)
     opts = CycleOptions(echo=False)
     first = run_protocol(p, 3, noise=noise, options=opts)
-    ideal_target(3, TargetKind.GHZ)  # cached before counting, whatever ran before this test
+    for n in (3, 4):
+        ideal_target(n, TargetKind.GHZ)  # cached before counting, whatever ran before this test
     builds = []
 
     def counted(*args, **kwargs):
@@ -393,21 +400,35 @@ def test_noise_calls_share_the_split_superoperators(monkeypatch):
     assert builds == []
     for field in ("superoperators", "success_probability", "orthogonal_error_mass"):
         assert np.array_equal(getattr(first, field), getattr(second, field))
-    assert overhauser_average(p, 3, TargetKind.GHZ, noise, options=opts) == (
-        overhauser_average(p, 3, TargetKind.GHZ, noise, options=opts)
-    )
+    # the average contracts the same split with the ideal chain once per (params, options, N, kind)
+    transfers = protocol._split_transfer.cache_info
+    average = overhauser_average(p, 3, TargetKind.GHZ, noise, options=opts)
+    assert builds == []
+    misses = transfers().misses
+    assert overhauser_average(p, 3, TargetKind.GHZ, noise, options=opts) == average
+    assert builds == [] and transfers().misses == misses
+    # another N is a new transfer on the same split
+    overhauser_average(p, 4, TargetKind.GHZ, noise, options=opts)
+    assert builds == [] and transfers().misses == misses + 1
     # a noise-free run is the same path's one-sample case
     run_protocol(p, 3, options=opts)
     assert builds == []
     # other options are another cache entry
     run_protocol(p, 3, noise=noise, options=replace(opts, drift_phase=0.2))
     assert len(builds) == 3
+    # and so is another kind, whose rotation angle makes another split
+    overhauser_average(p, 3, TargetKind.CLUSTER, noise, options=opts)
+    assert transfers().misses == misses + 2
 
 
 def test_noise_requires_params():
     noise = NoiseConfig(overhauser_sigma=0.1, sample_count=2)
     with pytest.raises(ParamError):
         run_protocol(ideal_cycle_map(), 2, noise=noise)
+    # an average needs PhysicalParams even without noise: a fixed map has no phase split
+    for avg_noise in (noise, None):
+        with pytest.raises(ParamError, match="PhysicalParams"):
+            overhauser_average(ideal_cycle_map(), 2, TargetKind.GHZ, avg_noise)
 
 
 def test_options_require_params():
@@ -592,6 +613,36 @@ def test_row_block_kernel_matches_per_kraus_reference_on_a_noisy_state(n):
 @pytest.mark.parametrize("n, samples", [(3, 40), (4, 30)])
 def test_split_builder_matches_reference_across_sample_chunks(n, samples):
     _assert_noisy_rho_matches_reference(n, samples)
+
+
+def _per_sample_dense_rho(sups):
+    """The dense builder that summed one product per sample in each block of rest rows, which
+    folding a chunk's samples into the inner dimension of one product replaced; kept as its
+    oracle."""
+    samples, n = sups.shape[:2]
+    rl, rr = 2 ** (n // 2), 2 ** (n - n // 2)
+    rows = max(1, protocol._BLOCK_CELLS // (4 * rr * rr * rl))
+    left = protocol._chain(np.broadcast_to(protocol._RHO0, (samples, 1, 2, 2)), sups[:, :n // 2])
+    left = left.reshape(-1, 2, rl, 2, rl).transpose(0, 1, 3, 2, 4).reshape(-1, 4, rl * rl)
+    units = np.broadcast_to(protocol._SPIN_UNITS, (samples, 4, 2, 2))
+    right = protocol._chain(units, sups[:, n // 2:])
+    right = right.reshape(samples, 4, -1).transpose(0, 2, 1) / samples
+    out = np.empty((2, rl, rr, 2, rl, rr), dtype=complex)
+    for lo in range(0, rl, rows):
+        cols = slice(lo * rl, (lo + rows) * rl)
+        blk = right[0] @ left[0, :, cols]
+        for s in range(1, samples):
+            blk += right[s] @ left[s, :, cols]
+        out[:, lo:lo + rows] = blk.reshape(2, rr, 2, rr, -1, rl).transpose(0, 4, 1, 2, 5, 3)
+    return out.reshape(2 * rl * rr, 2 * rl * rr)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 9])
+def test_folded_dense_builder_keeps_one_sample_reads_bit_identical(n):
+    # one sample is one product per block either way; N = 8 and 9 span several blocks
+    for kind in TargetKind:
+        st = run_protocol(preset("reference"), n, kind=kind)
+        assert np.array_equal(st.rho, _per_sample_dense_rho(st.superoperators))
 
 
 def _rho_peak(state):
@@ -800,6 +851,29 @@ def test_params_run_matches_one_built_map(options, preset_name):
             target = ideal_target(n, kind)
             assert conditional_fidelity(st, target) == pytest.approx(
                 conditional_fidelity(want, target), rel=1e-12
+            )
+
+
+@pytest.mark.parametrize("n", [12, 20])
+@pytest.mark.parametrize("echo", [True, False])
+@pytest.mark.parametrize("kind", list(TargetKind))
+def test_split_transfer_matches_the_state_path(kind, echo, n):
+    # overhauser_average builds no state: the overlaps of run_protocol's noisy state with
+    # the ideal target are its oracle, sample for sample in mean and spread
+    p = preset("reference")
+    opts = CycleOptions(echo=echo, quasistatic_detuning=0.02, drift_phase=0.3)
+    drift = drift_diffusion_from_t2(150.0, p.t_cycle)
+    for noise in (NoiseConfig(0.4, drift, sample_count=200, rng_seed=n),
+                  NoiseConfig(0.4, drift, sample_count=1, rng_seed=n), None):
+        avg = overhauser_average(p, n, kind, noise, options=opts)
+        state = run_protocol(p, n, kind=kind, noise=noise, options=opts)
+        fids = protocol._overlaps(state, ideal_target(n, kind))
+        assert avg["mean_fidelity"] == pytest.approx(fids.mean(), rel=1e-12)
+        if len(fids) == 1:
+            assert avg["std_error"] == 0.0
+        else:
+            assert avg["std_error"] == pytest.approx(
+                fids.std(ddof=1) / math.sqrt(len(fids)), rel=1e-12
             )
 
 
