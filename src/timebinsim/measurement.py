@@ -45,7 +45,9 @@ class BasisSetting:
 
     @classmethod
     def x(cls, phase=0.0):
-        return cls(kind="X", phase=phase % (2.0 * math.pi))
+        # a tiny negative phase wraps to 2pi itself in floating point, which is 0
+        wrapped = phase % (2.0 * math.pi)
+        return cls(kind="X", phase=0.0 if wrapped == 2.0 * math.pi else wrapped)
 
     @classmethod
     def y(cls):

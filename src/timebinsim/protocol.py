@@ -25,7 +25,8 @@ split of a round's superoperator, and ``overhauser_average`` contracts that
 split with the ideal chain once, so its samples need no state at all.
 The dense rho is built only when ``HybridState.rho`` is read, from two
 half-chains: the first N // 2 rounds on the initial spin state and the
-rest on each spin unit |i><j|. Only the output is full size.
+rest on each spin unit |i><j|. One broadcast product of the two writes it
+straight into its final layout; only the output is full size.
 """
 from __future__ import annotations
 
@@ -50,8 +51,8 @@ from .params import ParamError, PhysicalParams, _real, _real_fields, _whole
 
 # largest photon number for which a dense 2^(N+1) state is built
 PHOTON_CAP = 10
-# cells per row block of a dense rho and per chunk of noise samples' half-chain factors
-_BLOCK_CELLS = 4096
+# cells of the half-chain factors of a chunk of noise samples in a dense rho build
+_CHUNK_CELLS = 8192
 
 # spin state after initialization: R(pi/2) applied to spin-down
 _PSI0 = rotation_matrix(math.pi / 2.0) @ np.array([1.0, 0.0], dtype=complex)
@@ -126,7 +127,8 @@ class HybridState:
     probability and their common orthogonal mass; its trace is
     ``1 - orthogonal_error_mass``. A single-sample state also serves as a
     fidelity target (``ideal_target``). The dense rho is built on first
-    read and only up to PHOTON_CAP photons.
+    read and only up to PHOTON_CAP photons, written once in its final
+    layout by one broadcast product per chunk of samples.
     """
 
     superoperators: np.ndarray
@@ -172,28 +174,27 @@ def _chain(units, sups):
 def _dense_rho(sups):
     """The samples' mean rho from its chain cut at m = N // 2: rho_m, the first m rounds on the
     initial spin, and R_ij, the rest on each spin unit |i><j|, give rho_N[(a rest P), (b rest' C)]
-    = sum_ij R_ij[(a P), (b C)] rho_m[(i rest), (j rest')]. The output is written a block of rest
-    rows at a time from the factors of a chunk of samples, whose samples are folded into the
-    inner dimension (s i j) of one product per block; a block or chunk holds at most
-    _BLOCK_CELLS cells, or one row or sample."""
+    = sum_ij R_ij[(a P), (b C)] rho_m[(i rest), (j rest')]. With a chunk of samples folded into
+    the inner dimension (s i j), rho_m laid out as [rest, 1, 1, rest', (s i j)] and R as
+    [a, 1, P, b, (s i j), C], one broadcast product writes each (rest' x C) cell of the output
+    straight into its final place; a later chunk adds in one rest row at a time. A chunk's
+    factors hold at most _CHUNK_CELLS cells, or one sample."""
     samples, n = sups.shape[:2]
     rl, rr = 2 ** (n // 2), 2 ** (n - n // 2)
     out = np.empty((2, rl, rr, 2, rl, rr), dtype=complex)  # [a, rest, P, b, rest', C]
-    rows = max(1, _BLOCK_CELLS // (4 * rr * rr * rl))
-    chunk = max(1, _BLOCK_CELLS // (4 * rl * rl + 16 * rr * rr))
+    chunk = max(1, _CHUNK_CELLS // (4 * rl * rl + 16 * rr * rr))
     for first in range(0, samples, chunk):
         part = sups[first:first + chunk]
         left = _chain(np.broadcast_to(_RHO0, (len(part), 1, 2, 2)), part[:, :n // 2])
-        # [(s i j), cols] and [(a P b C), (s i j)]
-        left = left.reshape(-1, 2, rl, 2, rl).transpose(0, 1, 3, 2, 4).reshape(-1, rl * rl)
+        left = left.reshape(-1, 2, rl, 2, rl).transpose(2, 4, 0, 1, 3).reshape(rl, 1, 1, rl, -1)
         right = _chain(np.broadcast_to(_SPIN_UNITS, (len(part), 4, 2, 2)), part[:, n // 2:])
-        right = right.reshape(len(part) * 4, -1).T / samples
-        for lo in range(0, rl, rows):
-            blk = right @ left[:, lo * rl:(lo + rows) * rl]
-            blk = blk.reshape(2, rr, 2, rr, -1, rl).transpose(0, 4, 1, 2, 5, 3)
-            if first:
-                blk += out[:, lo:lo + rows]
-            out[:, lo:lo + rows] = blk
+        right = (right / samples).reshape(-1, 2, 1, rr, 2, rr).transpose(1, 2, 3, 4, 0, 5)
+        if first:
+            for r in range(rl):
+                out[:, r:r + 1] += left[r:r + 1] @ right
+        else:
+            np.matmul(left, right, out=out)
+        del left, right  # before the next chunk's factors are built
     return out.reshape(2 * rl * rr, 2 * rl * rr)
 
 

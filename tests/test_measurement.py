@@ -195,6 +195,16 @@ def test_basis_setting_validation():
         BasisSetting(kind="Z", routing="magic")
 
 
+@pytest.mark.parametrize(
+    "phase", [-1e-17, -0.0, 2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi - 1e-16]
+)
+def test_x_setting_wraps_phases_at_a_whole_turn_to_zero(phase):
+    # -1e-17 % 2pi rounds to 2pi itself, which the setting's own check refuses
+    setting = BasisSetting.x(phase)
+    assert setting.phase == 0.0 and math.copysign(1.0, setting.phase) == 1.0
+    assert setting == BasisSetting.x(0.0)
+
+
 def test_ghz_all_z_patterns():
     rho = ideal_target(2, TargetKind.GHZ).rho
     outs, probs = joint_outcome_distribution(rho, [BasisSetting.z()] * 3)
