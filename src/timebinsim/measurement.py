@@ -5,17 +5,23 @@ A photon routed through a single interferometer arm is measured in the
 time-bin (Z) basis; interfering the early and late components yields a
 phase basis X(phi), with Y = X(pi/2). Finite efficiency eta adds a
 no-click element (1 - eta) * identity to every setting.
+
+Readout statistics are arrays over the joint-outcome grid: POVM stacks are
+cached read-only per setting and efficiency, and each shot statistic is a
+per-qubit factor table multiplied over qubits, gathered by joint-outcome index.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
 
 from .params import _real, _whole
-from .protocol import _frame_signs, _generator_codes, canonical_stabilizers
+from .protocol import HybridState, _frame_signs, _generator_codes, canonical_stabilizers
 
 NO_CLICK = "no_click"
 
@@ -89,12 +95,6 @@ class ShotRecords:
         )
 
 
-def _phase_kets(phi):
-    plus = np.array([1.0, np.exp(1j * phi)], dtype=complex) / math.sqrt(2.0)
-    minus = np.array([1.0, -np.exp(1j * phi)], dtype=complex) / math.sqrt(2.0)
-    return plus, minus
-
-
 def povm_elements(setting, eta=1.0):
     """Positive operators of one time-bin qubit measurement.
 
@@ -102,24 +102,39 @@ def povm_elements(setting, eta=1.0):
     identity. Passive routing splits each shot evenly between the Z and
     phase branches.
     """
+    labels, ops = _povms([setting], eta)[0]
+    return [(lbl, op.copy()) for lbl, op in zip(labels, ops)]
+
+
+def _povms(settings, eta):
+    """Each setting's cached (labels, stack), after the checks that the cache key needs."""
+    bad = [s for s in settings if not isinstance(s, BasisSetting)]
+    if bad:
+        raise MeasurementError(f"settings must hold BasisSetting entries, got {bad[0]!r}")
     _real(("eta", eta, "[0, 1]"), error=MeasurementError)
-    z_els = [
-        ("early", eta * np.diag([1.0, 0.0]).astype(complex)),
-        ("late", eta * np.diag([0.0, 1.0]).astype(complex)),
-    ]
-    plus, minus = _phase_kets(setting.phase)
-    x_els = [
-        ("plus", eta * np.outer(plus, plus.conj())),
-        ("minus", eta * np.outer(minus, minus.conj())),
-    ]
+    return [_povm(s, float(eta)) for s in settings]
+
+
+@lru_cache(maxsize=256)
+def _povm(setting, eta):
+    """Outcome labels and a read-only (k, 2, 2) stack of their operators."""
+    e = np.exp(1j * setting.phase)
+    kets = {
+        "early": np.array([1.0, 0.0]), "late": np.array([0.0, 1.0]),
+        "plus": np.array([1.0, e]) / math.sqrt(2.0), "minus": np.array([1.0, -e]) / math.sqrt(2.0),
+    }
     if setting.routing == "passive":
-        els = [(lbl, 0.5 * op) for lbl, op in z_els + x_els]
+        labels = ("early", "late", "plus", "minus")
     elif setting.kind == "Z":
-        els = z_els
+        labels = ("early", "late")
     else:
-        els = x_els
-    els.append((NO_CLICK, (1.0 - eta) * np.eye(2, dtype=complex)))
-    return els
+        labels = ("plus", "minus")
+    ops = [eta * np.outer(kets[lbl], kets[lbl].conj()) for lbl in labels]
+    if setting.routing == "passive":
+        ops = [0.5 * op for op in ops]
+    stack = np.stack([*ops, (1.0 - eta) * np.eye(2)]).astype(complex)
+    stack.flags.writeable = False
+    return (*labels, NO_CLICK), stack
 
 
 def joint_outcome_distribution(rho, settings, eta=1.0):
@@ -134,11 +149,9 @@ def joint_outcome_distribution(rho, settings, eta=1.0):
         raise MeasurementError(
             f"state dimension {rho.shape} does not match {n} settings"
         )
-    element_sets = [povm_elements(s, eta) for s in settings]
-    labels = [[lbl for lbl, _ in els] for els in element_sets]
+    povms = _povms(settings, eta)
     t = rho.reshape((2,) * n + (2,) * n)
-    for q, els in enumerate(element_sets):
-        ops = np.stack([op for _, op in els])  # (k, 2, 2)
+    for q, (_, ops) in enumerate(povms):
         # Tr(E rho) per qubit: E[i, j] pairs with rho's ket index j and bra
         # index i. After q contractions the outcome axes occupy 0..q-1, so
         # qubit q's ket axis sits at q and its bra axis at n.
@@ -146,7 +159,7 @@ def joint_outcome_distribution(rho, settings, eta=1.0):
         # tensordot puts the outcome axis first; rotate it behind previous ones
         t = np.moveaxis(t, 0, q)
     probs = np.real(t.reshape(-1))
-    outcomes = list(product(*labels))
+    outcomes = list(product(*(labels for labels, _ in povms)))
     return outcomes, np.clip(probs, 0.0, None)
 
 
@@ -175,8 +188,7 @@ def sample_measurements(state, settings, shots, seed=0, eta=1.0):
 
 def _mixed_distribution(settings, eta):
     """The maximally mixed state's outcome distribution: the product over qubits of Tr(E) / 2."""
-    traces = [[np.trace(op).real / 2.0 for _, op in povm_elements(s, eta)] for s in settings]
-    return np.prod(list(product(*traces)), axis=1)
+    return _grid([ops.trace(axis1=1, axis2=2).real / 2.0 for _, ops in _povms(settings, eta)])
 
 
 # earlier name of the same sampler, kept for existing callers
@@ -185,10 +197,8 @@ sample_measurements_with_eta = sample_measurements
 
 def ghz_parity_settings(n_qubits):
     """Phase settings phi_k = k pi / n, k = 0..2n-1, for the parity scan."""
-    return [
-        BasisSetting.x(phase=(k * math.pi / n_qubits) % (2.0 * math.pi))
-        for k in range(2 * n_qubits)
-    ]
+    n = _whole("n_qubits", n_qubits, 1, error=MeasurementError)
+    return [BasisSetting.x(phase=(k * math.pi / n) % (2.0 * math.pi)) for k in range(2 * n)]
 
 
 def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_blocks=20):
@@ -206,6 +216,9 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
     ``n_blocks`` all-click shots per setting, so that no block is empty.
     """
     n = _whole("n_qubits", n_qubits, 1, error=MeasurementError)
+    if not isinstance(records_by_setting, Mapping):
+        kind = type(records_by_setting).__name__
+        raise MeasurementError(f"records_by_setting must map keys to ShotRecords, got {kind}")
     n_blocks = _whole("n_blocks", n_blocks, 2, error=MeasurementError)
     _real(("target_phase", target_phase, "(-inf, inf)"), error=MeasurementError)
     phase = target_phase % (2.0 * math.pi)
@@ -220,9 +233,12 @@ def estimate_ghz_fidelity(records_by_setting, n_qubits, target_phase=0.0, n_bloc
     if missing:
         raise MeasurementError(f"estimator is missing settings: {missing}")
 
-    funcs = [_population_indicator] + [_parity_value] * (2 * n)
+    z = [BasisSetting.z()] * n
+    population = sum(_table(z, lambda q, o, w=w: float(o == w)) for w in ("early", "late"))
+    parity = _table([BasisSetting.x()] * n, lambda q, o: 1.0 if o == "plus" else -1.0)
+    statistics = [population] + [parity] * (2 * n)
     # axes: table, (sums, counts), block
-    stats = np.array([_block_statistics(r, n, f, n_blocks) for r, f in zip(tables, funcs)])
+    stats = np.array([_block_statistics(r, n, t, n_blocks) for r, t in zip(tables, statistics)])
     total = stats.sum(axis=2, keepdims=True)
     loo = np.concatenate([total, total - stats], axis=2)
     # column 0: each table's mean over all blocks; column j + 1: its mean without block j
@@ -247,37 +263,43 @@ def _label(setting):
     return "Z" if setting.kind == "Z" else f"X({setting.phase:.6g})"
 
 
-def _population_indicator(outcomes):
-    return 1.0 if set(outcomes) in ({"early"}, {"late"}) else 0.0
+def _grid(factors):
+    """Per-qubit factor tables multiplied over qubits, flat in the itertools.product
+    order of the joint outcomes (bool tables: true where every factor is)."""
+    return reduce(np.multiply.outer, factors).reshape(-1)
 
 
-def _parity_value(outcomes):
-    return math.prod(1.0 if o == "plus" else -1.0 for o in outcomes)
+def _table(settings, value):
+    """``value(qubit, label)`` multiplied over qubits, one entry per joint outcome of
+    ``settings`` (the labels do not depend on eta)."""
+    factors = [np.array([value(q, o) for o in _povm(s, 1.0)[0]]) for q, s in enumerate(settings)]
+    return _grid(factors)
 
 
-def _all_click_values(records, func):
-    """``func`` of each all-click shot's outcome tuple, in shot order; it
-    runs once per joint outcome and is gathered by each shot's index."""
-    keep = np.array([NO_CLICK not in outs for outs in records.outcomes])[records.combo]
-    return np.array([func(outs) for outs in records.outcomes])[records.combo[keep]]
+def _all_click_values(records, table):
+    """``table`` (one value per joint outcome) at each all-click shot, in shot order."""
+    keep = _table(records.settings, lambda q, o: o != NO_CLICK)
+    return table.take(np.compress(keep.take(records.combo), records.combo))
 
 
-def _block_statistics(records, n_qubits, func, n_blocks):
+def _block_statistics(records, n_qubits, table, n_blocks):
     """Per-block (sum, count) of an all-click shot statistic, blocks filled
     round-robin in shot order."""
     if len(records.settings) != n_qubits:
         raise MeasurementError(
             f"records hold {len(records.settings)} qubits per shot but n_qubits is {n_qubits}"
         )
-    values = _all_click_values(records, func)
-    if values.size < n_blocks:
+    values = _all_click_values(records, table)
+    m = values.size
+    if m < n_blocks:
         raise MeasurementError(
-            f"setting {_label(records.settings[0])} has {values.size} all-click shots, "
+            f"setting {_label(records.settings[0])} has {m} all-click shots, "
             f"fewer than n_blocks = {n_blocks}"
         )
-    block = np.arange(values.size) % n_blocks
-    sums = np.bincount(block, weights=values, minlength=n_blocks)
-    counts = np.bincount(block, minlength=n_blocks).astype(float)
+    # shot i sits in column i % n_blocks; each column adds its shots in shot order
+    sums = np.concatenate([values, np.zeros(-m % n_blocks)]).reshape(-1, n_blocks).sum(axis=0)
+    counts = np.full(n_blocks, float(m // n_blocks))
+    counts[: m % n_blocks] += 1.0
     return sums, counts
 
 
@@ -289,6 +311,8 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
     identity factors are measured in Z and ignored) and the +-1 outcome
     product is averaged over all-click shots.
     """
+    if not isinstance(state, HybridState):
+        raise MeasurementError(f"state must be a HybridState, got {type(state).__name__}")
     n = state.photon_count
     signs = _frame_signs(n, kind)
     estimates = []
@@ -296,9 +320,9 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
         # codes: 0 = I, 1 = X, 2 = Z (see protocol._generator_codes)
         settings = [BasisSetting.x(0.0) if c == 1 else BasisSetting.z() for c in codes]
         records = sample_measurements(state, settings, shots, seed=seed + g, eta=eta)
-        values = _all_click_values(records, lambda outs: math.prod(
-            1.0 if o in ("early", "plus") else -1.0 for o, c in zip(outs, codes) if c
-        ))
+        # the -1 outcomes of each non-identity factor; no-click values are never read
+        table = _table(settings, lambda q, o: -1.0 if codes[q] and o in ("late", "minus") else 1.0)
+        values = _all_click_values(records, table)
         if values.size == 0:
             label = canonical_stabilizers(n, kind)[g]
             raise MeasurementError(f"no all-click shots for stabilizer {label}")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -97,16 +98,21 @@ def _reference_block_statistics(records, n_qubits, func, n_blocks):
     return sums, counts
 
 
+def _population(outs):
+    return float(set(outs) in ({"early"}, {"late"}))
+
+
+def _parity(outs):
+    return math.prod(1.0 if o == "plus" else -1.0 for o in outs)
+
+
 def _reference_ghz_estimate(records_by_key, n, target_phase, n_blocks=20):
     # the scalar leave-one-out form that the array jackknife replaced, on
     # tables keyed as _collect keys them
-    z = _reference_block_statistics(
-        records_by_key["Z"], n, lambda outs: float(set(outs) in ({"early"}, {"late"})), n_blocks
-    )
+    z = _reference_block_statistics(records_by_key["Z"], n, _population, n_blocks)
     parity = [
         ((-1) ** k, _reference_block_statistics(
-            records_by_key[(k * math.pi / n) % (2.0 * math.pi)], n,
-            lambda outs: math.prod(1.0 if o == "plus" else -1.0 for o in outs), n_blocks,
+            records_by_key[(k * math.pi / n) % (2.0 * math.pi)], n, _parity, n_blocks
         ))
         for k in range(2 * n)
     ]
@@ -527,3 +533,162 @@ def test_stabilizer_sampling_diagnostic():
     est = sample_stabilizer_expectations(st, TargetKind.CLUSTER, shots=20000, seed=3)
     for e, s in zip(exact, est):
         assert abs(e - s) < 0.02
+
+
+# -- outcome-grid statistics: per-qubit factor tables against the row oracle
+
+
+def _random_rho(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+GRID_SETTINGS = {
+    "Z": lambda n: [BasisSetting.z()] * n,
+    "X": lambda n: [BasisSetting.x(0.9)] * n,
+    "passive": lambda n: [
+        BasisSetting(kind="X", phase=0.4, routing="passive"), BasisSetting.z(), BasisSetting.y(),
+        BasisSetting(kind="Z", routing="passive"),
+    ][:n],
+}
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.84, 0.5])
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("kind", GRID_SETTINGS)
+def test_grid_statistics_match_the_row_oracle(kind, n, eta):
+    settings = GRID_SETTINGS[kind](n)
+    records = sample_measurements(_random_rho(n, n), settings, 997, seed=n, eta=eta)
+    kept = sum(NO_CLICK not in records.outcomes[c] for c in records.combo)
+    # block counts that leave a remainder, so the padded reshape is exercised
+    blocks = [b for b in (2, 3, 7, 13, 20) if kept % b][:3]
+    assert blocks
+    population = sum(
+        measurement._table(settings, lambda q, o, w=w: float(o == w)) for w in ("early", "late")
+    )
+    parity = measurement._table(settings, lambda q, o: 1.0 if o == "plus" else -1.0)
+    for table, func in ((population, _population), (parity, _parity)):
+        assert table.shape == (len(records.outcomes),)
+        for n_blocks in blocks:
+            got = measurement._block_statistics(records, n, table, n_blocks)
+            want = _reference_block_statistics(records, n, func, n_blocks)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+# sha256 of seeded records' combo bytes and of the exact probabilities, recorded when every
+# statistic was still evaluated once per joint outcome: state, settings, eta
+READOUT_PINS = {
+    "ghz-z-ideal-eta": ("ghz", [BasisSetting.z()] * 4, 1.0,
+                        "e66a3322204921c253b03a37b8704836910ccdc37822a59579fdecbefe8a66c6",
+                        "f781a8fd879d5ab5f6afbe5544f2b617"),
+    "ghz-x-lossy": ("ghz", [BasisSetting.x(math.pi / 4.0)] * 4, 0.84,
+                    "c50fc05ec9a6e17d70fd68abc2dc0c0a2eedf4fa5b5d786f57c902ac500679cb",
+                    "fbb91abb67d68f58a44faf4459596476"),
+    "cluster-mixed-half": ("cluster", [
+        BasisSetting(kind="X", phase=0.5, routing="passive"), BasisSetting.z(), BasisSetting.y()
+    ], 0.5, "759be626498688ea6e940c86ce2c65c99a1566e2ac01622cc30a2f38d9495457",
+        "644a2bd047c048794066dd7d0cd8cd4c"),
+    "cluster-passive-z": ("cluster", [
+        BasisSetting(kind="Z", routing="passive"),
+        BasisSetting(kind="X", phase=2.2, routing="passive"), BasisSetting.x(1.3),
+    ], 0.84, "91dfdf96218a99e5016030ac5585593f3d715bf390ed26f8d67a52ce2a874aa6",
+        "096cdc5a67431d3b5fa628bb4f8b523e"),
+}
+
+
+@pytest.mark.parametrize("case", READOUT_PINS.values(), ids=READOUT_PINS.keys())
+def test_seeded_records_and_probabilities_are_pinned(case):
+    # reference-preset states carry orthogonal-error mass
+    kind, settings, eta, combo_sha, probs_sha = case
+    st = (run_protocol(preset("reference"), 3) if kind == "ghz"
+          else run_protocol(preset("reference"), 2, kind=TargetKind.CLUSTER))
+    records = sample_measurements(st, settings, 4000, seed=17, eta=eta)
+    assert records.combo.dtype == np.int64
+    assert hashlib.sha256(records.combo.tobytes()).hexdigest() == combo_sha
+    _, probs = joint_outcome_distribution(st.rho, settings, eta=eta)
+    assert hashlib.sha256(probs.tobytes()).hexdigest()[:32] == probs_sha
+
+
+def test_lossy_estimator_with_uneven_blocks_is_pinned():
+    # eta = 0.5 leaves 3000 * 0.5^4 all-click shots, which neither 20 nor 7 divides
+    cm = build_cycle_map(VERTICAL_ONLY, CycleOptions(indistinguishability=0.9))
+    st = run_protocol(cm, 3)
+    recs = {"Z": sample_measurements(st, [BasisSetting.z()] * 4, 3000, seed=33, eta=0.5)}
+    for k, s in enumerate(ghz_parity_settings(4)):
+        recs[s.phase] = sample_measurements(st, [s] * 4, 3000, seed=34 + k, eta=0.5)
+    pins = {20: ("0x1.af1f908946532p-1", "0x1.00a740981dbcdp-7"),
+            7: ("0x1.af1f908946532p-1", "0x1.ff63e2ec6c037p-8")}
+    for n_blocks, want in pins.items():
+        out = estimate_ghz_fidelity(recs, 4, target_phase=math.pi, n_blocks=n_blocks)
+        assert (out["fidelity"].hex(), out["std_error"].hex()) == want
+
+
+STABILIZER_PINS = {
+    ("GHZ", 2): ["0x1.ad7beacc48c64p-1", "0x1.cd01ed5290f91p-1", "0x1.eb22f5d9a8090p-1"],
+    ("GHZ", 3): ["0x1.8041946884869p-1", "0x1.bc493dd73bc49p-1", "0x1.bd42e83cabe71p-1",
+                 "0x1.dfb701ee1a51cp-1"],
+    ("GHZ", 4): ["0x1.62961c663cdb1p-1", "0x1.c512260147f41p-1", "0x1.c2b504b2f9aaap-1",
+                 "0x1.b2b78c13521d0p-1", "0x1.d9e3d4eb49bc1p-1"],
+    ("CLUSTER", 2): ["0x1.ace938df7b0ecp-1", "0x1.cbaa857392195p-1", "0x1.edc19e4edc19ep-1"],
+    ("CLUSTER", 3): ["0x1.9713971397139p-1", "0x1.a3fc83bf2c170p-1", "0x1.bb3bea3677d47p-1",
+                     "0x1.e371360e47650p-1"],
+    ("CLUSTER", 4): ["0x1.a29e6dbe2781ep-1", "0x1.9dc0e60a623f2p-1", "0x1.92b2564ac9593p-1",
+                     "0x1.b1e5f75270d04p-1", "0x1.db754eb07ae9dp-1"],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, photons", STABILIZER_PINS, ids=[f"{k}-{n}" for k, n in STABILIZER_PINS]
+)
+def test_stabilizer_sampling_is_pinned(kind, photons):
+    st = run_protocol(preset("reference"), photons, kind=TargetKind[kind])
+    assert st.orthogonal_error_mass > 0.0
+    est = sample_stabilizer_expectations(st, TargetKind[kind], shots=3000, seed=7, eta=0.84)
+    assert [e.hex() for e in est] == STABILIZER_PINS[kind, photons]
+
+
+def test_mutating_a_returned_povm_leaves_the_distribution_unchanged():
+    settings = [BasisSetting.x(0.4), BasisSetting(kind="Z", routing="passive")]
+    rho = _random_rho(2, 0)
+    _, want = joint_outcome_distribution(rho, settings, eta=0.84)
+    for s in settings:
+        for _, op in povm_elements(s, 0.84):
+            op[...] = 7.0
+    _, got = joint_outcome_distribution(rho, settings, eta=0.84)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cached_povm_stacks_are_read_only():
+    for s in (BasisSetting.z(), BasisSetting.x(1.1), BasisSetting(kind="X", routing="passive")):
+        labels, ops = measurement._povm(s, 0.84)
+        assert ops.shape == (len(labels), 2, 2) and labels[-1] == NO_CLICK
+        assert not ops.flags.writeable
+        with pytest.raises(ValueError):
+            ops[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("entry", ["Z", None, [BasisSetting.z()], {"kind": "Z"}])
+def test_settings_entries_must_be_basis_settings(entry):
+    # an unhashable entry is refused before the cached POVM lookup, not with a TypeError
+    st = run_protocol(ideal_cycle_map(), 1)
+    settings = [BasisSetting.z(), entry]
+    with pytest.raises(MeasurementError, match="settings"):
+        sample_measurements(st, settings, 10)
+    with pytest.raises(MeasurementError, match="settings"):
+        joint_outcome_distribution(np.eye(4) / 4.0, settings)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, True, "3", None])
+def test_ghz_parity_settings_needs_a_whole_qubit_count(n):
+    with pytest.raises(MeasurementError, match="n_qubits"):
+        ghz_parity_settings(n)
+
+
+def test_readout_refuses_arguments_of_the_wrong_type():
+    with pytest.raises(MeasurementError, match="^state must be a HybridState"):
+        sample_stabilizer_expectations(np.eye(8) / 8.0, TargetKind.CLUSTER, shots=100)
+    for records in ([], (), "Z"):
+        with pytest.raises(MeasurementError, match="^records_by_setting must map"):
+            estimate_ghz_fidelity(records, 4)
