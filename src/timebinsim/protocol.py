@@ -14,15 +14,18 @@ Each round is one 16x4 spin superoperator (the cycle map's Kraus blocks
 summed, with the round's normalization folded in). Photons are never acted
 on after emission, so a state is kept as its sequence of superoperators:
 the normalizations come from a forward recursion on the 2x2 spin-reduced
-state, and stabilizer expectations are contracted round by round, as in the
-matrix-product picture of sequential photon sources (Schoen et al., PRL 95,
-110503, 2005); the generators are one table of integer Pauli codes, and
-label strings are made only when ``canonical_stabilizers`` is called. The
-ideal target is a state of the same kind, the ideal protocol's own run, so
-a fidelity is one contraction of two such chains.
+state (for PhysicalParams once per (params, options, N), on the phase-free
+part S0 of the split below, and cached), and stabilizer expectations are
+contracted round by round, as in the matrix-product picture of sequential
+photon sources (Schoen et al., PRL 95, 110503, 2005); the generators are one
+table of integer Pauli codes, and label strings are made only when
+``canonical_stabilizers`` is called. The ideal target is a state of the
+same kind, the ideal protocol's own run, so a fidelity is one contraction
+of two such chains.
 Every PhysicalParams run, noisy or not, is built from one cached phase
-split of a round's superoperator, and ``overhauser_average`` contracts that
-split with the ideal chain once, so its samples need no state at all.
+split of a round's superoperator, all samples and rounds by one product of
+their phase weights with the split, and ``overhauser_average`` contracts
+that split with the ideal chain once, so its samples need no state at all.
 The dense rho is built only when ``HybridState.rho`` is read, from two
 half-chains: the first N // 2 rounds on the initial spin state and the
 rest on each spin unit |i><j|. One broadcast product of the two writes it
@@ -123,8 +126,8 @@ class HybridState:
 
     ``superoperators`` has shape (samples, N, 16, 4): the normalized spin
     superoperator of every round for every noise sample. The state is the
-    equal-weight average of its samples, with their mean success
-    probability and their common orthogonal mass; its trace is
+    equal-weight average of its samples, which share one success
+    probability and one orthogonal mass; its trace is
     ``1 - orthogonal_error_mass``. A single-sample state also serves as a
     fidelity target (``ideal_target``). The dense rho is built on first
     read and only up to PHOTON_CAP photons, written once in its final
@@ -209,12 +212,14 @@ def run_protocol_cycles(cycles):
         raise ParamError("cycles must hold at least one cycle map")
     # one superoperator per distinct map: [cycle] * n repeats a single object
     built = {id(c): _spin_superoperator(c) for c in {id(c): c for c in cycles}.values()}
-    sups = np.stack([built[id(c)] for c in cycles]).reshape(1, len(cycles), 16, 4)
-    return _normalized_state(sups, np.array([c.orthogonal_prob for c in cycles]))
+    sups = np.stack([built[id(c)] for c in cycles]).reshape(len(cycles), 16, 4)
+    scale, success, orth_mass = _round_norms(sups, np.array([c.orthogonal_prob for c in cycles]))
+    return HybridState((sups * scale[:, None, None])[None], success, orth_mass)
 
 
-def _normalized_state(sups, orth_probs):
-    """State of raw per-round superoperators (samples, N, 16, 4).
+def _round_norms(sups, orth_probs):
+    """Per-round factors (N,), success probability and orthogonal mass of raw superoperators
+    (N, 16, 4), from one forward recursion on the 2x2 spin-reduced state.
 
     Of the weight detected in round t, the fraction orth_probs[t] is
     orthogonal, and the orthogonal sector keeps taking part in later rounds
@@ -224,33 +229,19 @@ def _normalized_state(sups, orth_probs):
     (1 - orth_probs[t]) / det, and the final trace is the product of the
     (1 - orth_probs).
     """
-    det = _detections(sups)
-    return HybridState(
-        superoperators=sups * ((1.0 - orth_probs) / det)[..., None, None],
-        success_probability=sum(det.prod(axis=1).tolist()) / len(sups),
-        orthogonal_error_mass=-math.expm1(np.log1p(-orth_probs).sum()),
-    )
-
-
-def _detections(sups):
-    """Detection probability det (samples, N) of every round of raw superoperators
-    (samples, N, 16, 4): one forward recursion on the 2x2 spin-reduced state, batched
-    over samples, renormalized every round."""
-    samples, n = sups.shape[:2]
     # the new photon traced out: spin transfer [(a b), (i j)] of each round
-    reduced = np.einsum("stapbpx->stabx", sups.reshape(samples, n, 2, 2, 2, 2, 4))
-    reduced = reduced.reshape(samples, n, 4, 4)
-    sigma = _RHO0.reshape(1, 4, 1)
-    dets = []
+    reduced = np.einsum("tapbpx->tabx", sups.reshape(-1, 2, 2, 2, 2, 4)).reshape(-1, 4, 4)
+    sigma = _RHO0.reshape(4, 1)
+    det = np.empty(len(sups))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(n):
-            sigma = reduced[:, t] @ sigma
-            dets.append(sigma[:, :1] + sigma[:, 3:])
-            sigma = sigma / dets[-1]
-    det = np.concatenate(dets, axis=1).real.reshape(samples, n)
+        for t, red in enumerate(reduced):
+            sigma = red @ sigma
+            trace = sigma[0, 0] + sigma[3, 0]
+            det[t] = trace.real
+            sigma = sigma / trace
     if not (det > 0.0).all():
         raise ParamError("protocol lost all probability; check the cycle map")
-    return det
+    return (1.0 - orth_probs) / det, float(det.prod()), -math.expm1(np.log1p(-orth_probs).sum())
 
 
 def _check_run(cycle, n_photons, kind, noise, options):
@@ -329,13 +320,20 @@ def _noise_state(params, n, base, noise):
     The phase D of ``_noise_phases`` enters a round only through the main
     Kraus block, so its superoperator is S0 + e^{iD} S+ + e^{-iD} S-, split
     from three cycle maps once per (params, options). D leaves the
-    spin-reduced map unchanged, so every sample has the same success
-    probability and the equal-weight average is the success-weighted one.
+    spin-reduced map unchanged, so every sample has the cached
+    ``_normalization`` of S0 and the equal-weight average is the
+    success-weighted one. With c_t the round's factor, every sample's
+    normalized superoperators are one product of the weights [c_t, c_t e^{iD},
+    c_t e^{-iD}] (samples * N, 3) with the split rows (3, 64).
     """
-    parts, options, orth_prob = _split_superoperators(params, base)
-    phase = _noise_phases(params, n, options, noise)[..., None]
-    sups = parts[0] + phase * parts[1] + phase.conj() * parts[2]
-    return _normalized_state(sups.reshape(noise.sample_count, n, 16, 4), np.full(n, orth_prob))
+    parts, options, _ = _split_superoperators(params, base)
+    scale, success, orth_mass = _normalization(params, base, n)
+    phase = scale * _noise_phases(params, n, options, noise)
+    weights = np.stack([np.broadcast_to(scale, phase.shape), phase, phase.conj()], axis=-1)
+    # a spare zero row: numpy hands a one-row product to gemv, whose bits differ from a GEMM
+    # row's, and one sample of one round must stay the first sample of a longer run
+    rows = np.concatenate([weights.reshape(-1, 3), np.zeros((1, 3))]) @ parts
+    return HybridState(rows[:-1].reshape(noise.sample_count, n, 16, 4), success, orth_mass)
 
 
 @lru_cache(maxsize=32)
@@ -350,6 +348,18 @@ def _split_superoperators(params, base):
     parts = _SPLIT_WEIGHTS @ np.stack([_spin_superoperator(m) for m in maps]).reshape(3, 64)
     parts.flags.writeable = False
     return parts, options, maps[0].orthogonal_prob
+
+
+@lru_cache(maxsize=32)
+def _normalization(params, base, n):
+    """Every round's factor (1 - p_o) / det_t as a read-only (N,) array, the success
+    probability and the orthogonal mass, per (params, options, N): the spin recursion
+    runs once, on S0, which has the spin-reduced map of every phase D."""
+    parts, _, orth_prob = _split_superoperators(params, base)
+    scale, success, orth_mass = _round_norms(
+        np.broadcast_to(parts[0].reshape(16, 4), (n, 16, 4)), np.full(n, orth_prob))
+    scale.flags.writeable = False
+    return scale, success, orth_mass
 
 
 @lru_cache(maxsize=32, typed=True)
@@ -411,7 +421,7 @@ def _overlaps(state, target):
     tgt = tgt.reshape(n, 4, 16).transpose(0, 2, 1)
     env = np.broadcast_to(np.outer(_RHO0, _RHO0.conj()), (samples, 4, 4))
     for t in range(n):
-        env = (sups[:, t] @ env).reshape(samples, 4, 16) @ tgt[t]
+        env = ((sups[:, t] @ env).reshape(samples * 4, 16) @ tgt[t]).reshape(samples, 4, 4)
     return np.trace(env, axis1=1, axis2=2).real
 
 
@@ -493,17 +503,16 @@ def _split_transfer(params, base, n, kind):
     On the environment E[(i j), (k l)] as a row, round t of a noise sample is E @ (A0_t +
     e^{iD} A+_t + e^{-iD} A-_t), the three blocks side by side: S0, S+ and S- of
     ``_split_superoperators`` contracted with the ideal chain's round t, with the round's
-    normalization, which does not depend on D, folded in.
+    cached ``_normalization``, which does not depend on D, folded in.
     """
-    parts, options, orth_prob = _split_superoperators(params, base)
-    det = _detections(np.broadcast_to(parts[0].reshape(16, 4), (1, n, 16, 4)))[0]
+    parts, options, _ = _split_superoperators(params, base)
     # sum_{p c} S_x[a, p, b, c, (i j)] conj(T_t)[k', p, l', c, (k l)] is one product of
     # [(i j) x a b, (p c)] and [(p c), t (k l) k' l'], reordered to [t, (i j k l), (x a b k' l')]
     sx = parts.reshape(3, 2, 2, 2, 2, 4).transpose(5, 0, 1, 3, 2, 4).reshape(48, 4)
     tt = _ideal_chain(n, kind)[0][0].conj().reshape(n, 2, 2, 2, 2, 4).transpose(2, 4, 0, 5, 1, 3)
     transfer = (sx @ tt.reshape(4, -1)).reshape(4, 3, 2, 2, n, 4, 2, 2)
     transfer = transfer.transpose(4, 0, 5, 1, 2, 3, 6, 7).reshape(n, 16, 48)
-    transfer *= ((1.0 - orth_prob) / det)[:, None, None]
+    transfer *= _normalization(params, base, n)[0][:, None, None]
     transfer.flags.writeable = False
     return transfer, options
 
@@ -518,16 +527,18 @@ def overhauser_average(params, n_photons, kind, noise, options=None):
     fidelity is the overlap ``_overlaps`` takes of that state with
     ``ideal_target``, but no state is built: every sample's environment is a
     row of one (samples, 16) array, and a round is one product with the
-    cached ``_split_transfer`` and two phase-weighted adds.
+    cached ``_split_transfer`` and one batched (1 x 3)(3 x 16) product of
+    each sample's phase weights [1, e^{iD}, e^{-iD}] with its three blocks.
     """
     noise = NoiseConfig(0.0) if noise is None else noise  # so a fixed CycleMap is refused
     n, base = _check_run(params, n_photons, kind, noise, options)
     transfer, options = _split_transfer(params, base, n, kind)
-    phase = _noise_phases(params, n, options, noise).T[..., None]
+    phase = _noise_phases(params, n, options, noise).T
+    # the phase weights [1, e^{iD}, e^{-iD}] of every round and sample, (N, samples, 1, 3)
+    weights = np.stack([np.ones_like(phase), phase, phase.conj()], axis=-1)[:, :, None]
     env = np.outer(_RHO0, _RHO0.conj()).reshape(1, 16)
     for t in range(n):
-        y = env @ transfer[t]
-        env = y[:, :16] + phase[t] * y[:, 16:32] + phase[t].conj() * y[:, 32:]
+        env = (weights[t] @ (env @ transfer[t]).reshape(-1, 3, 16)).reshape(-1, 16)
     fids = env[:, ::5].sum(axis=1).real  # the trace of E
     std_err = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
     return {"mean_fidelity": float(fids.mean()), "std_error": std_err}

@@ -10,7 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from timebinsim import cli
+from timebinsim import (
+    CycleOptions,
+    TargetKind,
+    cli,
+    conditional_fidelity,
+    ideal_target,
+    preset,
+    run_protocol,
+)
 from timebinsim.cli import (
     ConfigError,
     ScenarioConfig,
@@ -210,6 +218,23 @@ def test_echo_demo_columns():
         rows[0]["fidelity_echo"], abs=1e-6
     )
     assert rows[1]["fidelity_no_echo"] < rows[1]["fidelity_echo"]
+
+
+@pytest.mark.parametrize("sample_count", [1, 40])
+@pytest.mark.parametrize("n_photons", [1, 3])
+@pytest.mark.parametrize("kind", list(TargetKind))
+def test_echo_demo_zero_sigma_row_is_the_noise_free_fidelity(kind, n_photons, sample_count):
+    # a sigma of 0 goes through overhauser_average like every other row and draws nothing
+    config = build_config({
+        "scenario": "echo_demo", "sigma_list": (0.0,), "kind": kind.value,
+        "n_photons": n_photons, "sample_count": sample_count,
+    })
+    (row,) = run_scenario(config)
+    for echo, column in ((True, "fidelity_echo"), (False, "fidelity_no_echo")):
+        state = run_protocol(preset("reference"), n_photons, kind=kind,
+                             options=CycleOptions(echo=echo))
+        want = conditional_fidelity(state, ideal_target(n_photons, kind))
+        assert row[column] == pytest.approx(want, rel=1e-12), column
 
 
 def test_echo_demo_default_rows_are_pinned(tmp_path):
