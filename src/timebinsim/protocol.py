@@ -29,7 +29,10 @@ that split with the ideal chain once, so its samples need no state at all.
 The dense rho is built only when ``HybridState.rho`` is read, from two
 half-chains: the first N // 2 rounds on the initial spin state and the
 rest on each spin unit |i><j|. One broadcast product of the two writes it
-straight into its final layout; only the output is full size.
+straight into its final layout; only the output is full size. The product
+is real, written into the output's float view: each output cell is one
+real GEMM, which the BLAS runs much faster than a complex one of these
+thin shapes.
 """
 from __future__ import annotations
 
@@ -54,7 +57,8 @@ from .params import ParamError, PhysicalParams, _real, _real_fields, _whole
 
 # largest photon number for which a dense 2^(N+1) state is built
 PHOTON_CAP = 10
-# cells of the half-chain factors of a chunk of noise samples in a dense rho build
+# cells of the half-chain factors of a chunk of noise samples in a dense rho build, and of
+# the product that adds a block of rest rows of a later chunk
 _CHUNK_CELLS = 8192
 
 # spin state after initialization: R(pi/2) applied to spin-down
@@ -131,7 +135,8 @@ class HybridState:
     ``1 - orthogonal_error_mass``. A single-sample state also serves as a
     fidelity target (``ideal_target``). The dense rho is built on first
     read and only up to PHOTON_CAP photons, written once in its final
-    layout by one broadcast product per chunk of samples.
+    layout by one broadcast real product per chunk of samples, into the
+    float view of the complex output.
     """
 
     superoperators: np.ndarray
@@ -180,24 +185,32 @@ def _dense_rho(sups):
     = sum_ij R_ij[(a P), (b C)] rho_m[(i rest), (j rest')]. With a chunk of samples folded into
     the inner dimension (s i j), rho_m laid out as [rest, 1, 1, rest', (s i j)] and R as
     [a, 1, P, b, (s i j), C], one broadcast product writes each (rest' x C) cell of the output
-    straight into its final place; a later chunk adds in one rest row at a time. A chunk's
-    factors hold at most _CHUNK_CELLS cells, or one sample."""
+    straight into its final place. The product is real and written into the output's float
+    view: rho_m as [Re, Im] along the inner axis and R as [R; iR], viewed as float, make each
+    cell one real GEMM whose interleaved (re, im) columns are Re = Lr Rr - Li Ri and
+    Im = Lr Ri + Li Rr. A later chunk adds in a block of rest rows at a time. A chunk's factors
+    hold at most _CHUNK_CELLS cells, or one sample, and so does a block's product."""
     samples, n = sups.shape[:2]
     rl, rr = 2 ** (n // 2), 2 ** (n - n // 2)
     out = np.empty((2, rl, rr, 2, rl, rr), dtype=complex)  # [a, rest, P, b, rest', C]
+    flat = out.view(float)  # [a, rest, P, b, rest', (C re/im)]
     chunk = max(1, _CHUNK_CELLS // (4 * rl * rl + 16 * rr * rr))
+    rows = max(1, _CHUNK_CELLS // (4 * rl * rr * rr))
     for first in range(0, samples, chunk):
         part = sups[first:first + chunk]
         left = _chain(np.broadcast_to(_RHO0, (len(part), 1, 2, 2)), part[:, :n // 2])
-        left = left.reshape(-1, 2, rl, 2, rl).transpose(2, 4, 0, 1, 3).reshape(rl, 1, 1, rl, -1)
+        left = left.view(float).reshape(-1, 2, rl, 2, rl, 2)
+        left = left.transpose(2, 4, 5, 0, 1, 3).reshape(rl, 1, 1, rl, -1)  # inner (re/im s i j)
         right = _chain(np.broadcast_to(_SPIN_UNITS, (len(part), 4, 2, 2)), part[:, n // 2:])
         right = (right / samples).reshape(-1, 2, 1, rr, 2, rr).transpose(1, 2, 3, 4, 0, 5)
+        both = np.empty((2, 1, rr, 2, 2 * right.shape[-2], rr), dtype=complex)
+        right = np.concatenate([right, right * 1j], axis=-2, out=both).view(float)
         if first:
-            for r in range(rl):
-                out[:, r:r + 1] += left[r:r + 1] @ right
+            for r in range(0, rl, rows):
+                flat[:, r:r + rows] += left[r:r + rows] @ right
         else:
-            np.matmul(left, right, out=out)
-        del left, right  # before the next chunk's factors are built
+            np.matmul(left, right, out=flat)
+        del left, right, both  # before the next chunk's factors are built
     return out.reshape(2 * rl * rr, 2 * rl * rr)
 
 

@@ -219,6 +219,34 @@ def test_dephasing_only_oracles():
                 assert f == pytest.approx(oracle, abs=1e-6)
 
 
+# one imperfection on a vertical-only source: its option, and the exact fidelity at strength x
+_SINGLE_SOURCE_FORMS = {
+    "orthogonal": ("orthogonal_error_prob", lambda kind, x, n: (1.0 - x) ** n),
+    "off-resonant": (
+        "off_resonant_prob",
+        lambda kind, x, n: (
+            (1.0 + (1.0 - x) ** n) / 2.0 if kind is TargetKind.GHZ else (1.0 - x / 2.0) ** n
+        ),
+    ),
+    "rotation": (
+        "rotation_error_std",
+        lambda kind, x, n: ((1.0 + math.exp(-x * x / 2.0)) / 2.0) ** n,
+    ),
+}
+
+
+@pytest.mark.parametrize("source", list(_SINGLE_SOURCE_FORMS))
+def test_single_source_fidelity_matches_its_closed_form(source):
+    option, form = _SINGLE_SOURCE_FORMS[source]
+    for kind in TargetKind:
+        for x in (1e-4, 1e-2, 0.1, 0.3):
+            opts = CycleOptions(rotation_angle=kind.rotation_angle, **{option: x})
+            cm = build_cycle_map(VERTICAL_ONLY, opts)
+            for n in (1, 2, 5, 40, 300, 1000):
+                f = conditional_fidelity(run_protocol(cm, n, kind=kind), ideal_target(n, kind))
+                assert f == pytest.approx(form(kind, x, n), rel=1e-12, abs=0.0)
+
+
 def test_branching_only_matches_first_order():
     for b in (50.0, 100.0, 200.0):
         cm = build_cycle_map(betas_from_branching(b))
@@ -618,18 +646,24 @@ def test_split_builder_matches_reference_across_sample_chunks(monkeypatch, n, sa
 _ORACLE_BLOCK_CELLS = 4096
 
 
-def _per_sample_dense_rho(sups):
-    """The dense builder that summed one product per sample in each block of rest rows and
-    copied the block transposed into the output, which one broadcast product over a chunk's
-    samples replaced; kept as its oracle."""
+def _per_sample_factors(sups):
+    """The half-chains of the per-sample oracle builder: rho_m as (samples, (i j), (rest rest'))
+    and R / samples as (samples, (a P b C), (i j))."""
     samples, n = sups.shape[:2]
-    rl, rr = 2 ** (n // 2), 2 ** (n - n // 2)
-    rows = max(1, _ORACLE_BLOCK_CELLS // (4 * rr * rr * rl))
+    rl = 2 ** (n // 2)
     left = protocol._chain(np.broadcast_to(protocol._RHO0, (samples, 1, 2, 2)), sups[:, :n // 2])
     left = left.reshape(-1, 2, rl, 2, rl).transpose(0, 1, 3, 2, 4).reshape(-1, 4, rl * rl)
     units = np.broadcast_to(protocol._SPIN_UNITS, (samples, 4, 2, 2))
     right = protocol._chain(units, sups[:, n // 2:])
-    right = right.reshape(samples, 4, -1).transpose(0, 2, 1) / samples
+    return left, right.reshape(samples, 4, -1).transpose(0, 2, 1) / samples
+
+
+def _per_sample_product(left, right):
+    """The dense builder that summed one complex product per sample in each block of rest rows
+    and copied the block transposed into the output, which one broadcast product over a
+    chunk's samples replaced; kept as its oracle."""
+    samples, rl, rr = len(left), math.isqrt(left.shape[-1]), math.isqrt(right.shape[1] // 4)
+    rows = max(1, _ORACLE_BLOCK_CELLS // (4 * rr * rr * rl))
     out = np.empty((2, rl, rr, 2, rl, rr), dtype=complex)
     for lo in range(0, rl, rows):
         cols = slice(lo * rl, (lo + rows) * rl)
@@ -640,14 +674,21 @@ def _per_sample_dense_rho(sups):
     return out.reshape(2 * rl * rr, 2 * rl * rr)
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 8, 9, 10])
-def test_folded_dense_builder_keeps_one_sample_reads_bit_identical(n):
-    # one sample's output cells are products of inner dimension 4 either way; the oracle
-    # spans several blocks at N = 8 to 10. At N = 2 entries that are zero up to rounding
-    # may differ in their last bits, so N = 2 is left to the reference comparisons
+@pytest.mark.parametrize("drift", [0.0, 0.7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 10])
+def test_real_dense_builder_matches_the_complex_product_within_its_rounding(n, drift):
+    # the real GEMMs and the oracle's complex ones sum the same terms in another order, so an
+    # entry may move by each side's dot-product rounding, at most 8 eps of sum |L| |R| for the
+    # 8 real terms of a part; that sum is the same product run on the factors' absolute values.
+    # A drift phase makes both factors complex, so the Li Ri terms are not negligible
     for kind in TargetKind:
-        st = run_protocol(preset("reference"), n, kind=kind)
-        assert np.array_equal(st.rho, _per_sample_dense_rho(st.superoperators))
+        st = run_protocol(preset("reference"), n, kind=kind, options=CycleOptions(drift_phase=drift))
+        left, right = _per_sample_factors(st.superoperators)
+        want = _per_sample_product(left, right)
+        tol = 2 * 8 * np.finfo(float).eps * _per_sample_product(np.abs(left), np.abs(right)).real
+        got = st.rho
+        assert np.all(np.abs(got.real - want.real) <= tol)
+        assert np.all(np.abs(got.imag - want.imag) <= tol)
 
 
 def _rho_peak(state):
