@@ -32,11 +32,13 @@ rest on each spin unit |i><j|. One broadcast product of the two writes it
 straight into its final layout; only the output is full size. The product
 is real, written into the output's float view: each output cell is one
 real GEMM, which the BLAS runs much faster than a complex one of these
-thin shapes.
+thin shapes. From N = 9 on its two spin halves are written on two
+threads, and no product is large enough for OpenBLAS to wake its own.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -60,6 +62,12 @@ PHOTON_CAP = 10
 # cells of the half-chain factors of a chunk of noise samples in a dense rho build, and of
 # the product that adds a block of rest rows of a later chunk
 _CHUNK_CELLS = 8192
+# OpenBLAS at two threads hands a complex GEMM of m*n*k >= 65536 to its worker, which then spins
+# on the second core for about 0.1 s; so a noisy state's (rows x 3)(3 x 64) weight product runs
+# in blocks of at most this many rows, as a half-chain round is at most (16 x 4)(4 x 256)
+_GEMM_ROWS = 256
+# output entries from which a dense rho writes its two spin halves on two threads (N >= 9)
+_SPLIT_ENTRIES = 2**20
 
 # spin state after initialization: R(pi/2) applied to spin-down
 _PSI0 = rotation_matrix(math.pi / 2.0) @ np.array([1.0, 0.0], dtype=complex)
@@ -136,7 +144,8 @@ class HybridState:
     fidelity target (``ideal_target``). The dense rho is built on first
     read and only up to PHOTON_CAP photons, written once in its final
     layout by one broadcast real product per chunk of samples, into the
-    float view of the complex output.
+    float view of the complex output; from N = 9 on, one per spin half, the
+    two halves on two threads.
     """
 
     superoperators: np.ndarray
@@ -170,12 +179,15 @@ def _spin_superoperator(cycle):
 
 def _chain(units, sups):
     """Rounds sups (samples, T, 16, 4) applied to each sample's units (samples, k, d, d); a round
-    appends its photon last and is one product of inner dimension 4 per sample."""
+    appends its photon last and is one (16 x 4)(4 x g r^2) product per sample and group of g
+    units: all k while k r^2 <= 256, else one, so no product reaches OpenBLAS's threading size."""
     for t in range(sups.shape[1]):
         samples, k, r = units.shape[0], units.shape[1], units.shape[2] // 2
-        x = units.reshape(samples, k, 2, r, 2, r).transpose(0, 2, 4, 1, 3, 5).reshape(samples, 4, -1)
-        y = (sups[:, t] @ x).reshape(samples, 2, 2, 2, 2, k, r, r)  # [a, p, b, c, unit, rest, rest']
-        units = y.transpose(0, 5, 1, 6, 2, 3, 7, 4).reshape(samples, k, 4 * r, 4 * r)
+        g = k if k * r * r <= 256 else 1
+        x = units.reshape(samples, k // g, g, 2, r, 2, r).transpose(0, 1, 3, 5, 2, 4, 6)
+        y = sups[:, t, None] @ x.reshape(samples, k // g, 4, -1)
+        y = y.reshape(samples, k // g, 2, 2, 2, 2, g, r, r)  # [a, p, b, c, unit, rest, rest']
+        units = y.transpose(0, 1, 6, 2, 7, 3, 4, 8, 5).reshape(samples, k, 4 * r, 4 * r)
     return units
 
 
@@ -189,7 +201,9 @@ def _dense_rho(sups):
     view: rho_m as [Re, Im] along the inner axis and R as [R; iR], viewed as float, make each
     cell one real GEMM whose interleaved (re, im) columns are Re = Lr Rr - Li Ri and
     Im = Lr Ri + Li Rr. A later chunk adds in a block of rest rows at a time. A chunk's factors
-    hold at most _CHUNK_CELLS cells, or one sample, and so does a block's product."""
+    hold at most _CHUNK_CELLS cells, or one sample, and so does a block's product. From
+    _SPLIT_ENTRIES output entries on (N >= 9) the spin half a = 1 is written on a helper thread
+    while the caller writes a = 0; below that a thread start costs more than it saves."""
     samples, n = sups.shape[:2]
     rl, rr = 2 ** (n // 2), 2 ** (n - n // 2)
     out = np.empty((2, rl, rr, 2, rl, rr), dtype=complex)  # [a, rest, P, b, rest', C]
@@ -205,13 +219,41 @@ def _dense_rho(sups):
         right = (right / samples).reshape(-1, 2, 1, rr, 2, rr).transpose(1, 2, 3, 4, 0, 5)
         both = np.empty((2, 1, rr, 2, 2 * right.shape[-2], rr), dtype=complex)
         right = np.concatenate([right, right * 1j], axis=-2, out=both).view(float)
-        if first:
-            for r in range(0, rl, rows):
-                flat[:, r:r + rows] += left[r:r + rows] @ right
-        else:
-            np.matmul(left, right, out=flat)
+
+        def write(a):  # the output's spin rows a, a slice of [a, rest, P, b, rest', (C re/im)]
+            if first:
+                for r in range(0, rl, rows):
+                    flat[a, r:r + rows] += left[r:r + rows] @ right[a]
+            else:
+                np.matmul(left, right[a], out=flat[a])
+
+        _both_spins(write, out.size >= _SPLIT_ENTRIES)
         del left, right, both  # before the next chunk's factors are built
     return out.reshape(2 * rl * rr, 2 * rl * rr)
+
+
+def _both_spins(write, split):
+    """write(a) for the slice a of both spin rows; with split, write(slice(1, 2)) runs on a helper
+    thread while the caller runs write(slice(0, 1)) (numpy's matmul releases the GIL), and an
+    error there is raised here once both have ended."""
+    if not split:
+        return write(slice(0, 2))
+    errors = []
+
+    def helper():
+        try:
+            write(slice(1, 2))
+        except BaseException as exc:  # raised in the caller below
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        write(slice(0, 1))
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def run_protocol_cycles(cycles):
@@ -337,7 +379,7 @@ def _noise_state(params, n, base, noise):
     ``_normalization`` of S0 and the equal-weight average is the
     success-weighted one. With c_t the round's factor, every sample's
     normalized superoperators are one product of the weights [c_t, c_t e^{iD},
-    c_t e^{-iD}] (samples * N, 3) with the split rows (3, 64).
+    c_t e^{-iD}] (samples * N, 3) with the split rows (3, 64), in blocks of rows.
     """
     parts, options, _ = _split_superoperators(params, base)
     scale, success, orth_mass = _normalization(params, base, n)
@@ -345,7 +387,11 @@ def _noise_state(params, n, base, noise):
     weights = np.stack([np.broadcast_to(scale, phase.shape), phase, phase.conj()], axis=-1)
     # a spare zero row: numpy hands a one-row product to gemv, whose bits differ from a GEMM
     # row's, and one sample of one round must stay the first sample of a longer run
-    rows = np.concatenate([weights.reshape(-1, 3), np.zeros((1, 3))]) @ parts
+    weights = np.concatenate([weights.reshape(-1, 3), np.zeros((1, 3))])
+    # in blocks of _GEMM_ROWS rows, with one product's bits; a one-row last block is the spare row
+    rows = np.empty((len(weights), 64), dtype=complex)
+    for lo in range(0, len(weights), _GEMM_ROWS):
+        np.matmul(weights[lo:lo + _GEMM_ROWS], parts, out=rows[lo:lo + _GEMM_ROWS])
     return HybridState(rows[:-1].reshape(noise.sample_count, n, 16, 4), success, orth_mass)
 
 

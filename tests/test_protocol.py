@@ -1,5 +1,9 @@
 import gc
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -257,6 +261,17 @@ def test_branching_only_matches_first_order():
             assert infid == pytest.approx(first_order, rel=0.15)
 
 
+def test_branching_only_matches_its_ghz_closed_form():
+    # the exact GHZ infidelity of branching B alone, 1 - F = (2N - 1) / (4(B + 1) + 2N): the
+    # first-order budget's numerator over a denominator that grows with N
+    for b in (0.5, 1.0, 3.0, 10.0, 49.0, 200.0, 1e4):
+        cm = build_cycle_map(betas_from_branching(b))
+        for n in (1, 2, 3, 7, 50, 300, 1000):
+            f = conditional_fidelity(run_protocol(cm, n), ideal_target(n, TargetKind.GHZ))
+            exact = 1.0 - (2.0 * n - 1.0) / (4.0 * (b + 1.0) + 2.0 * n)
+            assert f == pytest.approx(exact, rel=1e-12, abs=0.0), (b, n)
+
+
 def test_capacity_cap():
     # the cap applies where a dense object is built, not to the run itself
     st = run_protocol(ideal_cycle_map(), PHOTON_CAP + 1)
@@ -330,6 +345,23 @@ def test_fewer_samples_are_a_prefix_of_more(drift):
         }
         for k in (1, 5):
             assert np.array_equal(runs[k].superoperators, runs[12].superoperators[:k]), (n, k)
+
+
+@pytest.mark.parametrize("n, samples", [(3, 84), (3, 85), (3, 86), (4, 64), (4, 1000)])
+def test_blocked_weight_product_matches_one_gemm(n, samples):
+    # S * N + 1 rows of weights: 253, 256 and 259 sit around the first block boundary, 257 leave
+    # the spare row alone in the last block, and 4001 take 16 blocks; each row's bits are those
+    # of one product over all rows
+    p = preset("reference")
+    noise = NoiseConfig(0.3, drift_diffusion_from_t2(150.0, p.t_cycle), sample_count=samples)
+    base = protocol._check_run(p, n, TargetKind.GHZ, noise, None)[1]
+    parts, options, _ = protocol._split_superoperators(p, base)
+    scale = protocol._normalization(p, base, n)[0]
+    phase = scale * protocol._noise_phases(p, n, options, noise)
+    w = np.stack([np.broadcast_to(scale, phase.shape), phase, phase.conj()], axis=-1)
+    want = np.concatenate([w.reshape(-1, 3), np.zeros((1, 3))]) @ parts
+    got = run_protocol(p, n, noise=noise).superoperators
+    assert got.tobytes() == want[:-1].tobytes()
 
 
 def test_drift_leaves_the_shifts_alone(monkeypatch):
@@ -719,6 +751,77 @@ def test_dense_rho_peak_memory_of_many_drift_samples():
     )
     peak, _ = _rho_peak(run_protocol(p, 4, noise=noise))
     assert peak < 512 * 1024
+
+
+@pytest.mark.parametrize("n, samples", [(4, 100), (9, 2)])
+def test_two_thread_dense_rho_matches_one_thread(monkeypatch, n, samples):
+    # the spin halves of the output written on two threads or one, for one chunk of samples and
+    # for later chunks added a block of rows at a time
+    p = preset("reference")
+    noise = NoiseConfig(0.3, drift_diffusion_from_t2(150.0, p.t_cycle), sample_count=samples)
+    sups = run_protocol(p, n, noise=noise).superoperators
+    rhos = []
+    for entries in (0, 2**62):
+        monkeypatch.setattr(protocol, "_SPLIT_ENTRIES", entries)
+        rhos.append(protocol._dense_rho(sups).tobytes())
+    assert rhos[0] == rhos[1]
+
+
+def test_dense_rho_split_raises_the_helper_threads_error():
+    def write(a):
+        if a.start == 1:
+            raise MemoryError("spin row 1")
+        done.append(a)
+
+    done = []
+    with pytest.raises(MemoryError, match="spin row 1"):
+        protocol._both_spins(write, True)
+    assert done == [slice(0, 1)]
+
+
+def _blas_worker_times():
+    """CPU time in ns of each native thread of this process that is not a Python thread (the
+    BLAS's worker threads), by thread id, from /proc/self/task/<tid>/schedstat."""
+    python = {t.native_id for t in threading.enumerate()}
+    times = {}
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) not in python:
+            try:
+                with open(f"/proc/self/task/{tid}/schedstat") as f:
+                    times[tid] = int(f.read().split()[0])
+            except (FileNotFoundError, ProcessLookupError):  # a thread that has just ended
+                pass
+    return times
+
+
+def _worker_growth(before, after):
+    return sum(after[tid] - before[tid] for tid in before.keys() & after.keys())
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_gated_products_leave_the_blas_worker_idle():
+    # OpenBLAS hands a complex GEMM of m * n * k >= 65536 to its worker thread, which then spins
+    # on the second core for about 0.1 s; the dense reads, a drift state and a noise average
+    # must keep every product below that, or a two-thread dense read loses its second core
+    if not _blas_worker_times():
+        pytest.skip("no BLAS worker thread")
+    p = preset("reference")
+    drift = NoiseConfig(0.3, drift_diffusion_from_t2(150.0, p.t_cycle), sample_count=100)
+    for _ in range(50):  # until a worker woken by an earlier test has gone back to sleep
+        before = _blas_worker_times()
+        time.sleep(0.02)
+        if not _worker_growth(before, _blas_worker_times()):
+            break
+    before = _blas_worker_times()
+    for n in (9, 10):
+        run_protocol(p, n).rho
+    st = run_protocol(p, 4, noise=drift)
+    st.rho
+    conditional_fidelity(st, ideal_target(4, TargetKind.GHZ))
+    overhauser_average(p, 4, TargetKind.GHZ, NoiseConfig(0.3, sample_count=40),
+                       options=CycleOptions(echo=False))
+    time.sleep(0.02)
+    assert _worker_growth(before, _blas_worker_times()) == 0
 
 
 def test_in_place_sample_sum_leaves_the_initial_spin_state_alone():
