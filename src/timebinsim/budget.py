@@ -10,6 +10,15 @@ three non-negative terms:
 The same expression applies to both target-state kinds. The branching entry
 groups the two B-dependent contributions of the underlying expansion so the
 three terms sum exactly to the total.
+
+Validity: each term is first order in its imperfection, and the branching
+term departs first as N grows. With branching alone, the GHZ infidelity of
+the protocol is exactly (2N - 1) / (4 (B + 1) + 2N), pinned against
+``conditional_fidelity`` by ``test_branching_only_matches_its_ghz_closed_form``.
+So e_br = (2N - 1) / (4 (B + 1)) is too high by the factor 1 + N / (2 (B + 1)),
+which passes 10 % at N = (B + 1) / 5: about N = 3 for the ``reference``
+preset (B = 15) and N = 28 for ``improved`` (B = 140). The protocol is the
+sequential emitter of Lindner & Rudolph, PRL 103, 113602 (2009).
 """
 from __future__ import annotations
 
@@ -38,12 +47,18 @@ class InfidelityBudget:
 
 def infidelity_first_order(params, n_photons):
     """First-order conditional infidelity budget for an N-photon state."""
+    return InfidelityBudget(*_first_order_terms(params, n_photons, params.delta))
+
+
+def _first_order_terms(params, n_photons, delta):
+    """e_ph, e_exc and e_br of ``infidelity_first_order`` at the detuning ``delta`` in
+    place of ``params.delta``. ``delta`` may be an array, and e_exc then has its shape."""
     n = _whole("n_photons", n_photons, 1)
     ind = indistinguishability(params.gamma, params.gamma_d)
     e_ph = n * (1.0 - ind) / 2.0
-    e_exc = n * EXC_COEFFICIENT * params.gamma / params.delta
+    e_exc = n * EXC_COEFFICIENT * params.gamma / delta
     e_br = n / (2.0 * (params.branching + 1.0)) - 1.0 / (4.0 * (params.branching + 1.0))
-    return InfidelityBudget(e_ph=e_ph, e_exc=e_exc, e_br=e_br)
+    return e_ph, e_exc, e_br
 
 
 def per_qubit_infidelity(params):

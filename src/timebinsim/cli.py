@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .budget import generation_rate, infidelity_first_order
+from .budget import InfidelityBudget, _first_order_terms, generation_rate, infidelity_first_order
 from .cyclemap import CycleOptions
 from .dynamics import LevelSystem, optimize_pulse_duration
 from .params import (
@@ -279,25 +279,50 @@ def scenario_detuning_sweep(opts):
     The sweep axis is ``delta`` (GHz, converted to rad/ns) or ``b_field``
     (Tesla, converted through the Zeeman splitting). One row per
     (n_g, sweep point, photon number); the asymptote column is the
-    infinite-detuning limit e_ph + e_br.
+    infinite-detuning limit e_ph + e_br. Each (n_g, photon number) takes the
+    budget of the whole axis as one array.
     """
     base = _physics(opts)
     sweep = SweepAxis(*(opts[key] for key in _SWEEP))
+    values = sweep.values()
     rows = []
-    for n_g in opts["n_g_list"]:
+    for i, n_g in enumerate(opts["n_g_list"]):
         p_ng = _with_indistinguishability(replace(base, n_g=n_g), gamma_of_group_index(n_g).value)
-        for value in sweep.values():
-            delta = (2.0 * math.pi * float(value) if sweep.name == "delta"
-                     else zeeman_detuning(base.g_factor, float(value)))
-            p = replace(p_ng, delta=delta, b_field=float(value) if sweep.name == "b_field" else base.b_field)
-            for n in opts["photons"]:
-                b = infidelity_first_order(p, n)
-                rows.append({
-                    "n_g": n_g, sweep.name: float(value), "delta_rad_ns": delta, "n_photons": n,
-                    "e_ph": b.e_ph, "e_exc": b.e_exc, "e_br": b.e_br,
-                    "total_first_order": b.total, "asymptote": b.e_ph + b.e_br,
-                })
+        if i == 0:  # after the first group's params, where a loop over points meets the axis
+            deltas = _sweep_detunings(p_ng, sweep.name, values)
+        budgets = [_axis_budget(p_ng, n, deltas) for n in opts["photons"]]
+        for j, (value, delta) in enumerate(zip(values.tolist(), deltas.tolist())):
+            rows += ({"n_g": n_g, sweep.name: value, "delta_rad_ns": delta, "n_photons": n,
+                      "e_ph": e_ph, "e_exc": e_exc[j], "e_br": e_br,
+                      "total_first_order": total[j], "asymptote": asymptote}
+                     for n, e_ph, e_exc, e_br, total, asymptote in budgets)
     return rows
+
+
+# an overflow gives inf without a warning, as in Python floats
+_FLOAT_OVERFLOW = np.errstate(over="ignore")
+
+
+@_FLOAT_OVERFLOW
+def _sweep_detunings(params, name, values):
+    """The detuning of every point of an ascending ``name`` axis, refused as PhysicalParams
+    would refuse its first bad point: a too-low point is the first, an overflow the last."""
+    if name == "delta":
+        deltas = 2.0 * math.pi * values
+    else:
+        deltas = np.array([zeeman_detuning(params.g_factor, b) for b in values.tolist()])
+    for k in (0, -1):
+        b_field = float(values[k]) if name == "b_field" else params.b_field
+        replace(params, delta=float(deltas[k]), b_field=b_field)
+    return deltas
+
+
+@_FLOAT_OVERFLOW
+def _axis_budget(params, n, deltas):
+    """N, e_ph, e_exc, e_br, total and asymptote of the N-photon budget at every detuning
+    of ``deltas``; the e_exc and total of the points as lists."""
+    b = InfidelityBudget(*_first_order_terms(params, n, deltas))
+    return n, b.e_ph, b.e_exc.tolist(), b.e_br, b.total.tolist(), b.e_ph + b.e_br
 
 
 def scenario_photon_scaling(opts):
@@ -436,10 +461,19 @@ def run_scenario(config):
     return SCENARIOS[config.scenario][0](_resolve(config))
 
 
-def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
+def _fmt(*values):
+    """``values`` as CSV text, comma-separated, in one %-format call: a float (numpy's too) as
+    ``f"{v:.12g}"``, a bool as true or false and anything else as ``str(v)``."""
+    types = tuple(map(type, values))
+    if bool in types:
+        values = tuple(("true" if v else "false") if type(v) is bool else v for v in values)
+    return _template(types) % values
+
+
+@functools.cache
+def _template(types):
+    """The %-template of ``_fmt`` for values of ``types``."""
+    return ",".join("%.12g" if issubclass(t, float) else "%s" for t in types)
 
 
 def _config_echo(config):
@@ -470,8 +504,7 @@ def write_result(rows, config, path):
         fh.write(f"# scenario={config.scenario} seed={config.rng_seed} version={__version__}\n")
         fh.write(f"# config={meta}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+        fh.write("".join(_fmt(*map(row.__getitem__, columns)) + "\n" for row in rows))
     manifest = {
         "version": __version__,
         "config": echo,

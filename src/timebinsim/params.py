@@ -62,9 +62,18 @@ def _real(*checks, error=ParamError):
         raise error("; ".join(problems))
 
 
+@lru_cache(maxsize=None)
+def _class_bounds(cls):
+    """``cls._BOUNDS`` resolved once: a ``(name, low, high)`` tuple per field."""
+    return tuple((name, *_interval(interval)) for name, interval in cls._BOUNDS.items())
+
+
 def _real_fields(obj, error=ParamError):
-    """``_real`` on the attributes that ``type(obj)._BOUNDS`` maps to intervals."""
-    _real(*((n, getattr(obj, n), iv) for n, iv in type(obj)._BOUNDS.items()), error=error)
+    """``_real`` on the attributes that ``type(obj)._BOUNDS`` maps to intervals; the
+    class's bounds are resolved once, and the first bad field hands all of them to ``_real``."""
+    for name, low, high in _class_bounds(type(obj)):
+        if not low <= getattr(obj, name) <= high:
+            _real(*((n, getattr(obj, n), iv) for n, iv in type(obj)._BOUNDS.items()), error=error)
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,8 @@ _CHUNK_CELLS = 8192
 # on the second core for about 0.1 s; so a noisy state's (rows x 3)(3 x 64) weight product runs
 # in blocks of at most this many rows, as a half-chain round is at most (16 x 4)(4 x 256)
 _GEMM_ROWS = 256
+# the noise averages' round products run in row blocks of m*n*k below that size (_gemm_rows)
+_GEMM_CELLS = 65536
 # output entries from which a dense rho writes its two spin halves on two threads (N >= 9)
 _SPLIT_ENTRIES = 2**20
 
@@ -457,7 +459,8 @@ def _overlaps(state, target):
     The environment E[(i j), (k l)] is rho_s's spin block (i j) against the
     conjugate of rho_target's (k l), with every photon emitted so far traced
     pairwise. A round applies S_t to (i j) and conj(T_t) to (k l) and traces
-    the new photon pair; the spins are traced pairwise at the end.
+    the new photon pair, the latter by ``_gemm_rows`` (in row blocks from 256
+    samples); the spins are traced pairwise at the end.
     """
     if not isinstance(target, HybridState):
         raise ParamError(
@@ -480,8 +483,22 @@ def _overlaps(state, target):
     tgt = tgt.reshape(n, 4, 16).transpose(0, 2, 1)
     env = np.broadcast_to(np.outer(_RHO0, _RHO0.conj()), (samples, 4, 4))
     for t in range(n):
-        env = ((sups[:, t] @ env).reshape(samples * 4, 16) @ tgt[t]).reshape(samples, 4, 4)
+        env = _gemm_rows((sups[:, t] @ env).reshape(samples * 4, 16), tgt[t]).reshape(samples, 4, 4)
     return np.trace(env, axis1=1, axis2=2).real
+
+
+def _gemm_rows(a, b):
+    """``a @ b`` for a 2-D ``a``, in nearly equal blocks of rows, each with m*n*k below
+    ``_GEMM_CELLS``. No block has one row, which numpy would hand to gemv, so every row has
+    the bits of one product; an ``a`` that fits is one product."""
+    blocks = -(-len(a) // ((_GEMM_CELLS - 1) // b.size))
+    if blocks <= 1:
+        return a @ b
+    out = np.empty((len(a), b.shape[1]), dtype=np.result_type(a, b))
+    edges = [len(a) * i // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
 
 
 def _generator_codes(n_photons, kind):
@@ -586,8 +603,9 @@ def overhauser_average(params, n_photons, kind, noise, options=None):
     fidelity is the overlap ``_overlaps`` takes of that state with
     ``ideal_target``, but no state is built: every sample's environment is a
     row of one (samples, 16) array, and a round is one product with the
-    cached ``_split_transfer`` and one batched (1 x 3)(3 x 16) product of
-    each sample's phase weights [1, e^{iD}, e^{-iD}] with its three blocks.
+    cached ``_split_transfer`` (by ``_gemm_rows``, in row blocks from 86
+    samples) and one batched (1 x 3)(3 x 16) product of each sample's phase
+    weights [1, e^{iD}, e^{-iD}] with its three blocks.
     """
     noise = NoiseConfig(0.0) if noise is None else noise  # so a fixed CycleMap is refused
     n, base = _check_run(params, n_photons, kind, noise, options)
@@ -597,7 +615,7 @@ def overhauser_average(params, n_photons, kind, noise, options=None):
     weights = np.stack([np.ones_like(phase), phase, phase.conj()], axis=-1)[:, :, None]
     env = np.outer(_RHO0, _RHO0.conj()).reshape(1, 16)
     for t in range(n):
-        env = (weights[t] @ (env @ transfer[t]).reshape(-1, 3, 16)).reshape(-1, 16)
+        env = (weights[t] @ _gemm_rows(env, transfer[t]).reshape(-1, 3, 16)).reshape(-1, 16)
     fids = env[:, ::5].sum(axis=1).real  # the trace of E
     std_err = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
     return {"mean_fidelity": float(fids.mean()), "std_error": std_err}

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,7 +30,9 @@ from timebinsim.cli import (
     run_scenario,
     write_result,
 )
-from timebinsim.waveguide import synthetic_w1_mode
+from timebinsim.budget import infidelity_first_order
+from timebinsim.params import zeeman_detuning
+from timebinsim.waveguide import gamma_of_group_index, synthetic_w1_mode
 
 
 def test_sweep_axis_validation():
@@ -178,6 +181,96 @@ def test_detuning_sweep_rejects_bad_axis():
                 "sweep_points": 3,
             }
         )
+
+
+def _sweep_rows_point_by_point(config):
+    """A detuning sweep's rows from one PhysicalParams and one budget per point."""
+    opts = cli._resolve(config)
+    base, sweep = cli._physics(opts), config.sweep
+    rows = []
+    for n_g in opts["n_g_list"]:
+        p_ng = cli._with_indistinguishability(replace(base, n_g=n_g),
+                                              gamma_of_group_index(n_g).value)
+        for value in sweep.values():
+            delta = (2.0 * math.pi * float(value) if sweep.name == "delta"
+                     else zeeman_detuning(base.g_factor, float(value)))
+            b_field = float(value) if sweep.name == "b_field" else base.b_field
+            p = replace(p_ng, delta=delta, b_field=b_field)
+            for n in opts["photons"]:
+                b = infidelity_first_order(p, n)
+                rows.append({
+                    "n_g": n_g, sweep.name: float(value), "delta_rad_ns": delta, "n_photons": n,
+                    "e_ph": b.e_ph, "e_exc": b.e_exc, "e_br": b.e_br,
+                    "total_first_order": b.total, "asymptote": b.e_ph + b.e_br,
+                })
+    return rows
+
+
+@pytest.mark.parametrize("scale", ["linear", "log"])
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"sweep_name": "delta", "sweep_min": 4, "sweep_max": 64, "sweep_points": 16},
+        {"sweep_name": "delta", "sweep_min": 1e-3, "sweep_max": 1e5, "sweep_points": 41,
+         "preset": "improved", "photons": (1, 7, 40), "n_g_list": (20, 33.3, 56)},
+        {"sweep_name": "b_field", "sweep_min": 0.05, "sweep_max": 9, "sweep_points": 23},
+        {"sweep_name": "b_field", "sweep_min": 0.5, "sweep_max": 3, "sweep_points": 5,
+         "param.g_factor": 1.7, "param.gamma_d": 0.3, "n_g_list": (21.5, 50)},
+    ],
+    ids=["delta", "delta-wide", "b_field", "b_field-overrides"],
+)
+def test_detuning_sweep_rows_match_a_point_by_point_budget(raw, scale):
+    # the whole axis as one array per (n_g, N) takes the same IEEE steps as one budget per point
+    config = build_config(dict(raw, scenario="detuning_sweep", sweep_scale=scale))
+    got, want = run_scenario(config), _sweep_rows_point_by_point(config)
+    assert [list(r) for r in got] == [list(r) for r in want]
+    hexed = [[float(v).hex() for v in r.values()] for r in want]
+    assert [[float(v).hex() for v in r.values()] for r in got] == hexed
+    assert all(type(v) in (float, int) for r in got for v in r.values())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sweep_name = b_field\nsweep_min = 0\nsweep_max = 2\nsweep_points = 5\n",
+         "delta must be finite and in (0, inf), got 0.0"),
+        ("sweep_name = delta\nsweep_min = -3\nsweep_max = 2\nsweep_points = 5\n",
+         "delta must be finite and in (0, inf), got -18.84955592153876"),
+        ("sweep_name = b_field\nsweep_min = -1\nsweep_max = 2\nsweep_points = 5\n",
+         "b_field must be finite and in [0, inf), got -1.0"),
+        ("sweep_name = delta\nsweep_min = 1\nsweep_max = 1e308\nsweep_points = 5\n",
+         "delta must be finite and in (0, inf), got inf"),
+        ("sweep_name = b_field\nsweep_min = 1\nsweep_max = 1e307\nsweep_points = 5\n",
+         "delta must be finite and in (0, inf), got inf"),
+    ],
+    ids=["b_field-from-zero", "negative-delta", "negative-b_field", "delta-overflow",
+         "b_field-overflow"],
+)
+def test_detuning_sweep_refuses_its_first_bad_point(tmp_path, capsys, text, message):
+    # as PhysicalParams refuses the first bad point of the axis, before any row is written
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = main(["detuning_sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: ParamError: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_row_writer_formats_as_the_per_value_formatter(tmp_path):
+    def per_value(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+    values = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300, 0.1, np.float64(2.0 / 3.0),
+              7, np.int64(-12), True, False]
+    rows = [{f"c{i}": v for i, v in enumerate(values)},
+            {f"c{i}": v for i, v in enumerate(reversed(values))}]
+    out = tmp_path / "out.csv"
+    write_result(rows, build_config({}, scenario="echo_demo"), out)
+    lines = out.read_text().splitlines()[3:]
+    assert lines == [",".join(per_value(v) for v in r.values()) for r in rows]
+    assert [cli._fmt(v) for v in values] == [per_value(v) for v in values]
 
 
 def test_photon_scaling_ideal_numeric():

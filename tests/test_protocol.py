@@ -1,12 +1,14 @@
 import gc
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +364,31 @@ def test_blocked_weight_product_matches_one_gemm(n, samples):
     want = np.concatenate([w.reshape(-1, 3), np.zeros((1, 3))]) @ parts
     got = run_protocol(p, n, noise=noise).superoperators
     assert got.tobytes() == want[:-1].tobytes()
+
+
+ROW_BLOCK_PROBE = """
+import numpy as np
+from timebinsim import protocol
+# the noise averages' round products: (S x 16)(16 x 48) and (4S x 16)(16 x 4)
+for rows, cols in [(2, 48), (85, 48), (86, 48), (171, 48), (10000, 48),
+                   (1020, 4), (1024, 4), (1025, 4), (4001, 4)]:
+    rng = np.random.default_rng(rows)
+    a = rng.standard_normal((rows, 16)) + 1j * rng.standard_normal((rows, 16))
+    b = rng.standard_normal((16, cols)) + 1j * rng.standard_normal((16, cols))
+    assert protocol._gemm_rows(a, b).tobytes() == (a @ b).tobytes(), (rows, cols)
+"""
+
+
+def test_row_blocked_product_matches_one_gemm():
+    # one product up to m*n*k < 65536, else nearly equal blocks of at least two rows; each row
+    # has the bits of one GEMM over all rows, taken on one BLAS thread in a fresh process
+    src = str(Path(protocol.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+               OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", ROW_BLOCK_PROBE], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_drift_leaves_the_shifts_alone(monkeypatch):
@@ -818,8 +845,12 @@ def test_gated_products_leave_the_blas_worker_idle():
     st = run_protocol(p, 4, noise=drift)
     st.rho
     conditional_fidelity(st, ideal_target(4, TargetKind.GHZ))
-    overhauser_average(p, 4, TargetKind.GHZ, NoiseConfig(0.3, sample_count=40),
-                       options=CycleOptions(echo=False))
+    for samples in (40, 86, 10000):  # from 86 samples the rounds run in row blocks
+        overhauser_average(p, 4, TargetKind.GHZ, NoiseConfig(0.3, sample_count=samples),
+                           options=CycleOptions(echo=False))
+    # from 256 samples the environment's (4S x 16)(16 x 4) product runs in row blocks
+    noisy = run_protocol(p, 4, noise=NoiseConfig(0.3, sample_count=256))
+    conditional_fidelity(noisy, ideal_target(4, TargetKind.GHZ))
     time.sleep(0.02)
     assert _worker_growth(before, _blas_worker_times()) == 0
 
