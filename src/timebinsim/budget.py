@@ -45,20 +45,18 @@ class InfidelityBudget:
         return self.e_ph + self.e_exc + self.e_br
 
 
-def infidelity_first_order(params, n_photons):
-    """First-order conditional infidelity budget for an N-photon state."""
-    return InfidelityBudget(*_first_order_terms(params, n_photons, params.delta))
+def infidelity_first_order(params, n_photons, delta=None):
+    """First-order conditional infidelity budget for an N-photon state.
 
-
-def _first_order_terms(params, n_photons, delta):
-    """e_ph, e_exc and e_br of ``infidelity_first_order`` at the detuning ``delta`` in
-    place of ``params.delta``. ``delta`` may be an array, and e_exc then has its shape."""
+    ``delta`` (rad/ns) replaces ``params.delta`` unchecked; an array of
+    detunings gives ``e_exc`` and ``total`` its shape, one entry per detuning.
+    """
     n = _whole("n_photons", n_photons, 1)
     ind = indistinguishability(params.gamma, params.gamma_d)
     e_ph = n * (1.0 - ind) / 2.0
-    e_exc = n * EXC_COEFFICIENT * params.gamma / delta
+    e_exc = n * EXC_COEFFICIENT * params.gamma / (params.delta if delta is None else delta)
     e_br = n / (2.0 * (params.branching + 1.0)) - 1.0 / (4.0 * (params.branching + 1.0))
-    return e_ph, e_exc, e_br
+    return InfidelityBudget(e_ph=e_ph, e_exc=e_exc, e_br=e_br)
 
 
 def per_qubit_infidelity(params):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .budget import InfidelityBudget, _first_order_terms, generation_rate, infidelity_first_order
+from .budget import generation_rate, infidelity_first_order
 from .cyclemap import CycleOptions
 from .dynamics import LevelSystem, optimize_pulse_duration
 from .params import (
@@ -286,24 +286,21 @@ def scenario_detuning_sweep(opts):
     sweep = SweepAxis(*(opts[key] for key in _SWEEP))
     values = sweep.values()
     rows = []
-    for i, n_g in enumerate(opts["n_g_list"]):
-        p_ng = _with_indistinguishability(replace(base, n_g=n_g), gamma_of_group_index(n_g).value)
-        if i == 0:  # after the first group's params, where a loop over points meets the axis
-            deltas = _sweep_detunings(p_ng, sweep.name, values)
-        budgets = [_axis_budget(p_ng, n, deltas) for n in opts["photons"]]
-        for j, (value, delta) in enumerate(zip(values.tolist(), deltas.tolist())):
-            rows += ({"n_g": n_g, sweep.name: value, "delta_rad_ns": delta, "n_photons": n,
-                      "e_ph": e_ph, "e_exc": e_exc[j], "e_br": e_br,
-                      "total_first_order": total[j], "asymptote": asymptote}
-                     for n, e_ph, e_exc, e_br, total, asymptote in budgets)
+    with np.errstate(over="ignore"):  # an overflow gives inf without a warning, as in Python floats
+        for i, n_g in enumerate(opts["n_g_list"]):
+            p_ng = _with_indistinguishability(replace(base, n_g=n_g), gamma_of_group_index(n_g).value)
+            if i == 0:  # after the first group's params, where a loop over points meets the axis
+                deltas = _sweep_detunings(p_ng, sweep.name, values)
+            budgets = [infidelity_first_order(p_ng, n, deltas) for n in opts["photons"]]
+            points = [(b.e_exc.tolist(), b.total.tolist()) for b in budgets]
+            for j, (value, delta) in enumerate(zip(values.tolist(), deltas.tolist())):
+                rows += ({"n_g": n_g, sweep.name: value, "delta_rad_ns": delta, "n_photons": n,
+                          "e_ph": b.e_ph, "e_exc": e_exc[j], "e_br": b.e_br,
+                          "total_first_order": total[j], "asymptote": b.e_ph + b.e_br}
+                         for n, b, (e_exc, total) in zip(opts["photons"], budgets, points))
     return rows
 
 
-# an overflow gives inf without a warning, as in Python floats
-_FLOAT_OVERFLOW = np.errstate(over="ignore")
-
-
-@_FLOAT_OVERFLOW
 def _sweep_detunings(params, name, values):
     """The detuning of every point of an ascending ``name`` axis, refused as PhysicalParams
     would refuse its first bad point: a too-low point is the first, an overflow the last."""
@@ -315,14 +312,6 @@ def _sweep_detunings(params, name, values):
         b_field = float(values[k]) if name == "b_field" else params.b_field
         replace(params, delta=float(deltas[k]), b_field=b_field)
     return deltas
-
-
-@_FLOAT_OVERFLOW
-def _axis_budget(params, n, deltas):
-    """N, e_ph, e_exc, e_br, total and asymptote of the N-photon budget at every detuning
-    of ``deltas``; the e_exc and total of the points as lists."""
-    b = InfidelityBudget(*_first_order_terms(params, n, deltas))
-    return n, b.e_ph, b.e_exc.tolist(), b.e_br, b.total.tolist(), b.e_ph + b.e_br
 
 
 def scenario_photon_scaling(opts):

@@ -63,10 +63,8 @@ PHOTON_CAP = 10
 # the product that adds a block of rest rows of a later chunk
 _CHUNK_CELLS = 8192
 # OpenBLAS at two threads hands a complex GEMM of m*n*k >= 65536 to its worker, which then spins
-# on the second core for about 0.1 s; so a noisy state's (rows x 3)(3 x 64) weight product runs
-# in blocks of at most this many rows, as a half-chain round is at most (16 x 4)(4 x 256)
-_GEMM_ROWS = 256
-# the noise averages' round products run in row blocks of m*n*k below that size (_gemm_rows)
+# on the second core for about 0.1 s; so a half-chain round is at most (16 x 4)(4 x 256), and
+# the noise products over samples run in row blocks below this size (_gemm_rows)
 _GEMM_CELLS = 65536
 # output entries from which a dense rho writes its two spin halves on two threads (N >= 9)
 _SPLIT_ENTRIES = 2**20
@@ -381,7 +379,7 @@ def _noise_state(params, n, base, noise):
     ``_normalization`` of S0 and the equal-weight average is the
     success-weighted one. With c_t the round's factor, every sample's
     normalized superoperators are one product of the weights [c_t, c_t e^{iD},
-    c_t e^{-iD}] (samples * N, 3) with the split rows (3, 64), in blocks of rows.
+    c_t e^{-iD}] (samples * N, 3) with the split rows (3, 64), by ``_gemm_rows``.
     """
     parts, options, _ = _split_superoperators(params, base)
     scale, success, orth_mass = _normalization(params, base, n)
@@ -390,10 +388,7 @@ def _noise_state(params, n, base, noise):
     # a spare zero row: numpy hands a one-row product to gemv, whose bits differ from a GEMM
     # row's, and one sample of one round must stay the first sample of a longer run
     weights = np.concatenate([weights.reshape(-1, 3), np.zeros((1, 3))])
-    # in blocks of _GEMM_ROWS rows, with one product's bits; a one-row last block is the spare row
-    rows = np.empty((len(weights), 64), dtype=complex)
-    for lo in range(0, len(weights), _GEMM_ROWS):
-        np.matmul(weights[lo:lo + _GEMM_ROWS], parts, out=rows[lo:lo + _GEMM_ROWS])
+    rows = _gemm_rows(weights, parts)
     return HybridState(rows[:-1].reshape(noise.sample_count, n, 16, 4), success, orth_mass)
 
 
@@ -489,15 +484,17 @@ def _overlaps(state, target):
 
 def _gemm_rows(a, b):
     """``a @ b`` for a 2-D ``a``, in nearly equal blocks of rows, each with m*n*k below
-    ``_GEMM_CELLS``. No block has one row, which numpy would hand to gemv, so every row has
-    the bits of one product; an ``a`` that fits is one product."""
-    blocks = -(-len(a) // ((_GEMM_CELLS - 1) // b.size))
+    ``_GEMM_CELLS``: the blocks of q + 1 rows, then those of q, as two stacked products, which
+    numpy runs one GEMM per block. q is at least 2, as numpy hands a one-row product to gemv,
+    so every row has the bits of one product; an ``a`` that fits is one product."""
+    m, blocks = len(a), -(-len(a) // ((_GEMM_CELLS - 1) // b.size))
     if blocks <= 1:
         return a @ b
-    out = np.empty((len(a), b.shape[1]), dtype=np.result_type(a, b))
-    edges = [len(a) * i // blocks for i in range(blocks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    out = np.empty((m, b.shape[1]), dtype=np.result_type(a, b))
+    q, r = divmod(m, blocks)
+    for lo, hi, size in ((0, r * (q + 1), q + 1), (r * (q + 1), m, q)):
+        np.matmul(a[lo:hi].reshape(-1, size, a.shape[1]), b,
+                  out=out[lo:hi].reshape(-1, size, b.shape[1]))
     return out
 
 

@@ -349,11 +349,12 @@ def test_fewer_samples_are_a_prefix_of_more(drift):
             assert np.array_equal(runs[k].superoperators, runs[12].superoperators[:k]), (n, k)
 
 
-@pytest.mark.parametrize("n, samples", [(3, 84), (3, 85), (3, 86), (4, 64), (4, 1000)])
+@pytest.mark.parametrize("n, samples", [(3, 84), (3, 85), (3, 86), (4, 64), (4, 1000),
+                                        (4, 85), (1, 341), (4, 86)])
 def test_blocked_weight_product_matches_one_gemm(n, samples):
-    # S * N + 1 rows of weights: 253, 256 and 259 sit around the first block boundary, 257 leave
-    # the spare row alone in the last block, and 4001 take 16 blocks; each row's bits are those
-    # of one product over all rows
+    # S * N + 1 rows of weights: 253 to 259 and 341 are one product, 341 the largest below
+    # m*n*k = 65536; 342 and 345 take two blocks and 4001 twelve of 333 or 334 rows; each row's
+    # bits are those of one product over all rows
     p = preset("reference")
     noise = NoiseConfig(0.3, drift_diffusion_from_t2(150.0, p.t_cycle), sample_count=samples)
     base = protocol._check_run(p, n, TargetKind.GHZ, noise, None)[1]
