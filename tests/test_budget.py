@@ -1,6 +1,8 @@
 import inspect
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from timebinsim import budget
@@ -31,6 +33,19 @@ def test_first_order_terms_against_independent_arithmetic():
         n / (2.0 * (p.branching + 1.0)) - 1.0 / (4.0 * (p.branching + 1.0))
     )
     assert b.total == pytest.approx(b.e_ph + b.e_exc + b.e_br)
+
+
+def test_detuning_argument_takes_the_place_of_params_delta():
+    # a detuning array gives one e_exc and total per detuning, each with the bits of the
+    # budget of params that carry that detuning; e_ph and e_br do not depend on it
+    p = preset("reference")
+    deltas = np.array([0.5, 3.0, p.delta, 1e4])
+    b = infidelity_first_order(p, 4, deltas)
+    for k, d in enumerate(deltas.tolist()):
+        want = infidelity_first_order(replace(p, delta=d), 4)
+        assert (b.e_ph, b.e_br) == (want.e_ph, want.e_br)
+        assert b.e_exc[k].hex() == want.e_exc.hex() and b.total[k].hex() == want.total.hex()
+    assert infidelity_first_order(p, 4, p.delta) == infidelity_first_order(p, 4)
 
 
 def test_first_order_affine_in_n():
