@@ -175,9 +175,10 @@ class SweepAxis:
 
 @dataclass
 class ScenarioConfig:
-    """A scenario's configuration as given, checked on construction by ``_resolve``;
-    ``photons`` and ``overrides`` keep their cast values. ``options`` holds the
-    scenario's own keys. Change a config with ``dataclasses.replace``."""
+    """A scenario's configuration as given, checked on construction by ``_resolve``,
+    whose result the run and the manifest read; ``photons`` and ``overrides`` keep
+    their cast values. ``options`` holds the scenario's own keys. Change a config
+    with ``dataclasses.replace``, which resolves the new one."""
 
     scenario: str
     preset_name: str = _PHYSICS["preset"][1]
@@ -187,9 +188,10 @@ class ScenarioConfig:
     rng_seed: int = 0
     out: str | None = None
     options: dict = field(default_factory=dict)
+    _resolved: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        opts = _resolve(self)
+        self._resolved = opts = _resolve(self)
         self.photons = opts.get("photons", self.photons)
         self.overrides = opts.get("param.*", self.overrides)
 
@@ -447,7 +449,7 @@ def _resolve(config):
 
 def run_scenario(config):
     """Run a scenario; returns its rows, dicts keyed by column in column order."""
-    return SCENARIOS[config.scenario][0](_resolve(config))
+    return SCENARIOS[config.scenario][0](config._resolved)
 
 
 def _fmt(*values):
@@ -500,7 +502,7 @@ def write_result(rows, config, path):
         "columns": columns,
         "n_rows": len(rows),
         "csv": str(path),
-        "resolved": _resolve(config),
+        "resolved": config._resolved,
     }
     with open(f"{path}.manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         # an Enum option (kind) is written as its value

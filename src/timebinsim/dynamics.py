@@ -172,19 +172,26 @@ def _generator(system, carrier_detuning=0.0, jumps=True):
     ldl = sum(l.conj().T @ l for l in ls)
 
     def commutator(h):
-        return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        return -1j * (_kron(h, eye) - _kron(eye, h.T))
 
     n = N_LEVELS**2
     size = n + 2 if jumps else n
     g0 = np.zeros((size, size), dtype=complex)
     g1 = np.zeros((size, size), dtype=complex)
-    g0[:n, :n] = commutator(h0) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    g0[:n, :n] = commutator(h0) - 0.5 * (_kron(ldl, eye) + _kron(eye, ldl.T))
     g1[:n, :n] = commutator(h1)
     if jumps:
-        g0[:n, :n] += sum(np.kron(l, l.conj()) for l in ls)
+        g0[:n, :n] += sum(_kron(l, l.conj()) for l in ls)
         g0[n, TRION_DOWN * (N_LEVELS + 1)] = system.gamma
         g0[n + 1, TRION_UP * (N_LEVELS + 1)] = system.gamma
     return g0, g1
+
+
+def _kron(a, b):
+    """``np.kron`` of two matrices: the same products, as one broadcast multiply
+    without ``np.kron``'s Python overhead."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 # Entries of the row-major state that any pulse started from |0><0| or |1><1|

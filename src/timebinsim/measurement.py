@@ -7,8 +7,11 @@ phase basis X(phi), with Y = X(pi/2). Finite efficiency eta adds a
 no-click element (1 - eta) * identity to every setting.
 
 Readout statistics are arrays over the joint-outcome grid: POVM stacks are
-cached read-only per setting and efficiency, and each shot statistic is a
-per-qubit factor table multiplied over qubits, gathered by joint-outcome index.
+cached read-only per setting and efficiency, the all-click table read-only
+per settings tuple, and each shot statistic is a per-qubit factor table
+multiplied over qubits, gathered by joint-outcome index. The stabilizer
+diagnostic reads the multinomial counts of the stream that
+``sample_measurements`` draws and builds no shot order.
 """
 from __future__ import annotations
 
@@ -171,6 +174,17 @@ def sample_measurements(state, settings, shots, seed=0, eta=1.0):
     maximally mixed photon populations, as its photons still trigger the
     detectors. Returns a ShotRecords table. Deterministic for a fixed seed.
     """
+    outcomes, counts, rng = _counts(state, settings, shots, seed, eta)
+    combo = np.repeat(np.arange(len(outcomes)), counts)
+    # multinomial counts come grouped by outcome; shuffle the shot order so
+    # consecutive shots (and hence jackknife blocks) are exchangeable
+    rng.shuffle(combo)
+    return ShotRecords(settings=tuple(settings), outcomes=outcomes, combo=combo)
+
+
+def _counts(state, settings, shots, seed, eta):
+    """The shot count per joint outcome that ``sample_measurements`` draws:
+    (outcome tuples, multinomial counts, the generator that drew them)."""
     shots = _whole("shots", shots, 1, error=MeasurementError)
     seed = _whole("seed", seed, 0, error=MeasurementError)
     # both unnormalized: the draw below renormalizes, so rho is neither copied nor traced
@@ -179,11 +193,7 @@ def sample_measurements(state, settings, shots, seed=0, eta=1.0):
     if orth > 0.0:
         probs = probs + orth * _mixed_distribution(settings, eta)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    combo = np.repeat(np.arange(len(outcomes)), rng.multinomial(shots, probs / probs.sum()))
-    # multinomial counts come grouped by outcome; shuffle the shot order so
-    # consecutive shots (and hence jackknife blocks) are exchangeable
-    rng.shuffle(combo)
-    return ShotRecords(settings=tuple(settings), outcomes=outcomes, combo=combo)
+    return outcomes, rng.multinomial(shots, probs / probs.sum()), rng
 
 
 def _mixed_distribution(settings, eta):
@@ -276,9 +286,18 @@ def _table(settings, value):
     return _grid(factors)
 
 
+@lru_cache(maxsize=256)
+def _all_click(settings):
+    """Read-only bool table over the joint outcomes of the ``settings`` tuple:
+    true where every qubit clicked."""
+    keep = _table(settings, lambda q, o: o != NO_CLICK)
+    keep.flags.writeable = False
+    return keep
+
+
 def _all_click_values(records, table):
     """``table`` (one value per joint outcome) at each all-click shot, in shot order."""
-    keep = _table(records.settings, lambda q, o: o != NO_CLICK)
+    keep = _all_click(tuple(records.settings))
     return table.take(np.compress(keep.take(records.combo), records.combo))
 
 
@@ -309,7 +328,12 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
     Diagnostic cross-check of the exact ``stabilizer_expectations``: each
     generator is measured in its local eigenbasis (Z or X per qubit;
     identity factors are measured in Z and ignored) and the +-1 outcome
-    product is averaged over all-click shots.
+    product is averaged over all-click shots. Generator g reads the
+    multinomial counts that ``sample_measurements`` draws with seed
+    ``seed + g``; no shot order is built, as a mean does not read it, and
+    the +-1 sums are exact integers, so each estimate equals the all-click
+    mean of those records to the bit. The all-click table is cached per
+    setting.
     """
     if not isinstance(state, HybridState):
         raise MeasurementError(f"state must be a HybridState, got {type(state).__name__}")
@@ -318,14 +342,15 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
     estimates = []
     for g, (sign, codes) in enumerate(zip(signs, _generator_codes(n, kind))):
         # codes: 0 = I, 1 = X, 2 = Z (see protocol._generator_codes)
-        settings = [BasisSetting.x(0.0) if c == 1 else BasisSetting.z() for c in codes]
-        records = sample_measurements(state, settings, shots, seed=seed + g, eta=eta)
+        settings = tuple(BasisSetting.x(0.0) if c == 1 else BasisSetting.z() for c in codes)
+        _, counts, _ = _counts(state, settings, shots, seed + g, eta)
         # the -1 outcomes of each non-identity factor; no-click values are never read
         table = _table(settings, lambda q, o: -1.0 if codes[q] and o in ("late", "minus") else 1.0)
-        values = _all_click_values(records, table)
-        if values.size == 0:
+        kept = counts * _all_click(settings)
+        m = int(kept.sum())
+        if m == 0:
             label = canonical_stabilizers(n, kind)[g]
             raise MeasurementError(f"no all-click shots for stabilizer {label}")
-        estimates.append(sign * float(values.sum()) / values.size)
+        estimates.append(sign * float(table @ kept) / m)
     return estimates
 

@@ -353,17 +353,19 @@ def _noise_phases(params, n, options, noise):
     sample's drift kicks, a (samples, N) array in row order. Sample i takes
     draw i and row i, so results do not depend on evaluation order, the
     first k samples of a run are the k-sample run, and turning drift on
-    leaves the shifts alone. A source of width 0 draws nothing; with both
-    at 0 no generator is made. Both add to the static offsets in the
+    leaves the shifts alone. Only the child stream k that a source draws from
+    is built, as ``SeedSequence(rng_seed, spawn_key=(k,))``, which is child k of
+    ``SeedSequence(rng_seed).spawn(2)``. A source of width 0 draws nothing and
+    makes no stream. Both add to the static offsets in the
     resolved ``options``, and ``arm_phases`` turns them into the early-late
     phase difference D of the main Kraus block.
     """
     samples = noise.sample_count
     widths = (noise.overhauser_sigma, math.sqrt(noise.drift_diffusion * params.t_cycle**3))
-    streams = np.random.SeedSequence(noise.rng_seed).spawn(2) if any(widths) else (None, None)
     shifts, kicks = (
-        np.random.default_rng(seq).normal(0.0, width, size=shape) if width else np.zeros(shape)
-        for seq, width, shape in zip(streams, widths, ((samples, 1), (samples, n)))
+        np.random.default_rng(np.random.SeedSequence(noise.rng_seed, spawn_key=(k,)))
+        .normal(0.0, width, size=shape) if width else np.zeros(shape)
+        for k, (width, shape) in enumerate(zip(widths, ((samples, 1), (samples, n))))
     )
     early, late = arm_phases(options, shifts, kicks)
     return np.exp(1j * (early - late))

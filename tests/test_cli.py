@@ -724,6 +724,31 @@ def test_each_runner_reads_exactly_its_declared_keys(tmp_path, scenario):
         assert ("seed" in record.read) == (scenario == "echo_demo")
 
 
+def test_a_config_is_resolved_once_and_again_by_replace(tmp_path, monkeypatch):
+    calls = []
+    real = cli._resolve
+
+    def counted(config):
+        calls.append(config.rng_seed)
+        return real(config)
+
+    monkeypatch.setattr(cli, "_resolve", counted)
+    out = tmp_path / "scaling.csv"
+    assert main(["photon_scaling", "--out", str(out)]) == 0
+    assert calls == [0]
+    config = build_config({"photons": (1, 2)}, scenario="photon_scaling")
+    write_result(run_scenario(config), config, out)
+    assert calls == [0, 0]
+    # the manifest reads the same resolution as the run
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["resolved"]["photons"] == [1, 2]
+    changed = replace(config, rng_seed=5)
+    assert calls == [0, 0, 5] and changed._resolved["seed"] == 5
+    with pytest.raises(ConfigError, match="seed"):
+        replace(config, rng_seed=-1)
+    # the kept resolution takes no part in comparisons
+    assert replace(changed, rng_seed=0) == config
+
+
 def test_manifest_adds_the_resolved_options(tmp_path):
     out = tmp_path / "map.csv"
     cfg = tmp_path / "c.cfg"

@@ -651,6 +651,71 @@ def test_stabilizer_sampling_is_pinned(kind, photons):
     assert [e.hex() for e in est] == STABILIZER_PINS[kind, photons]
 
 
+def _all_click_mean(state, kind, shots, seed, eta):
+    """Each frame-signed generator's +-1 product averaged over the all-click shots of
+    the records that sample_measurements draws with seed + g, read in shot order."""
+    n = state.photon_count
+    estimates = []
+    for g, (sign, label) in enumerate(zip(_frame_signs(n, kind), canonical_stabilizers(n, kind))):
+        settings = [BasisSetting.x(0.0) if c == "X" else BasisSetting.z() for c in label]
+        records = sample_measurements(state, settings, shots, seed=seed + g, eta=eta)
+        value = np.array([
+            math.prod(-1.0 if c != "I" and o in ("late", "minus") else 1.0 for c, o in zip(label, outs))
+            for outs in records.outcomes
+        ])
+        clicked = np.array([NO_CLICK not in outs for outs in records.outcomes])
+        values = value[records.combo][clicked[records.combo]]
+        estimates.append(sign * float(values.sum()) / values.size)
+    return estimates
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.84, 0.5])
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("kind", list(TargetKind), ids=lambda k: k.name)
+def test_stabilizer_estimates_are_the_all_click_means_of_the_records(kind, n, eta):
+    cm = build_cycle_map(
+        VERTICAL_ONLY, CycleOptions(rotation_angle=kind.rotation_angle, indistinguishability=0.9)
+    )
+    st = run_protocol(cm, n, kind=kind)
+    for shots, seed in ((777, n), (3000, 11 * n)):
+        est = sample_stabilizer_expectations(st, kind, shots=shots, seed=seed, eta=eta)
+        want = _all_click_mean(st, kind, shots, seed, eta)
+        assert [e.hex() for e in est] == [w.hex() for w in want]
+
+
+@pytest.mark.parametrize("kind", list(TargetKind), ids=lambda k: k.name)
+def test_stabilizer_estimates_with_orthogonal_mass_are_the_all_click_means(kind):
+    st = run_protocol(preset("reference"), 3, kind=kind)
+    assert st.orthogonal_error_mass > 0.0
+    for seed in range(5):
+        est = sample_stabilizer_expectations(st, kind, shots=10000, seed=seed, eta=0.84)
+        want = _all_click_mean(st, kind, 10000, seed, 0.84)
+        assert [e.hex() for e in est] == [w.hex() for w in want]
+
+
+@pytest.mark.parametrize("kind", list(TargetKind), ids=lambda k: k.name)
+def test_stabilizer_sampling_without_an_all_click_shot_names_the_generator(kind):
+    st = run_protocol(preset("reference"), 2, kind=kind)
+    first = canonical_stabilizers(2, kind)[0]
+    with pytest.raises(MeasurementError, match=f"^no all-click shots for stabilizer {first}$"):
+        sample_stabilizer_expectations(st, kind, shots=500, seed=1, eta=0.0)
+
+
+def test_cached_all_click_tables_are_read_only():
+    for settings in (
+        (BasisSetting.z(),) * 3,
+        (BasisSetting.x(1.1), BasisSetting.z()),
+        (BasisSetting(kind="X", routing="passive"), BasisSetting.y()),
+    ):
+        keep = measurement._all_click(settings)
+        outcomes, _ = joint_outcome_distribution(np.eye(2 ** len(settings)), settings)
+        assert keep.dtype == bool
+        assert keep.tolist() == [NO_CLICK not in outs for outs in outcomes]
+        assert not keep.flags.writeable
+        with pytest.raises(ValueError):
+            keep[0] = False
+
+
 def test_mutating_a_returned_povm_leaves_the_distribution_unchanged():
     settings = [BasisSetting.x(0.4), BasisSetting(kind="Z", routing="passive")]
     rho = _random_rho(2, 0)

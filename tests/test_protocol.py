@@ -439,7 +439,8 @@ def test_noise_draws_from_at_most_two_generators(monkeypatch, samples):
         ):
             made.clear()
             run(noise)
-            assert made == ["SeedSequence"] + ["default_rng"] * generators, noise
+            # one seed sequence, the drawn child's, per generator
+            assert made == ["SeedSequence", "default_rng"] * generators, noise
         # a source of width 0 draws nothing, and a noise-free run makes no stream at all
         made.clear()
         run(NoiseConfig(0.0, sample_count=samples, rng_seed=2))
