@@ -765,3 +765,175 @@ def test_manifest_adds_the_resolved_options(tmp_path):
     assert main(["photon_scaling", "--out", str(out)]) == 0
     resolved = json.loads((tmp_path / "scaling.csv.manifest.json").read_text())["resolved"]
     assert resolved["kind"] == "ghz" and resolved["photons"] == [1, 2, 3]
+
+
+# name -> (scenario, config file text or None, CSV line 1, CSV line 2, the manifest without its
+# config entry as compact JSON), recorded from the CLI before its config layer was flattened;
+# the config entry is line 2's JSON
+_PINNED_OUTPUTS = {
+    "detuning_sweep": (
+        'detuning_sweep', None,
+        '# scenario=detuning_sweep seed=0 version=0.1.0',
+        '# config={"options":{},"overrides":{},"photons":[1,2,3],"preset":"reference",'
+        '"scenario":"detuning_sweep","seed":0,"sweep":null}',
+        '{"columns":["n_g","delta","delta_rad_ns","n_photons","e_ph","e_exc","e_br",'
+        '"total_first_order","asymptote"],"csv":"out.csv","n_rows":48,'
+        '"resolved":{"n_g_list":[20.0],"param.*":{},"photons":[1,2,3],'
+        '"preset":"reference","seed":0,"sweep_max":64.0,"sweep_min":4.0,'
+        '"sweep_name":"delta","sweep_points":16,"sweep_scale":"linear"},'
+        '"version":"0.1.0"}',
+    ),
+    "photon_scaling": (
+        'photon_scaling', None,
+        '# scenario=photon_scaling seed=0 version=0.1.0',
+        '# config={"options":{},"overrides":{},"photons":[1,2,3],"preset":"reference",'
+        '"scenario":"photon_scaling","seed":0,"sweep":null}',
+        '{"columns":["n_photons","e_ph","e_exc","e_br","total_first_order","rate_mhz",'
+        '"numeric_infidelity","success_probability"],"csv":"out.csv","n_rows":3,'
+        '"resolved":{"kind":"ghz","numeric":true,"param.*":{},"photons":[1,2,3],'
+        '"preset":"reference","seed":0},"version":"0.1.0"}',
+    ),
+    "pulse_optimization": (
+        'pulse_optimization', None,
+        '# scenario=pulse_optimization seed=0 version=0.1.0',
+        '# config={"options":{},"overrides":{},"photons":[1,2,3],"preset":"reference",'
+        '"scenario":"pulse_optimization","seed":0,"sweep":null}',
+        '{"columns":["delta_over_gamma","duration_opt","error_min","coefficient"],'
+        '"csv":"out.csv","n_rows":3,"resolved":{"delta_over_gamma":[30.0,100.0,300.0],'
+        '"seed":0,"shape":"square"},"version":"0.1.0"}',
+    ),
+    "echo_demo": (
+        'echo_demo', None,
+        '# scenario=echo_demo seed=0 version=0.1.0',
+        '# config={"options":{},"overrides":{},"photons":[1,2,3],"preset":"reference",'
+        '"scenario":"echo_demo","seed":0,"sweep":null}',
+        '{"columns":["sigma_overhauser","fidelity_echo","fidelity_no_echo"],'
+        '"csv":"out.csv","n_rows":4,"resolved":{"kind":"ghz","n_photons":1,"param.*":{},'
+        '"preset":"reference","sample_count":40,"seed":0,"sigma_list":[0.0,0.25,0.5,'
+        '0.7071067811865476]},"version":"0.1.0"}',
+    ),
+    "branching_map": (
+        'branching_map', None,
+        '# scenario=branching_map seed=0 version=0.1.0',
+        '# config={"options":{},"overrides":{},"photons":[1,2,3],"preset":"reference",'
+        '"scenario":"branching_map","seed":0,"sweep":null}',
+        '{"columns":["x","y","B","beta_total","branching_infidelity"],"csv":"out.csv",'
+        '"n_rows":441,"resolved":{"leak_fraction":0.1,"mode_source":"fixture","n_g":20.0,'
+        '"resolution":21,"seed":0},"version":"0.1.0"}',
+    ),
+    "b_field-log": (
+        'detuning_sweep',
+        'preset = improved\nparam.gamma = 4\nn_g_list = 20,56\nphotons = 2,3\nseed = 4\n'
+        'sweep_name = b_field\nsweep_min = 0.05\nsweep_max = 9\nsweep_points = 5\n'
+        'sweep_scale = log\n',
+        '# scenario=detuning_sweep seed=4 version=0.1.0',
+        '# config={"options":{"n_g_list":[20,56]},"overrides":{"gamma":4.0},"photons":[2,'
+        '3],"preset":"improved","scenario":"detuning_sweep","seed":4,"sweep":{"max":9.0,'
+        '"min":0.05,"name":"b_field","points":5,"scale":"log"}}',
+        '{"columns":["n_g","b_field","delta_rad_ns","n_photons","e_ph","e_exc","e_br",'
+        '"total_first_order","asymptote"],"csv":"out.csv","n_rows":20,'
+        '"resolved":{"n_g_list":[20.0,56.0],"param.*":{"gamma":4.0},"photons":[2,3],'
+        '"preset":"improved","seed":4,"sweep_max":9.0,"sweep_min":0.05,'
+        '"sweep_name":"b_field","sweep_points":5,"sweep_scale":"log"},"version":"0.1.0"}',
+    ),
+    "delta-linear": (
+        'detuning_sweep',
+        'sweep_name = delta\nsweep_min = 1\nsweep_max = 32\nsweep_points = 6\n',
+        '# scenario=detuning_sweep seed=0 version=0.1.0',
+        '# config={"options":{},"overrides":{},"photons":[1,2,3],"preset":"reference",'
+        '"scenario":"detuning_sweep","seed":0,"sweep":{"max":32.0,"min":1.0,'
+        '"name":"delta","points":6,"scale":"linear"}}',
+        '{"columns":["n_g","delta","delta_rad_ns","n_photons","e_ph","e_exc","e_br",'
+        '"total_first_order","asymptote"],"csv":"out.csv","n_rows":18,'
+        '"resolved":{"n_g_list":[20.0],"param.*":{},"photons":[1,2,3],'
+        '"preset":"reference","seed":0,"sweep_max":32.0,"sweep_min":1.0,'
+        '"sweep_name":"delta","sweep_points":6,"sweep_scale":"linear"},"version":"0.1.0"}',
+    ),
+    "scaling-options": (
+        'photon_scaling',
+        'kind = cluster\nnumeric = false\nparam.eta = 0.9\nout = scaling.csv\n',
+        '# scenario=photon_scaling seed=0 version=0.1.0',
+        '# config={"options":{"kind":"cluster","numeric":false},"overrides":{"eta":0.9},'
+        '"photons":[1,2,3],"preset":"reference","scenario":"photon_scaling","seed":0,'
+        '"sweep":null}',
+        '{"columns":["n_photons","e_ph","e_exc","e_br","total_first_order","rate_mhz"],'
+        '"csv":"scaling.csv","n_rows":3,"resolved":{"kind":"cluster","numeric":false,'
+        '"param.*":{"eta":0.9},"photons":[1,2,3],"preset":"reference","seed":0},'
+        '"version":"0.1.0"}',
+    ),
+    "echo-scalar": (
+        'echo_demo', 'sigma_list = 0.3\nsample_count = 5\n',
+        '# scenario=echo_demo seed=0 version=0.1.0',
+        '# config={"options":{"sample_count":5,"sigma_list":0.3},"overrides":{},'
+        '"photons":[1,2,3],"preset":"reference","scenario":"echo_demo","seed":0,'
+        '"sweep":null}',
+        '{"columns":["sigma_overhauser","fidelity_echo","fidelity_no_echo"],'
+        '"csv":"out.csv","n_rows":1,"resolved":{"kind":"ghz","n_photons":1,"param.*":{},'
+        '"preset":"reference","sample_count":5,"seed":0,"sigma_list":[0.3]},'
+        '"version":"0.1.0"}',
+    ),
+    "map-n_g": (
+        'branching_map', 'n_g = 30\nleak_fraction = 0\nresolution = 5\n',
+        '# scenario=branching_map seed=0 version=0.1.0',
+        '# config={"options":{"leak_fraction":0,"n_g":30,"resolution":5},"overrides":{},'
+        '"photons":[1,2,3],"preset":"reference","scenario":"branching_map","seed":0,'
+        '"sweep":null}',
+        '{"columns":["x","y","B","beta_total","branching_infidelity"],"csv":"out.csv",'
+        '"n_rows":25,"resolved":{"leak_fraction":0.0,"mode_source":"fixture","n_g":30.0,'
+        '"resolution":5,"seed":0},"version":"0.1.0"}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_OUTPUTS))
+def test_csv_header_lines_and_manifest_bytes_are_pinned(tmp_path, monkeypatch, capsys, name):
+    scenario, text, line1, line2, manifest = _PINNED_OUTPUTS[name]
+    monkeypatch.chdir(tmp_path)  # relative paths keep the manifest's csv entry stable
+    argv = [scenario]
+    if text:
+        Path("c.cfg").write_text(text)
+        argv += ["--config", "c.cfg"]
+    if "out =" not in (text or ""):
+        argv += ["--out", "out.csv"]
+    assert main(argv) == 0
+    csv_path = json.loads(manifest)["csv"]
+    assert Path(csv_path).read_text().splitlines()[:2] == [line1, line2]
+    want = dict(json.loads(manifest), config=json.loads(line2[len("# config="):]))
+    text = json.dumps(want, sort_keys=True, indent=2) + "\n"
+    assert Path(f"{csv_path}.manifest.json").read_text() == text
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "scenario, text, line",
+    [
+        ("detuning_sweep", "sweep_name = delta\nsweep_max = 64\nsweep_points = 3\n",
+         "missing key(s) sweep_min"),
+        ("detuning_sweep", "sweep_name = delta\nsweep_min = 2\nsweep_max = 2\nsweep_points = 3\n",
+         "sweep_min must be below sweep_max, got [2.0, 2.0]"),
+        ("detuning_sweep",
+         "sweep_name = delta\nsweep_min = -1\nsweep_max = 2\nsweep_points = 3\nsweep_scale = log\n",
+         "sweep_min must be > 0 for a log sweep_scale, got -1.0"),
+        ("detuning_sweep", "sweep_name = delta\nsweep_min = 1\nsweep_max = 2\nsweep_points = 1\n",
+         "sweep_points must be >= 2, got 1"),
+        ("detuning_sweep", "sweep_name = eta\nsweep_min = 1\nsweep_max = 2\nsweep_points = 3\n",
+         "sweep_name must be one of delta, b_field, got 'eta'"),
+        ("photon_scaling", "param.foo = 1\n", "unknown parameter override(s): param.foo"),
+        ("photon_scaling", "param.gamma = fast\n", "param.gamma must be a number, got 'fast'"),
+        ("photon_scaling", "out = 1\n", "out must be text, got 1"),
+        ("photon_scaling", "seed = -1\n", "seed must be >= 0, got -1"),
+        ("branching_map", "mode_source = missing.txt\nn_g = 30\n",
+         "n_g sets the fixture's group index; a mode file carries its own"),
+        ("detuning_sweep", "n_g_list = 10,80\n",
+         "n_g_list entry 10.0 is outside the gamma(n_g) table range [20.0, 56.0]"),
+    ],
+    ids=["partial-sweep", "unordered-sweep-bounds", "log-sweep-below-zero", "one-sweep-point",
+         "bad-sweep_name", "unknown-param", "non-numeric-param", "non-text-out", "negative-seed",
+         "n_g-with-mode-file", "n_g_list-outside-table"],
+)
+def test_single_fault_error_lines_are_pinned(tmp_path, monkeypatch, capsys, scenario, text, line):
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text(text)
+    assert main([scenario, "--config", "c.cfg", "--out", "out.csv"]) == 1
+    assert capsys.readouterr() == ("", f"error: ConfigError: {line}\n")
+    assert sorted(os.listdir()) == ["c.cfg"]
