@@ -11,14 +11,21 @@ The same expression applies to both target-state kinds. The branching entry
 groups the two B-dependent contributions of the underlying expansion so the
 three terms sum exactly to the total.
 
-Validity: each term is first order in its imperfection, and the branching
-term departs first as N grows. With branching alone, the GHZ infidelity of
+Validity: each term is first order in its imperfection and departs from the
+exact infidelity as N grows. With branching alone, the GHZ infidelity of
 the protocol is exactly (2N - 1) / (4 (B + 1) + 2N), pinned against
 ``conditional_fidelity`` by ``test_branching_only_matches_its_ghz_closed_form``.
 So e_br = (2N - 1) / (4 (B + 1)) is too high by the factor 1 + N / (2 (B + 1)),
 which passes 10 % at N = (B + 1) / 5: about N = 3 for the ``reference``
-preset (B = 15) and N = 28 for ``improved`` (B = 140). The protocol is the
-sequential emitter of Lindner & Rudolph, PRL 103, 113602 (2009).
+preset (B = 15) and N = 28 for ``improved`` (B = 140). With dephasing alone,
+the infidelity is exactly (1 - I^N) / 2 for GHZ and 1 - ((1 + I) / 2)^N for a
+cluster, pinned by ``test_dephasing_only_oracles``. So e_ph passes 10 % above
+it at about N = 1 + 0.2 / (1 - I) for GHZ and N = 1 + 0.4 / (1 - I) for a
+cluster: N = 6 and 11 for ``reference`` (I = 0.96), N = 11 and 21 for
+``improved`` (I = 0.98). The branching term thus departs first for
+``reference``, the dephasing term for ``improved``; the excitation term's
+departure is not derived. The protocol is the sequential emitter of
+Lindner & Rudolph, PRL 103, 113602 (2009).
 """
 from __future__ import annotations
 

@@ -141,7 +141,7 @@ def _overrides(key, value):
 _PHYSICS = {"preset": (_text, "reference"), "param.*": (_overrides, {})}
 _PHOTONS = {"photons": (_list_of(_whole_from(1)), (1, 2, 3))}
 _KIND = {"kind": (_one_of(*TargetKind), TargetKind.GHZ)}
-# in SweepAxis field order
+# a given sweep names its axis, bounds and points; only its scale has a default
 _SWEEP = {
     "sweep_name": (_one_of("delta", "b_field"), "delta"),
     "sweep_min": (_real_in("(-inf, inf)"), 4.0),
@@ -151,52 +151,21 @@ _SWEEP = {
 }
 
 
-@dataclass(frozen=True)
-class SweepAxis:
-    name: str
-    lo: float
-    hi: float
-    points: int
-    scale: str = _SWEEP["sweep_scale"][1]
-
-    def __post_init__(self):
-        # each field through its key's cast, under the name SweepAxis gives it
-        names = ("sweep_name", "lo", "hi", "sweep_points", "sweep_scale")
-        for name, (cast, _), value in zip(names, _SWEEP.values(), vars(self).values()):
-            cast(name, value)
-        if self.lo >= self.hi:
-            raise ConfigError(f"sweep_min must be below sweep_max, got [{self.lo}, {self.hi}]")
-        if self.scale == "log" and self.lo <= 0:
-            raise ConfigError(f"sweep_min must be > 0 for a log sweep_scale, got {self.lo}")
-
-    def values(self):
-        return (np.geomspace if self.scale == "log" else np.linspace)(self.lo, self.hi, self.points)
-
-
 @dataclass
 class ScenarioConfig:
-    """A scenario's configuration as given, checked on construction by ``_resolve``,
-    whose result the run and the manifest read; ``photons`` and ``overrides`` keep
-    their cast values. ``options`` holds the scenario's own keys. Change a config
-    with ``dataclasses.replace``, which resolves the new one."""
+    """A scenario's configuration: its name, the keys as given (``param.<field>`` keys
+    included), the seed and the output path. Checked on construction by ``_resolve``,
+    whose result the run and the manifest read. Change a config with
+    ``dataclasses.replace``, which resolves the new one."""
 
     scenario: str
-    preset_name: str = _PHYSICS["preset"][1]
-    overrides: dict = field(default_factory=dict)
-    sweep: SweepAxis | None = None
-    photons: tuple = _PHOTONS["photons"][1]
-    rng_seed: int = 0
+    values: dict
+    seed: int = 0
     out: str | None = None
-    options: dict = field(default_factory=dict)
     _resolved: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._resolved = opts = _resolve(self)
-        self.photons = opts.get("photons", self.photons)
-        self.overrides = opts.get("param.*", self.overrides)
-
-    def params(self):
-        return _physics({"preset": self.preset_name, "param.*": self.overrides})
+        self._resolved = _resolve(self)
 
 
 def _parse_value(text):
@@ -243,25 +212,14 @@ def parse_config(path, scenario=None):
 
 def build_config(raw, scenario=None):
     """Assemble a ScenarioConfig from a flat key-value mapping."""
-    raw = dict(raw)
-    name = raw.pop("scenario", scenario)
+    values = dict(raw)
+    name = values.pop("scenario", scenario)
     if scenario is not None and name != scenario:
         raise ConfigError(f"config names scenario {name!r} but {scenario!r} was requested")
     if name is None:
         raise ConfigError("no scenario given")
-    _refuse_unknown(name, raw)
-    sweep = None
-    if _SWEEP.keys() & raw.keys():
-        # a given sweep names its axis, bounds and points; only its scale has a default
-        missing = [key for key in list(_SWEEP)[:-1] if key not in raw]
-        if missing:
-            raise ConfigError(f"missing key(s) {', '.join(missing)}")
-        sweep = SweepAxis(*(cast(key, raw.pop(key)) for key, (cast, _) in _SWEEP.items()
-                            if key in raw))
-    overrides = {key[len("param."):]: raw.pop(key) for key in list(raw) if key.startswith("param.")}
-    held = {"preset": "preset_name", "photons": "photons", "seed": "rng_seed", "out": "out"}
-    held = {attr: raw.pop(key) for key, attr in held.items() if key in raw}
-    return ScenarioConfig(str(name), overrides=overrides, sweep=sweep, options=raw, **held)
+    seed, out = values.pop("seed", 0), values.pop("out", None)
+    return ScenarioConfig(str(name), values, seed, out)
 
 
 def _physics(opts):
@@ -284,19 +242,19 @@ def scenario_detuning_sweep(opts):
     infinite-detuning limit e_ph + e_br. Each (n_g, photon number) takes the
     budget of the whole axis as one array.
     """
-    base = _physics(opts)
-    sweep = SweepAxis(*(opts[key] for key in _SWEEP))
-    values = sweep.values()
+    base, name = _physics(opts), opts["sweep_name"]
+    space = np.geomspace if opts["sweep_scale"] == "log" else np.linspace
+    values = space(opts["sweep_min"], opts["sweep_max"], opts["sweep_points"])
     rows = []
     with np.errstate(over="ignore"):  # an overflow gives inf without a warning, as in Python floats
         for i, n_g in enumerate(opts["n_g_list"]):
             p_ng = _with_indistinguishability(replace(base, n_g=n_g), gamma_of_group_index(n_g).value)
             if i == 0:  # after the first group's params, where a loop over points meets the axis
-                deltas = _sweep_detunings(p_ng, sweep.name, values)
+                deltas = _sweep_detunings(p_ng, name, values)
             budgets = [infidelity_first_order(p_ng, n, deltas) for n in opts["photons"]]
             points = [(b.e_exc.tolist(), b.total.tolist()) for b in budgets]
             for j, (value, delta) in enumerate(zip(values.tolist(), deltas.tolist())):
-                rows += ({"n_g": n_g, sweep.name: value, "delta_rad_ns": delta, "n_photons": n,
+                rows += ({"n_g": n_g, name: value, "delta_rad_ns": delta, "n_photons": n,
                           "e_ph": b.e_ph, "e_exc": e_exc[j], "e_br": b.e_br,
                           "total_first_order": total[j], "asymptote": b.e_ph + b.e_br}
                          for n, b, (e_exc, total) in zip(opts["photons"], budgets, points))
@@ -412,32 +370,40 @@ SCENARIOS = {
 
 
 def _refuse_unknown(name, keys):
-    """Refuse an unregistered scenario ``name``, and any key outside its table, seed and out."""
+    """Refuse an unregistered scenario ``name``, and any key outside its table."""
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; registered: {sorted(SCENARIOS)}")
-    accepted = SCENARIOS[name][1].keys() | {"seed", "out"}
-    unknown = [k for k in keys if ("param.*" if k.startswith("param.") else k) not in accepted]
+    table = SCENARIOS[name][1]
+    unknown = [k for k in keys if ("param.*" if k.startswith("param.") else k) not in table]
     if unknown:
         raise ConfigError(f"unknown key(s) for scenario {name}: {', '.join(sorted(unknown))}")
 
 
 def _resolve(config):
     """What the runner reads: each key of the scenario's table, cast and checked,
-    or its default if not given; and ``seed``. ``out`` must be text, the overrides
-    fit PhysicalParams, and ``n_g`` is refused with a mode file."""
-    given = dict(config.options, **{f"param.{k}": v for k, v in config.overrides.items()})
-    if config.sweep is not None:
-        given.update(zip(_SWEEP, vars(config.sweep).values()))
+    or its default if not given; and ``seed``. ``out`` must be text, the sweep
+    bounds ascend (above 0 on a log scale), the overrides fit PhysicalParams, and
+    ``n_g`` is refused with a mode file."""
+    given = config.values
     _refuse_unknown(config.scenario, given)
-    given.update({"preset": config.preset_name, "photons": config.photons,
-                  "param.*": config.overrides})
+    missing = [key for key in list(_SWEEP)[:-1] if key not in given]
+    if missing and _SWEEP.keys() & given.keys():
+        raise ConfigError(f"missing key(s) {', '.join(missing)}")
+    overrides = {key[len("param."):]: v for key, v in given.items() if key.startswith("param.")}
+    given = {**given, "param.*": overrides}
     opts = {}
     for key, (cast, default) in SCENARIOS[config.scenario][1].items():
         if key in given:
             opts[key] = cast(key, given[key])
         else:
             opts[key] = cast(key, default(opts)) if callable(default) else default
-    opts["seed"] = _whole_from(0)("seed", config.rng_seed)
+    if "sweep_min" in opts:
+        lo, hi = opts["sweep_min"], opts["sweep_max"]
+        if lo >= hi:
+            raise ConfigError(f"sweep_min must be below sweep_max, got [{lo}, {hi}]")
+        if opts["sweep_scale"] == "log" and lo <= 0:
+            raise ConfigError(f"sweep_min must be > 0 for a log sweep_scale, got {lo}")
+    opts["seed"] = _whole_from(0)("seed", config.seed)
     if config.out is not None:
         _text("out", config.out)
     if "preset" in opts:
@@ -468,15 +434,21 @@ def _template(types):
 
 
 def _config_echo(config):
+    """The config as the CSV header and the manifest echo it: preset, photons, overrides and
+    a given sweep cast, the first two at their defaults where the scenario has none, and
+    every other key as given."""
+    opts, given = config._resolved, config.values
+    swept = _SWEEP.keys() & given.keys()
+    cast_keys = _PHYSICS.keys() | _PHOTONS.keys() | _SWEEP.keys()
     return {
         "scenario": config.scenario,
-        "preset": config.preset_name,
-        "overrides": dict(config.overrides),
-        "sweep": None if config.sweep is None else dict(
-            zip(("name", "min", "max", "points", "scale"), vars(config.sweep).values())),
-        "photons": list(config.photons),
-        "seed": config.rng_seed,
-        "options": {k: list(v) if isinstance(v, tuple) else v for k, v in config.options.items()},
+        "preset": opts.get("preset", _PHYSICS["preset"][1]),
+        "overrides": opts.get("param.*", {}),
+        "sweep": {key[len("sweep_"):]: opts[key] for key in _SWEEP} if swept else None,
+        "photons": list(opts.get("photons", _PHOTONS["photons"][1])),
+        "seed": config.seed,
+        "options": {k: list(v) if isinstance(v, tuple) else v for k, v in given.items()
+                    if k not in cast_keys and not k.startswith("param.")},
     }
 
 
@@ -492,7 +464,7 @@ def write_result(rows, config, path):
     echo = _config_echo(config)
     meta = json.dumps(echo, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# scenario={config.scenario} seed={config.rng_seed} version={__version__}\n")
+        fh.write(f"# scenario={config.scenario} seed={config.seed} version={__version__}\n")
         fh.write(f"# config={meta}\n")
         fh.write(",".join(columns) + "\n")
         fh.write("".join(_fmt(*map(row.__getitem__, columns)) + "\n" for row in rows))
@@ -531,7 +503,7 @@ def main(argv=None):
         config = (parse_config(args.config, scenario=args.scenario) if args.config
                   else build_config({}, scenario=args.scenario))
         if args.seed is not None:
-            config = replace(config, rng_seed=args.seed)  # checked as a config's seed is
+            config = replace(config, seed=args.seed)  # checked as a config's seed is
         out = next(v for v in (args.out, config.out, f"{config.scenario}.csv") if v is not None)
         rows = run_scenario(config)
         write_result(rows, config, out)

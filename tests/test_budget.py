@@ -13,7 +13,7 @@ from timebinsim.budget import (
     per_qubit_infidelity,
     t2_drift_error,
 )
-from timebinsim.params import ParamError, preset
+from timebinsim.params import ParamError, indistinguishability, preset
 from timebinsim.protocol import drift_diffusion_from_t2
 
 
@@ -46,6 +46,23 @@ def test_detuning_argument_takes_the_place_of_params_delta():
         assert (b.e_ph, b.e_br) == (want.e_ph, want.e_br)
         assert b.e_exc[k].hex() == want.e_exc.hex() and b.total[k].hex() == want.total.hex()
     assert infidelity_first_order(p, 4, p.delta) == infidelity_first_order(p, 4)
+
+
+@pytest.mark.parametrize("name, ghz, cluster", [("reference", 6, 11), ("improved", 11, 21)])
+def test_dephasing_term_departs_where_the_docstring_says(name, ghz, cluster):
+    # the first N at which e_ph passes 10 % above the dephasing-only infidelity, (1 - I^N) / 2
+    # for GHZ and 1 - ((1 + I) / 2)^N for a cluster (test_dephasing_only_oracles pins both
+    # against the protocol): about N = 1 + 0.2 / (1 - I) and N = 1 + 0.4 / (1 - I)
+    p = preset(name)
+    ind = indistinguishability(p.gamma, p.gamma_d)
+    exact = {"ghz": lambda n: (1.0 - ind**n) / 2.0,
+             "cluster": lambda n: 1.0 - ((1.0 + ind) / 2.0) ** n}
+    first = {kind: next(n for n in range(1, 100)
+                        if infidelity_first_order(p, n).e_ph > 1.1 * infid(n))
+             for kind, infid in exact.items()}
+    assert first == {"ghz": ghz, "cluster": cluster}
+    assert first["ghz"] == round(1.0 + 0.2 / (1.0 - ind))
+    assert first["cluster"] == round(1.0 + 0.4 / (1.0 - ind))
 
 
 def test_first_order_affine_in_n():

@@ -23,7 +23,6 @@ from timebinsim import (
 from timebinsim.cli import (
     ConfigError,
     ScenarioConfig,
-    SweepAxis,
     build_config,
     main,
     parse_config,
@@ -35,27 +34,41 @@ from timebinsim.params import zeeman_detuning
 from timebinsim.waveguide import gamma_of_group_index, synthetic_w1_mode
 
 
-def test_sweep_axis_validation():
-    with pytest.raises(ConfigError):
-        SweepAxis(name="delta", lo=10.0, hi=5.0, points=4)
-    with pytest.raises(ConfigError):
-        SweepAxis(name="delta", lo=1.0, hi=2.0, points=1)
-    with pytest.raises(ConfigError):
-        SweepAxis(name="delta", lo=1.0, hi=2.0, points=4, scale="cubic")
-    with pytest.raises(ConfigError):
-        SweepAxis(name="delta", lo=-1.0, hi=2.0, points=4, scale="log")
-    for points in (2.5, "3"):
-        with pytest.raises(ConfigError, match="^sweep_points must be an integer"):
-            SweepAxis(name="delta", lo=1.0, hi=2.0, points=points)
-    vals = SweepAxis(name="delta", lo=1.0, hi=8.0, points=4, scale="log").values()
-    assert list(vals) == pytest.approx([1.0, 2.0, 4.0, 8.0])
+_DELTA_SWEEP = {"scenario": "detuning_sweep", "sweep_name": "delta", "sweep_min": 1.0,
+                "sweep_max": 2.0, "sweep_points": 4}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"sweep_min": 10.0, "sweep_max": 5.0},
+         "sweep_min must be below sweep_max, got [10.0, 5.0]"),
+        ({"sweep_points": 1}, "sweep_points must be >= 2, got 1"),
+        ({"sweep_scale": "cubic"}, "sweep_scale must be one of linear, log, got 'cubic'"),
+        ({"sweep_min": -1.0, "sweep_scale": "log"},
+         "sweep_min must be > 0 for a log sweep_scale, got -1.0"),
+        ({"sweep_points": 2.5}, "sweep_points must be an integer, got 2.5"),
+        ({"sweep_points": "3"}, "sweep_points must be an integer, got '3'"),
+    ],
+    ids=["unordered", "one-point", "bad-scale", "log-below-zero", "fractional-points",
+         "text-points"],
+)
+def test_sweep_axis_validation(change, message):
+    with pytest.raises(ConfigError) as err:
+        build_config({**_DELTA_SWEEP, **change})
+    assert str(err.value) == message
+
+
+def test_log_sweep_axis_values():
+    config = build_config({**_DELTA_SWEEP, "sweep_max": 8.0, "sweep_scale": "log", "photons": 1})
+    assert [row["delta"] for row in run_scenario(config)] == pytest.approx([1.0, 2.0, 4.0, 8.0])
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ScenarioConfig(scenario="not_registered")
+        ScenarioConfig("not_registered", {})
     with pytest.raises(ConfigError):
-        ScenarioConfig(scenario="photon_scaling", photons=(0, 2))
+        ScenarioConfig("photon_scaling", {"photons": (0, 2)})
     with pytest.raises(ConfigError):
         build_config({"scenario": "echo_demo"}, scenario="photon_scaling")
     with pytest.raises(ConfigError, match="scenario echo_demo: n_photon$"):
@@ -74,7 +87,7 @@ def test_config_validation():
 )
 def test_photon_numbers_must_be_whole_numbers_of_at_least_one(photons, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
-        ScenarioConfig(scenario="photon_scaling", photons=photons)
+        ScenarioConfig("photon_scaling", {"photons": photons})
 
 
 def test_parse_config_rejects_duplicate_key(tmp_path):
@@ -105,7 +118,7 @@ def test_parse_config_counts_comment_lines_in_duplicate_key_errors(tmp_path):
 def test_parse_config_ignores_comments_and_blank_lines(tmp_path):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("preset = improved\nparam.gamma = 4.0  # override\n\nparam.b_field = 1.5\n")
-    p = parse_config(cfg, scenario="photon_scaling").params()
+    p = cli._physics(parse_config(cfg, scenario="photon_scaling")._resolved)
     assert p.gamma == 4.0
     assert p.b_field == 1.5
     assert p.branching == 140.0  # from the improved preset
@@ -123,13 +136,16 @@ def test_parse_config(tmp_path):
         "n_g_list = 20,56\n"
     )
     config = parse_config(cfg)
-    assert config.preset_name == "improved"
-    assert config.overrides == {"gamma": 4.5}
-    assert config.photons == (1, 3)
-    assert config.rng_seed == 7
-    assert config.sweep.scale == "log"
-    assert config.options["n_g_list"] == (20, 56)
-    assert config.params().gamma == 4.5
+    assert config.values == {
+        "preset": "improved", "param.gamma": 4.5, "photons": (1, 3), "sweep_name": "delta",
+        "sweep_min": 8, "sweep_max": 64, "sweep_points": 3, "sweep_scale": "log",
+        "n_g_list": (20, 56),
+    }
+    assert config.seed == 7 and config.out is None
+    opts = config._resolved
+    assert opts["param.*"] == {"gamma": 4.5} and opts["photons"] == (1, 3)
+    assert opts["sweep_min"] == 8.0 and opts["n_g_list"] == (20.0, 56.0)
+    assert cli._physics(opts).gamma == 4.5
 
 
 def test_detuning_sweep_rows():
@@ -186,20 +202,21 @@ def test_detuning_sweep_rejects_bad_axis():
 def _sweep_rows_point_by_point(config):
     """A detuning sweep's rows from one PhysicalParams and one budget per point."""
     opts = cli._resolve(config)
-    base, sweep = cli._physics(opts), config.sweep
+    base, name = cli._physics(opts), opts["sweep_name"]
+    space = np.geomspace if opts["sweep_scale"] == "log" else np.linspace
     rows = []
     for n_g in opts["n_g_list"]:
         p_ng = cli._with_indistinguishability(replace(base, n_g=n_g),
                                               gamma_of_group_index(n_g).value)
-        for value in sweep.values():
-            delta = (2.0 * math.pi * float(value) if sweep.name == "delta"
+        for value in space(opts["sweep_min"], opts["sweep_max"], opts["sweep_points"]):
+            delta = (2.0 * math.pi * float(value) if name == "delta"
                      else zeeman_detuning(base.g_factor, float(value)))
-            b_field = float(value) if sweep.name == "b_field" else base.b_field
+            b_field = float(value) if name == "b_field" else base.b_field
             p = replace(p_ng, delta=delta, b_field=b_field)
             for n in opts["photons"]:
                 b = infidelity_first_order(p, n)
                 rows.append({
-                    "n_g": n_g, sweep.name: float(value), "delta_rad_ns": delta, "n_photons": n,
+                    "n_g": n_g, name: float(value), "delta_rad_ns": delta, "n_photons": n,
                     "e_ph": b.e_ph, "e_exc": b.e_exc, "e_br": b.e_br,
                     "total_first_order": b.total, "asymptote": b.e_ph + b.e_br,
                 })
@@ -648,19 +665,19 @@ def test_main_refuses_a_negative_seed_option(tmp_path, capsys, scenario):
 
 def test_a_config_built_directly_is_checked_on_construction():
     with pytest.raises(ConfigError, match="^sample_count must be >= 1, got 0$"):
-        ScenarioConfig(scenario="echo_demo", options={"sample_count": 0})
+        ScenarioConfig("echo_demo", {"sample_count": 0})
     with pytest.raises(ConfigError, match="^unknown key\\(s\\) for scenario echo_demo: photon$"):
-        ScenarioConfig(scenario="echo_demo", options={"photon": 2})
+        ScenarioConfig("echo_demo", {"photon": 2})
     with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
-        replace(build_config({"scenario": "photon_scaling"}), rng_seed=-1)
+        replace(build_config({"scenario": "photon_scaling"}), seed=-1)
     with pytest.raises(ConfigError, match="^out must be text, got 1$"):
-        ScenarioConfig(scenario="branching_map", out=1)
+        ScenarioConfig("branching_map", {}, out=1)
     with pytest.raises(ConfigError, match="param.gamma must be a number"):
-        ScenarioConfig(scenario="photon_scaling", overrides={"gamma": "fast"})
+        ScenarioConfig("photon_scaling", {"param.gamma": "fast"})
     with pytest.raises(ConfigError, match="param.foo"):
-        ScenarioConfig(scenario="branching_map", overrides={"foo": 1.0})
-    config = ScenarioConfig(scenario="photon_scaling", photons=2, overrides={"gamma": 4})
-    assert config.photons == (2,) and config.overrides == {"gamma": 4.0}
+        ScenarioConfig("branching_map", {"param.foo": 1.0})
+    config = ScenarioConfig("photon_scaling", {"photons": 2, "param.gamma": 4})
+    assert config._resolved["photons"] == (2,) and config._resolved["param.*"] == {"gamma": 4.0}
 
 
 class _Recording(dict):
@@ -729,7 +746,7 @@ def test_a_config_is_resolved_once_and_again_by_replace(tmp_path, monkeypatch):
     real = cli._resolve
 
     def counted(config):
-        calls.append(config.rng_seed)
+        calls.append(config.seed)
         return real(config)
 
     monkeypatch.setattr(cli, "_resolve", counted)
@@ -741,12 +758,12 @@ def test_a_config_is_resolved_once_and_again_by_replace(tmp_path, monkeypatch):
     assert calls == [0, 0]
     # the manifest reads the same resolution as the run
     assert json.loads(Path(f"{out}.manifest.json").read_text())["resolved"]["photons"] == [1, 2]
-    changed = replace(config, rng_seed=5)
+    changed = replace(config, seed=5)
     assert calls == [0, 0, 5] and changed._resolved["seed"] == 5
     with pytest.raises(ConfigError, match="seed"):
-        replace(config, rng_seed=-1)
+        replace(config, seed=-1)
     # the kept resolution takes no part in comparisons
-    assert replace(changed, rng_seed=0) == config
+    assert replace(changed, seed=0) == config
 
 
 def test_manifest_adds_the_resolved_options(tmp_path):
@@ -768,8 +785,8 @@ def test_manifest_adds_the_resolved_options(tmp_path):
 
 
 # name -> (scenario, config file text or None, CSV line 1, CSV line 2, the manifest without its
-# config entry as compact JSON), recorded from the CLI before its config layer was flattened;
-# the config entry is line 2's JSON
+# config entry as compact JSON). The manifest's config entry is line 2's JSON, and its file is
+# the whole manifest at indent 2 with sorted keys and a final newline
 _PINNED_OUTPUTS = {
     "detuning_sweep": (
         'detuning_sweep', None,
