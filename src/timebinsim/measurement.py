@@ -295,6 +295,18 @@ def _all_click(settings):
     return keep
 
 
+@lru_cache(maxsize=256)
+def _sign_table(codes):
+    """The settings that measure the generator of Pauli ``codes`` (a tuple; 0 = I, 1 = X,
+    2 = Z, see protocol._generator_codes) in its local eigenbasis, and a read-only table of
+    its +-1 outcome product over their joint outcomes: -1 per late or minus outcome of a
+    non-identity factor. No-click values are never read."""
+    settings = tuple(BasisSetting.x(0.0) if c == 1 else BasisSetting.z() for c in codes)
+    table = _table(settings, lambda q, o: -1.0 if codes[q] and o in ("late", "minus") else 1.0)
+    table.flags.writeable = False
+    return settings, table
+
+
 def _all_click_values(records, table):
     """``table`` (one value per joint outcome) at each all-click shot, in shot order."""
     keep = _all_click(tuple(records.settings))
@@ -333,7 +345,7 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
     ``seed + g``; no shot order is built, as a mean does not read it, and
     the +-1 sums are exact integers, so each estimate equals the all-click
     mean of those records to the bit. The all-click table is cached per
-    setting.
+    setting, the +-1 table per generator.
     """
     if not isinstance(state, HybridState):
         raise MeasurementError(f"state must be a HybridState, got {type(state).__name__}")
@@ -341,11 +353,8 @@ def sample_stabilizer_expectations(state, kind, shots=2000, seed=0, eta=1.0):
     signs = _frame_signs(n, kind)
     estimates = []
     for g, (sign, codes) in enumerate(zip(signs, _generator_codes(n, kind))):
-        # codes: 0 = I, 1 = X, 2 = Z (see protocol._generator_codes)
-        settings = tuple(BasisSetting.x(0.0) if c == 1 else BasisSetting.z() for c in codes)
+        settings, table = _sign_table(tuple(codes.tolist()))
         _, counts, _ = _counts(state, settings, shots, seed + g, eta)
-        # the -1 outcomes of each non-identity factor; no-click values are never read
-        table = _table(settings, lambda q, o: -1.0 if codes[q] and o in ("late", "minus") else 1.0)
         kept = counts * _all_click(settings)
         m = int(kept.sum())
         if m == 0:

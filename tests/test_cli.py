@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -435,6 +436,79 @@ def test_write_result_determinism(tmp_path):
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     assert manifest["n_rows"] == 25
     assert manifest["config"]["scenario"] == "branching_map"
+
+
+def _echo_seed_3(out):
+    """The CSV and manifest bytes of ``echo_demo --seed 3`` written to ``out``."""
+    assert main(["echo_demo", "--seed", "3", "--out", str(out)]) == 0
+    return Path(out).read_bytes(), Path(f"{out}.manifest.json").read_bytes()
+
+
+def test_a_rerun_over_a_longer_file_rewrites_both_files_in_place(tmp_path):
+    fresh_csv, fresh_manifest = _echo_seed_3(tmp_path / "fresh.csv")
+    out = tmp_path / "out.csv"
+    manifest = Path(f"{out}.manifest.json")
+    assert main(["photon_scaling", "--out", str(out)]) == 0
+    assert out.stat().st_size > len(fresh_csv)
+    assert manifest.stat().st_size > len(fresh_manifest)
+    inodes = out.stat().st_ino, manifest.stat().st_ino
+
+    csv_bytes, manifest_bytes = _echo_seed_3(out)
+    assert csv_bytes == fresh_csv
+    # the same bytes but for the csv entry, with nothing of the longer file left behind
+    want = fresh_manifest.replace(
+        json.dumps(str(tmp_path / "fresh.csv")).encode(), json.dumps(str(out)).encode()
+    )
+    assert manifest_bytes == want
+    assert (out.stat().st_ino, manifest.stat().st_ino) == inodes
+
+
+def test_a_rerun_through_a_symlink_or_hard_link_rewrites_the_shared_file(tmp_path):
+    fresh_csv, _ = _echo_seed_3(tmp_path / "fresh.csv")
+    target = tmp_path / "target.csv"
+    assert main(["photon_scaling", "--out", str(target)]) == 0
+    link, hard = tmp_path / "link.csv", tmp_path / "hard.csv"
+    link.symlink_to(target)
+    os.link(target, hard)
+
+    _echo_seed_3(link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == hard.read_bytes() == fresh_csv
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_fifo_out_gets_the_csv_bytes(tmp_path):
+    fresh_csv, _ = _echo_seed_3(tmp_path / "fresh.csv")
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["echo_demo", "--seed", "3", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert got == [fresh_csv]
+
+
+def test_write_result_neither_truncates_to_zero_nor_renames(tmp_path, monkeypatch):
+    config = build_config({"scenario": "echo_demo", "sample_count": 3})
+    rows = run_scenario(config)
+    out = tmp_path / "out.csv"
+    write_result(rows, config, out)
+    flags, real_open = [], os.open
+
+    def os_open(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("write_result called a refused file operation")
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(cli, "open", refused, raising=False)  # shadows the builtin in cli
+    for name in ("replace", "rename", "unlink", "truncate"):
+        monkeypatch.setattr(os, name, refused)
+    write_result(rows, config, out)
+    assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
 
 
 def test_main_success_and_failure(tmp_path, capsys):

@@ -716,6 +716,23 @@ def test_cached_all_click_tables_are_read_only():
             keep[0] = False
 
 
+@pytest.mark.parametrize("kind", list(TargetKind), ids=lambda k: k.name)
+def test_cached_stabilizer_sign_tables_match_a_fresh_table_and_are_read_only(kind):
+    for n in (1, 3):
+        for label in canonical_stabilizers(n, kind):
+            codes = tuple("IXZ".index(c) for c in label)
+            settings, table = measurement._sign_table(codes)
+            assert measurement._sign_table(codes)[1] is table
+            assert [s.kind for s in settings] == ["X" if c == "X" else "Z" for c in label]
+            fresh = measurement._table(
+                settings, lambda q, o: -1.0 if label[q] != "I" and o in ("late", "minus") else 1.0
+            )
+            assert table.tolist() == fresh.tolist()
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+
 def test_mutating_a_returned_povm_leaves_the_distribution_unchanged():
     settings = [BasisSetting.x(0.4), BasisSetting(kind="Z", routing="passive")]
     rho = _random_rho(2, 0)
